@@ -1,94 +1,67 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels of the quadrature assembly, built on one offset table.
 
-The backend is chosen once at import time from the environment:
-
-* ``FRACCALDERON_BACKEND=numba``  force the jit path (error if unavailable),
-* ``FRACCALDERON_BACKEND=numpy``  force the vectorized fallback,
-* unset / ``auto``                numba when importable, numpy otherwise.
-
-``FRACCALDERON_THREADS`` caps the numba thread pool.  Both paths produce
-exactly symmetric matrices: an entry depends only on the squared integer
-lattice offset, which is computed identically for (i, j) and (j, i).
+On a uniform lattice the midpoint kernel weight |x_i - x_j|^(-power) depends
+only on the integer offset |idx_i - idx_j|.  ``offset_table`` evaluates it
+once per offset, ``gather_offsets`` reads a dense pairwise matrix from the
+table, and ``offset_convolve`` sums a table against a lattice indicator by
+zero-padded FFT.  A gathered entry depends only on |idx_i - idx_j|, so the
+matrix is exactly symmetric and does not depend on evaluation order.
 """
-
-import os
 
 import numpy as np
 
-__all__ = ["backend_name", "midpoint_weight_matrix"]
-
-
-def _midpoint_weights_numpy(idx: np.ndarray, h: float, power: float) -> np.ndarray:
-    """Midpoint-rule kernel weights |x_i - x_j|^(-power) on a uniform lattice.
-
-    ``idx`` holds integer lattice multi-indices, shape (n, dim).  Entries for
-    the diagonal and for adjacent cells (Chebyshev offset <= 1) are left at
-    zero; they get exact cell integrals elsewhere.
-    """
-    n = idx.shape[0]
-    out = np.zeros((n, n))
-    # cap the broadcast temporaries at ~128 MB
-    block = max(1, (1 << 24) // max(n, 1))
-    for r0 in range(0, n, block):
-        r1 = min(n, r0 + block)
-        di = idx[r0:r1, None, :] - idx[None, :, :]
-        far = np.abs(di).max(axis=2) > 1
-        d2 = np.einsum("ijk,ijk->ij", di, di).astype(np.float64) * (h * h)
-        with np.errstate(divide="ignore"):
-            w = d2 ** (-0.5 * power)
-        out[r0:r1] = np.where(far, w, 0.0)
-    return out
-
-
-_BACKEND = os.environ.get("FRACCALDERON_BACKEND", "auto").strip().lower() or "auto"
-if _BACKEND not in ("auto", "numba", "numpy"):
-    raise ValueError(f"FRACCALDERON_BACKEND must be 'numba' or 'numpy', got {_BACKEND!r}")
-
-_midpoint_weights_numba = None
-if _BACKEND in ("auto", "numba"):
-    try:
-        import numba
-
-        _threads = os.environ.get("FRACCALDERON_THREADS")
-        if _threads:
-            numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-
-        @numba.njit(parallel=True, cache=True)
-        def _midpoint_weights_numba(idx, h, power):  # pragma: no cover - jitted
-            n = idx.shape[0]
-            dim = idx.shape[1]
-            out = np.zeros((n, n))
-            for i in numba.prange(n):
-                for j in range(i + 1, n):
-                    mx = 0
-                    d2 = 0.0
-                    for k in range(dim):
-                        dk = idx[i, k] - idx[j, k]
-                        if dk < 0:
-                            dk = -dk
-                        if dk > mx:
-                            mx = dk
-                        d2 += dk * dk
-                    if mx <= 1:
-                        continue
-                    w = (d2 * h * h) ** (-0.5 * power)
-                    out[i, j] = w
-                    out[j, i] = w
-            return out
-
-    except ImportError:
-        if _BACKEND == "numba":
-            raise
-        _midpoint_weights_numba = None
+__all__ = ["backend_name", "gather_offsets", "offset_convolve", "offset_table"]
 
 
 def backend_name() -> str:
-    return "numpy" if _midpoint_weights_numba is None else "numba"
+    """The kernels run on numpy alone."""
+    return "numpy"
 
 
-def midpoint_weight_matrix(idx: np.ndarray, h: float, power: float) -> np.ndarray:
-    """Symmetric matrix of midpoint kernel weights; zero on/next to the diagonal."""
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    if _midpoint_weights_numba is not None:
-        return _midpoint_weights_numba(idx, float(h), float(power))
-    return _midpoint_weights_numpy(idx, float(h), float(power))
+def offset_table(shape, h: float, power: float) -> np.ndarray:
+    """Midpoint weights (|d| h)^(-power) for lattice offsets 0 <= d_k < shape[k].
+
+    Offsets of Chebyshev length <= 1 (the own and the adjacent cells) are
+    zero; they get exact cell integrals elsewhere.
+    """
+    axes = np.meshgrid(*[np.arange(m, dtype=np.int64) for m in shape], indexing="ij")
+    d2 = sum(a * a for a in axes).astype(np.float64) * (h * h)
+    with np.errstate(divide="ignore"):
+        tab = d2 ** (-0.5 * power)
+    tab[(slice(0, 2),) * len(shape)] = 0.0
+    return tab
+
+
+def gather_offsets(tab: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Dense matrix M[i, j] = tab[|idx_i - idx_j|] for lattice indices (n, dim)."""
+    # flat table positions fit in 32 bits for any table that fits in memory
+    itype = np.int32 if tab.size < 2**31 else np.int64
+    idx = np.asarray(idx, dtype=itype)
+    n, dim = idx.shape
+    strides = [itype(np.prod(tab.shape[k + 1:])) for k in range(dim)]
+    flat = tab.ravel()
+    out = np.empty((n, n))
+    # cap the integer offset temporaries at ~16 MB
+    block = max(1, (1 << 22) // max(n, 1))
+    for r0 in range(0, n, block):
+        r1 = min(n, r0 + block)
+        pos = np.abs(idx[r0:r1, None, 0] - idx[None, :, 0]) * strides[0]
+        for k in range(1, dim):
+            pos += np.abs(idx[r0:r1, None, k] - idx[None, :, k]) * strides[k]
+        np.take(flat, pos, out=out[r0:r1])
+    return out
+
+
+def offset_convolve(tab: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """out[i] = sum_j mask[j] * tab[|i - j|] on a 2D lattice, by FFT.
+
+    ``tab`` covers at least the offsets of ``mask``'s shape.  The signed
+    kernel has shape (2 n_k - 1) per axis; both are zero-padded to a power
+    of two >= 3 n_k - 2, so the circular convolution equals the linear one.
+    """
+    n1, n2 = mask.shape
+    kern = tab[np.ix_(np.abs(np.arange(1 - n1, n1)), np.abs(np.arange(1 - n2, n2)))]
+    shape = tuple(1 << (3 * m - 3).bit_length() for m in (n1, n2))
+    spec = np.fft.rfft2(mask, shape) * np.fft.rfft2(kern, shape)
+    full = np.fft.irfft2(spec, shape)
+    return full[n1 - 1:2 * n1 - 1, n2 - 1:2 * n2 - 1]

@@ -22,7 +22,8 @@ import numpy as np
 from .dirichlet import (DirichletSystem, Potential, assemble_system,
                         dirichlet_spectrum, ensure_solvable)
 from .dnmap import assemble_dn
-from .errors import GridMismatchError, IllConditionedWarning, RungeFailError
+from .errors import (EigFailError, GridMismatchError, IllConditionedWarning,
+                     RungeFailError, SingularSystemError)
 from .grid import Grid
 from .runge import COND_WARN, ControlProblem, runge_approximate
 
@@ -235,7 +236,8 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
         else:
             dq, beta = _solve_regularized(B, m, L, np.sqrt(noise_sq), clean_beta=clean_beta)
 
-        # backtrack the update if it stops explaining the measured data
+        # backtrack the update if it stops explaining the measured data, or if
+        # the trial potential is non-finite or makes the system unsolvable
         def _data_misfit(q_vals):
             sys_try = assemble_system(sys_ref.op, Potential(grid, q_vals))
             ensure_solvable(sys_try)
@@ -246,9 +248,13 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
         misfit_now = float(np.linalg.norm(data_cur))
         step = dq
         for _ in range(4):
+            trial = q_hat + step
+            if not np.all(np.isfinite(trial)):
+                step = step / 2.0
+                continue
             try:
-                sys_next, misfit_next = _data_misfit(q_hat + step)
-            except Exception:
+                sys_next, misfit_next = _data_misfit(trial)
+            except (SingularSystemError, EigFailError, np.linalg.LinAlgError):
                 step = step / 2.0
                 continue
             if misfit_next <= misfit_now or it == 0:

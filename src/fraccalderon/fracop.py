@@ -7,7 +7,11 @@ Two independent realizations:
   entries use the midpoint rule for well-separated cells and exact cell
   integrals for adjacent cells; the diagonal is the negated off-diagonal row
   sum plus the exact far-field tail, so rows sum to the tail coefficient and
-  the matrix keeps the sign structure of the kernel.
+  the matrix keeps the sign structure of the kernel.  Every cell weight
+  depends only on the lattice offset, so one table per offset serves the
+  matrix (by gather) and, in 2D, the FAR-cell part of the tail (by FFT
+  convolution with the FAR indicator); the tail outside the box is in
+  closed form.
 * ``apply_spectral`` applies the Fourier multiplier |xi|^(2s) on a
   zero-padded periodic embedding of the box.
 
@@ -25,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from ._kernels import midpoint_weight_matrix
+from ._kernels import gather_offsets, offset_convolve, offset_table
 from .errors import DomainError, QuadratureError
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, Region
 
 _QUAD_REL_TOL = 1e-10
 
@@ -136,75 +140,62 @@ def _unit_cell_integral_2d(s: float, corner: bool) -> float:
     return val
 
 
-def _half_strip_integral(a_vals: np.ndarray, b: float, s: float) -> np.ndarray:
-    """J(a, b) = integral_b^inf (a^2 + t^2)^(-1-s) dt, vectorized in a >= 0."""
-    a_vals = np.asarray(a_vals, dtype=float)
-    out = np.empty_like(a_vals)
-    zero = a_vals == 0.0
-    out[zero] = b ** (-1.0 - 2.0 * s) / (1.0 + 2.0 * s)
-    a = a_vals[~zero]
-    bc = 0.5 * special.beta(0.5, s + 0.5)
-    z = b * b / (a * a + b * b)
-    out[~zero] = a ** (-1.0 - 2.0 * s) * bc * (1.0 - special.betainc(0.5, s + 0.5, z))
-    return out
-
-
 def _tail_outside_box_1d(x: np.ndarray, R: float, s: float) -> np.ndarray:
     return ((R - x) ** (-2 * s) + (R + x) ** (-2 * s)) / (2.0 * s)
 
 
 def _tail_outside_box_2d(pts: np.ndarray, R: float, s: float) -> np.ndarray:
-    """Integral of |x-y|^(-2-2s) over the complement of the box, per point."""
-    bhalf = special.beta(0.5, s + 0.5)
-    x1, x2 = pts[:, 0], pts[:, 1]
-    # two half-planes |y1| > R (closed form)
-    out = bhalf * ((R - x1) ** (-2 * s) + (R + x1) ** (-2 * s)) / (2.0 * s)
-    # two strips |y1| <= R, |y2| > R (1D adaptive quadrature of J)
-    for i in range(len(pts)):
-        for b in (R - x2[i], R + x2[i]):
-            f = lambda y1: float(_half_strip_integral(np.array([abs(y1 - x1[i])]), b, s)[0])
-            acc = 0.0
-            for lo, hi in ((-R, x1[i]), (x1[i], R)):
-                val, err = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=_QUAD_REL_TOL, limit=200)
-                if err > max(1e-8 * abs(val), 1e-13):
-                    raise QuadratureError("exterior strip quadrature did not converge")
-                acc += val
-            out[i] += acc
-    return out
+    """Integral of |x-y|^(-2-2s) over the complement of the box, per point.
 
-
-def _adjacency_pairs(grid: Grid, edges_only: bool) -> np.ndarray:
-    """Pairs (p, q) of non-FAR node positions whose cells are adjacent.
-
-    ``edges_only`` restricts to axis neighbors (used by the curvature
-    springs); otherwise Chebyshev-1 neighbors including corners.
+    In polar coordinates about x the radial integral leaves
+    (1/2s) * integral of r_exit(theta)^(-2s) over the directions.  The rays
+    leaving through a side at distance d have r_exit = d / cos(phi), and
+    between the foot of the perpendicular and a corner at offset o along the
+    side, integral cos(phi)^(2s) dphi = B(1/2, s+1/2)/2 * I_{o^2/(o^2+d^2)}(1/2, s+1/2).
     """
+    half_b = 0.5 * special.beta(0.5, s + 0.5)
+    out = np.zeros(len(pts))
+    for k in range(2):
+        along = pts[:, 1 - k]
+        for d in (R - pts[:, k], R + pts[:, k]):
+            ends = sum(special.betainc(0.5, s + 0.5, o * o / (o * o + d * d))
+                       for o in (R - along, R + along))
+            out += d ** (-2 * s) * half_b * ends
+    return out / (2.0 * s)
+
+
+def _edge_pairs(grid: Grid) -> np.ndarray:
+    """Pairs (p, q) of non-FAR node positions whose cells share a face."""
     nf = grid.nonfar
     pos_of = np.full(grid.n_nodes, -1, dtype=np.int64)
     pos_of[nf] = np.arange(len(nf))
     n_cells = int(round(2.0 * grid.R / grid.h))
+    strides = n_cells ** np.arange(grid.dim - 1, -1, -1)
+    idx = grid.idx[nf]
     pairs = []
-    if grid.dim == 1:
-        offsets = [(1,)]
-    else:
-        offsets = [(1, 0), (0, 1)] if edges_only else [(1, 0), (0, 1), (1, 1), (1, -1)]
-    idx = grid.idx
-    for off in offsets:
-        if grid.dim == 1:
-            nbr = idx[nf, 0] + off[0]
-            ok = (nbr >= 0) & (nbr < n_cells)
-            full = nbr
-        else:
-            ni = idx[nf, 0] + off[0]
-            nj = idx[nf, 1] + off[1]
-            ok = (ni >= 0) & (ni < n_cells) & (nj >= 0) & (nj < n_cells)
-            full = ni * n_cells + nj
-        q = np.full(len(nf), -1, dtype=np.int64)
-        q[ok] = pos_of[full[ok]]
+    for k in range(grid.dim):
+        p = np.flatnonzero(idx[:, k] + 1 < n_cells)
+        q = pos_of[idx[p] @ strides + strides[k]]
         keep = q >= 0
-        p = np.arange(len(nf))[keep]
-        pairs.append(np.stack([p, q[keep]], axis=1))
-    return np.concatenate(pairs, axis=0) if pairs else np.empty((0, 2), dtype=np.int64)
+        pairs.append(np.stack([p[keep], q[keep]], axis=1))
+    return np.concatenate(pairs, axis=0)
+
+
+def _cell_weights(grid: Grid, s: float) -> np.ndarray:
+    """Integral of |z|^(-dim-2s) over the cell at lattice offset d >= 0, per d.
+
+    Midpoint rule beyond Chebyshev distance 1, exact cell integrals at
+    distance 1, zero for the own cell; shape (n_cells,) * dim.
+    """
+    n, h = grid.dim, grid.h
+    n_cells = int(round(2.0 * grid.R / h))
+    K = offset_table((n_cells,) * n, h, n + 2.0 * s) * h**n
+    if n == 1:
+        K[1] = _adjacent_weight_1d(h, s)
+    else:
+        K[0, 1] = K[1, 0] = h ** (-2 * s) * _unit_cell_integral_2d(s, corner=False)
+        K[1, 1] = h ** (-2 * s) * _unit_cell_integral_2d(s, corner=True)
+    return K
 
 
 def assemble_quadrature(grid: Grid, s: float, curvature_correction: bool = True) -> FracOperator:
@@ -217,19 +208,9 @@ def assemble_quadrature(grid: Grid, s: float, curvature_correction: bool = True)
     nf = grid.nonfar
     N = len(nf)
 
-    # integrated kernel weights V[i, j] ~ integral over cell j of |x_i - y|^(-n-2s)
-    V = midpoint_weight_matrix(grid.idx[nf], h, n + 2.0 * s) * h**n
-
-    pairs = _adjacency_pairs(grid, edges_only=False)
-    if n == 1:
-        vals = np.full(len(pairs), _adjacent_weight_1d(h, s))
-    else:
-        w_edge = h ** (-2 * s) * _unit_cell_integral_2d(s, corner=False)
-        w_corner = h ** (-2 * s) * _unit_cell_integral_2d(s, corner=True)
-        d = grid.idx[nf[pairs[:, 0]]] - grid.idx[nf[pairs[:, 1]]]
-        vals = np.where(np.abs(d).sum(axis=1) == 2, w_corner, w_edge)
-    V[pairs[:, 0], pairs[:, 1]] = vals
-    V[pairs[:, 1], pairs[:, 0]] = vals
+    # V[i, j] ~ integral over cell j of |x_i - y|^(-n-2s)
+    K = _cell_weights(grid, s)
+    V = gather_offsets(K, grid.idx[nf])
 
     # far-field tail: box complement plus FAR cells (u vanishes on both)
     x_nf = grid.coords[nf]
@@ -242,31 +223,13 @@ def assemble_quadrature(grid: Grid, s: float, curvature_correction: bool = True)
             b = dc + h / 2.0
             tail_int += np.sum((a ** (-2 * s) - b ** (-2 * s)) / (2.0 * s), axis=1)
     else:
-        tail_int = _tail_outside_box_2d(x_nf, grid.R, s)
-        far = grid.far
-        if len(far):
-            idx_nf = grid.idx[nf]
-            idx_far = grid.idx[far]
-            w_edge = h ** (-2 * s) * _unit_cell_integral_2d(s, corner=False)
-            w_corner = h ** (-2 * s) * _unit_cell_integral_2d(s, corner=True)
-            block = max(1, (1 << 23) // max(N, 1))
-            for c0 in range(0, len(far), block):
-                d = idx_nf[:, None, :] - idx_far[None, c0:c0 + block, :]
-                cheb = np.abs(d).max(axis=2)
-                d2 = np.einsum("ijk,ijk->ij", d, d).astype(float) * h * h
-                with np.errstate(divide="ignore"):
-                    w = h**2 * d2 ** (-(1.0 + s))
-                w = np.where(cheb > 1, w, 0.0)
-                adj = cheb == 1
-                if np.any(adj):
-                    l1 = np.abs(d).sum(axis=2)
-                    w = np.where(adj & (l1 == 2), w_corner, w)
-                    w = np.where(adj & (l1 == 1), w_edge, w)
-                tail_int += w.sum(axis=1)
+        far_mask = (grid.region == Region.EXTERIOR_FAR).astype(np.float64)
+        far_sum = offset_convolve(K, far_mask.reshape(K.shape)).ravel()
+        tail_int = _tail_outside_box_2d(x_nf, grid.R, s) + far_sum[nf]
 
-    A = -c * V
-    np.fill_diagonal(A, 0.0)
+    # A = -c V off the diagonal, built in place of V
     diag = c * V.sum(axis=1) + c * tail_int
+    A = np.multiply(V, -c, out=V)
     A[np.diag_indices(N)] = diag
 
     if curvature_correction:
@@ -281,7 +244,7 @@ def assemble_quadrature(grid: Grid, s: float, curvature_correction: bool = True)
                 _KAPPA_CACHE[key] = _kappa_2d(s, _unit_cell_integral_2d(s, corner=False),
                                               _unit_cell_integral_2d(s, corner=True))
         spring = c * _KAPPA_CACHE[key] * h ** (-2.0 * s)
-        edges = _adjacency_pairs(grid, edges_only=True)
+        edges = _edge_pairs(grid)
         np.add.at(A, (edges[:, 0], edges[:, 0]), spring)
         np.add.at(A, (edges[:, 1], edges[:, 1]), spring)
         np.add.at(A, (edges[:, 0], edges[:, 1]), -spring)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fraccalderon import assemble_quadrature, build_grid
+from fraccalderon import assemble_quadrature, build_grid, calderon
 from fraccalderon.calderon import (BETA_FLOOR, reconstruct_potential,
                                    reconstruction_error, simulate_measurements)
 from fraccalderon.dirichlet import assemble_system, potential_from_spec
@@ -115,6 +115,38 @@ def test_runge_gate_trips(desk_setup):
     with pytest.raises(RungeFailError):
         reconstruct_potential(meas, sys_ref, alpha=1e-12, n_targets=6,
                               runge_gate=0.01, iterations=1, mode="constructive")
+
+
+def test_backtracking_propagates_unrelated_errors(desk_setup, monkeypatch):
+    # backtracking halves the step on an unsolvable trial system only; any
+    # other error while evaluating a trial (here a TypeError from the first
+    # DN assembly) is a fault and must surface
+    grid, sys_ref, sys_true, _ = desk_setup
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
+    real = calderon.assemble_dn
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise TypeError("unrelated fault")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(calderon, "assemble_dn", flaky)
+    with pytest.raises(TypeError, match="unrelated fault"):
+        reconstruct_potential(meas, sys_ref, iterations=1, mode="linearized",
+                              clean_beta=0.1)
+
+
+def test_backtracking_halves_nonfinite_step(desk_setup, monkeypatch):
+    # a non-finite update is halved like a failed trial; after the last
+    # halving the step is dropped and the estimate stays at the reference
+    grid, sys_ref, sys_true, _ = desk_setup
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
+    monkeypatch.setattr(calderon, "_solve_regularized",
+                        lambda B, *a, **k: (np.full(B.shape[1], np.inf), 1.0))
+    out = reconstruct_potential(meas, sys_ref, iterations=1, mode="linearized")
+    assert np.array_equal(out["q_diff"], np.zeros(len(grid.interior)))
 
 
 def _setup_windows(w1, w2):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from fraccalderon import GridFunction, apply_spectral, assemble_quadrature, build_grid, cns_constant
-from fraccalderon.fracop import export_operator
+from fraccalderon._kernels import gather_offsets, offset_convolve, offset_table
+from fraccalderon.fracop import _cell_weights, _tail_outside_box_2d, export_operator
 from fraccalderon.errors import DomainError
+from fraccalderon.grid import Region
 
-from conftest import smooth_bump
+from conftest import make_grid_1d, smooth_bump
 
 # Getoor-type oracle for s = 1/2 on (-1, 1): high-resolution adaptive
 # quadrature of the principal-value integral at x = 0 gives 1.0000000000
@@ -190,3 +192,85 @@ def test_export_roundtrip(tmp_path, desk_op):
     export_operator(desk_op, str(csv_path), fmt="csv")
     loaded = np.loadtxt(csv_path, delimiter=",")
     assert np.allclose(loaded, desk_op.matrix, rtol=0, atol=1e-16 * np.max(np.abs(desk_op.matrix)))
+
+
+def _disc_grid_2d(h):
+    return build_grid(2, h, 3.0,
+                      {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
+                      {"type": "disc", "center": [0.0, 0.0], "radius": 2.0})
+
+
+def _midpoint_weights_broadcast(idx, h, power):
+    # reference: pairwise broadcast of the midpoint rule, zero at Chebyshev <= 1
+    di = idx[:, None, :] - idx[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", di, di).astype(np.float64) * (h * h)
+    with np.errstate(divide="ignore"):
+        w = d2 ** (-0.5 * power)
+    return np.where(np.abs(di).max(axis=2) > 1, w, 0.0)
+
+
+@pytest.mark.parametrize("grid,s", [(make_grid_1d(0.01), 0.3), (_disc_grid_2d(0.1), 0.5),
+                                    (_disc_grid_2d(0.1), 0.85)])
+def test_offset_table_weights_match_broadcast(grid, s):
+    idx = grid.idx[grid.nonfar]
+    power = grid.dim + 2.0 * s
+    span = idx.max(axis=0) - idx.min(axis=0) + 1
+    gathered = gather_offsets(offset_table(tuple(span), grid.h, power), idx)
+    assert np.array_equal(gathered, _midpoint_weights_broadcast(idx, grid.h, power))
+
+
+def _tail_outside_box_2d_adaptive(pts, R, s):
+    # reference: two half-planes |y1| > R in closed form plus the two strips
+    # |y1| <= R, |y2| > R by adaptive quadrature over y1 (split at the kink
+    # y1 = x1) of the exact half-line integral in y2
+    def half_line(a, b):
+        # integral_b^inf (a^2 + t^2)^(-1-s) dt
+        if a == 0.0:
+            return b ** (-1.0 - 2.0 * s) / (1.0 + 2.0 * s)
+        z = b * b / (a * a + b * b)
+        return a ** (-1.0 - 2.0 * s) * 0.5 * special.beta(0.5, s + 0.5) \
+            * special.betaincc(0.5, s + 0.5, z)
+
+    x1, x2 = pts[:, 0], pts[:, 1]
+    out = special.beta(0.5, s + 0.5) * ((R - x1) ** (-2 * s) + (R + x1) ** (-2 * s)) / (2.0 * s)
+    for i in range(len(pts)):
+        for b in (R - x2[i], R + x2[i]):
+            for lo, hi in ((-R, x1[i]), (x1[i], R)):
+                val, err = integrate.quad(lambda y1: half_line(abs(y1 - x1[i]), b), lo, hi,
+                                          epsabs=0.0, epsrel=1e-10, limit=200)
+                assert err <= 1e-8 * abs(val)
+                out[i] += val
+    return out
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_box_tail_closed_form_matches_quadrature(s):
+    g = _disc_grid_2d(0.1)
+    pts = g.coords[g.nonfar]
+    # a random sample plus the nodes nearest to a side and to a corner of the box
+    pick = np.random.default_rng(3).choice(len(pts), 24, replace=False)
+    pts = pts[np.concatenate([pick, [np.argmax(pts[:, 0]), np.argmax(pts.sum(axis=1))]])]
+    closed = _tail_outside_box_2d(pts, g.R, s)
+    ref = _tail_outside_box_2d_adaptive(pts, g.R, s)
+    assert np.max(np.abs(closed - ref) / ref) <= 1e-10
+
+
+@pytest.mark.parametrize("s", [0.25, 0.75])
+def test_far_cell_convolution_matches_direct_sum(s):
+    g = _disc_grid_2d(0.2)
+    K = _cell_weights(g, s)
+    mask = (g.region == Region.EXTERIOR_FAR).astype(np.float64).reshape(K.shape)
+    fft = offset_convolve(K, mask).ravel()[g.nonfar]
+    d = np.abs(g.idx[g.nonfar][:, None, :] - g.idx[g.far][None, :, :])
+    direct = K[d[..., 0], d[..., 1]].sum(axis=1)
+    assert np.max(np.abs(fft - direct) / direct) <= 1e-12
+
+
+def test_assembly_near_classical_limit_2d():
+    # s close to 1 stays assemblable in 2D: the exterior tail is exact, no
+    # adaptive quadrature that could run out of subdivisions
+    op = assemble_quadrature(_disc_grid_2d(0.2), 0.95)
+    A = op.matrix
+    assert np.array_equal(A, A.T)
+    assert np.linalg.eigvalsh(A)[0] > 0
+    assert np.max(np.abs(A.sum(axis=1) - op.tail)) <= 1e-12 * np.max(np.abs(A))
