@@ -25,7 +25,8 @@ from .dnmap import assemble_dn
 from .errors import (EigFailError, GridMismatchError, IllConditionedWarning,
                      RungeFailError, SingularSystemError)
 from .grid import Grid
-from .runge import COND_WARN, ControlProblem, runge_approximate
+from .runge import (COND_WARN, ControlProblem, control_to_interior_matrix,
+                    runge_approximate)
 
 DEFAULT_RUNGE_GATE = 0.05
 
@@ -79,10 +80,15 @@ RIDGE = 1e-6
 BETA_FLOOR = 1.0 / (RIDGE * COND_WARN - 1.0)
 
 
-def _solve_regularized(B: np.ndarray, m: np.ndarray, L: np.ndarray,
+def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, L: np.ndarray,
                        noise_level: float, clean_beta: float = 1e-3) -> tuple[np.ndarray, float]:
-    """Penalized least squares with the weight picked by discrepancy against
-    the noise estimate (fixed relative weight for clean data).
+    """Penalized least squares min ||B x - m||^2 + beta * ||L x||^2 (plus a
+    ridge), with the weight picked by discrepancy against the noise estimate
+    (fixed relative weight for clean data).
+
+    B and m enter only through the normal-equation pieces ``BtB`` (B^T B)
+    and ``Btm`` (B^T m), and through ``residual(x)`` = ||B x - m|| for the
+    discrepancy test, so a caller never has to form B.
 
     The relative weight ``clean_beta`` is the penalty weight over
     ||BtB||_F / ||LtL + ridge * I||_F; the normal matrix's condition number
@@ -93,10 +99,8 @@ def _solve_regularized(B: np.ndarray, m: np.ndarray, L: np.ndarray,
     naming both weights, and the discrepancy grid stops there.  Above the
     floor nothing changes.  Returns the solution and the absolute weight used.
     """
-    BtB = B.T @ B
     LtL = L.T @ L
     LtL = LtL + RIDGE * np.linalg.norm(LtL) * np.eye(LtL.shape[0])
-    Btm = B.T @ m
     scale = np.linalg.norm(BtB) / max(np.linalg.norm(LtL), 1e-300)
     if clean_beta < BETA_FLOOR:
         warnings.warn(
@@ -113,9 +117,33 @@ def _solve_regularized(B: np.ndarray, m: np.ndarray, L: np.ndarray,
     # unreachable; drilling past the floor would fit noise)
     for beta in scale * np.logspace(2, np.log10(clean_beta), 25):
         dq = np.linalg.solve(BtB + beta * LtL, Btm)
-        if np.linalg.norm(B @ dq - m) <= 1.1 * noise_level:
+        if residual(dq) <= 1.1 * noise_level:
             return dq, beta
     return np.linalg.solve(BtB + floor * LtL, Btm), floor
+
+
+def _linearized_normal_equations(U1: np.ndarray, U2: np.ndarray, data: np.ndarray,
+                                 hn: float):
+    """Normal equations of the linearized Galerkin system, without the system.
+
+    Window pair (k, l) gives the row hn * U1[:, k] * U2[:, l] with datum
+    hn * data[l, k], so B (|W1|*|W2| x n_int) is the row-wise Khatri-Rao
+    product of U1^T and U2^T.  Its normal equations and residual follow from
+    n_int x n_int Gram matrices:
+
+        BtB = hn^2 * (U1 U1^T) o (U2 U2^T)
+        Btm = hn^2 * rowsum(U1 o (U2 data))
+        ||B dq - m|| = hn * ||U1^T diag(dq) U2 - data^T||_F
+
+    Returns ``(BtB, Btm, residual)`` for ``_solve_regularized``.
+    """
+    BtB = hn**2 * ((U1 @ U1.T) * (U2 @ U2.T))
+    Btm = hn**2 * np.sum(U1 * (U2 @ data), axis=1)
+
+    def residual(dq):
+        return hn * float(np.linalg.norm(U1.T @ (dq[:, None] * U2) - data.T))
+
+    return BtB, Btm, residual
 
 
 def _build_controls(sys: DirichletSystem, window_nodes, targets: np.ndarray,
@@ -177,6 +205,11 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
 
     q_hat = sys_ref.potential.values.copy()
     sys_cur = sys_ref
+    # the reference DN is fixed for the whole call; the current one is carried
+    # over from the accepted trial, which is the next iteration's system
+    dn_ref = assemble_dn(sys_ref, meas.source_nodes, meas.observation_nodes).matrix
+    dn_cur = dn_ref
+    L = _second_difference(n_int)
     diagnostics = {"iterations": [], "mode": mode}
 
     # once the residual data sits at the noise floor, further sweeps only fit noise
@@ -188,13 +221,10 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
         if it == 0:
             data_cur = meas.data
         else:
-            dn_cur = assemble_dn(sys_cur, meas.source_nodes, meas.observation_nodes)
-            dn_ref = assemble_dn(sys_ref, meas.source_nodes, meas.observation_nodes)
-            data_cur = meas.data - (dn_cur.matrix - dn_ref.matrix)
+            data_cur = meas.data - (dn_cur - dn_ref)
             if float(np.linalg.norm(data_cur)) <= noise_floor:
                 break
 
-        rows, rhs, noise_sq = [], [], 0.0
         runge_res, test_res = [], []
         if mode == "constructive":
             ctrls = _build_controls(sys_cur, meas.source_nodes, targets, alpha,
@@ -204,46 +234,39 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
                                     ones[:, None], alpha, runge_gate, hn, "constant")[0]
             runge_res = [r.residual for r in ctrls]
             test_res = [const.residual]
+            rows, rhs, noise_sq = [], [], 0.0
             for rk in ctrls:
                 rows.append(hn * rk.achieved * const.achieved)
                 rhs.append(hn * float(const.control @ (data_cur @ rk.control)))
                 if meas.sigma > 0:
                     noise_sq += meas.sigma**2 * hn**2 * float(
                         np.sum((np.outer(const.control, rk.control) * meas.data) ** 2))
+            # the pairings are moments against the targets: solve in their span
+            Bc = np.asarray(rows) @ targets
+            m = np.asarray(rhs)
+            dc, beta = _solve_regularized(
+                Bc.T @ Bc, Bc.T @ m, lambda c: float(np.linalg.norm(Bc @ c - m)),
+                L @ targets, np.sqrt(noise_sq), clean_beta=clean_beta)
+            dq = targets @ dc
         elif mode == "linearized":
             # window-basis solution pairs as a Galerkin product family; the
             # pairing of the data with basis controls is the data itself
-            from .runge import control_to_interior_matrix
             U1 = control_to_interior_matrix(sys_cur, meas.source_nodes)
             U2 = control_to_interior_matrix(sys_cur, meas.observation_nodes)
-            for k in range(U1.shape[1]):
-                for l in range(U2.shape[1]):
-                    rows.append(hn * U1[:, k] * U2[:, l])
-                    rhs.append(hn * float(data_cur[l, k]))
-                    if meas.sigma > 0:
-                        noise_sq += meas.sigma**2 * hn**2 * float(meas.data[l, k] ** 2)
+            BtB, Btm, residual = _linearized_normal_equations(U1, U2, data_cur, hn)
+            noise_level = meas.sigma * hn * float(np.linalg.norm(meas.data))
+            dq, beta = _solve_regularized(BtB, Btm, residual, L, noise_level,
+                                          clean_beta=clean_beta)
         else:
             raise ValueError(f"unknown mode {mode!r}")
-
-        B = np.asarray(rows)
-        m = np.asarray(rhs)
-        L = _second_difference(n_int)
-        if mode == "constructive":
-            # the pairings are moments against the targets: solve in their span
-            dc, beta = _solve_regularized(B @ targets, m, L @ targets, np.sqrt(noise_sq),
-                                          clean_beta=clean_beta)
-            dq = targets @ dc
-        else:
-            dq, beta = _solve_regularized(B, m, L, np.sqrt(noise_sq), clean_beta=clean_beta)
 
         # backtrack the update if it stops explaining the measured data, or if
         # the trial potential is non-finite or makes the system unsolvable
         def _data_misfit(q_vals):
             sys_try = assemble_system(sys_ref.op, Potential(grid, q_vals))
             ensure_solvable(sys_try)
-            dn_try = assemble_dn(sys_try, meas.source_nodes, meas.observation_nodes)
-            dn_ref0 = assemble_dn(sys_ref, meas.source_nodes, meas.observation_nodes)
-            return sys_try, float(np.linalg.norm(meas.data - (dn_try.matrix - dn_ref0.matrix)))
+            dn_try = assemble_dn(sys_try, meas.source_nodes, meas.observation_nodes).matrix
+            return sys_try, dn_try, float(np.linalg.norm(meas.data - (dn_try - dn_ref)))
 
         misfit_now = float(np.linalg.norm(data_cur))
         step = dq
@@ -253,7 +276,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
                 step = step / 2.0
                 continue
             try:
-                sys_next, misfit_next = _data_misfit(trial)
+                sys_next, dn_next, misfit_next = _data_misfit(trial)
             except (SingularSystemError, EigFailError, np.linalg.LinAlgError):
                 step = step / 2.0
                 continue
@@ -261,10 +284,11 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
                 break
             step = step / 2.0
         else:
-            sys_next, _ = _data_misfit(q_hat)
+            # every trial failed: stay at the current system
+            sys_next, dn_next = sys_cur, dn_cur
             step = np.zeros_like(dq)
         q_hat = q_hat + step
-        sys_cur = sys_next
+        sys_cur, dn_cur = sys_next, dn_next
         diagnostics["iterations"].append({
             "runge_residuals": runge_res,
             "test_residuals": test_res,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dirichlet import (assemble_system, check_condition, dirichlet_spectrum,
-                        potential_from_spec)
+                        potential_from_spec, solve_poisson)
 from .dnmap import (assemble_dn, dn_decomposition_check, dn_pointwise,
                     export_dn_csv, integral_identity)
 from .errors import ConfigError, FracCalderonError
@@ -114,12 +114,31 @@ CONFIG_SCHEMA = {
 }
 
 
+# the gate thresholds each pipeline reads from ``tolerances``
+TOLERANCE_KEYS = {
+    "validate-op": ("oracle_agreement",),
+    "spectrum": (),
+    "dnmap": ("identity", "identity_loose"),
+    "runge-sweep": ("runge_residual",),
+    "invert": ("reconstruction_error",),
+    "extend": ("trace_identity",),
+    "diffuse": ("semigroup", "richardson_band", "heat_mass"),
+}
+
+
 def validate_config(cfg: dict) -> None:
+    """Schema check, then the tolerance keys against those the pipeline reads,
+    so a misspelt gate name fails instead of leaving its default in force."""
     import jsonschema
     try:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ConfigError(str(exc).splitlines()[0]) from exc
+    allowed = TOLERANCE_KEYS[cfg["pipeline"]]
+    unknown = sorted(set(cfg.get("tolerances", {})) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown tolerances {unknown} for pipeline {cfg['pipeline']!r}; "
+                          f"allowed: {list(allowed)}")
 
 
 def _config_hash(cfg: dict) -> str:
@@ -347,9 +366,8 @@ def _pipeline_diffuse(cfg, out_dir, report):
     sys = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
     rng = np.random.default_rng(cfg.get("seed", 0))
     f = np.zeros(len(grid.ext_support))
-    w1 = np.searchsorted(grid.ext_support, grid.indices_of("W1"))
-    f[w1] = 1.0
-    from .dirichlet import solve_poisson
+    src = np.searchsorted(grid.ext_support, grid.indices_of(cfg.get("source_window", "W1")))
+    f[src] = 1.0
     u_f = solve_poisson(sys, f)
     v0 = u_f.values.copy()
     v0[grid.interior] += rng.standard_normal(len(grid.interior))

@@ -72,6 +72,23 @@ def op_2d(grid_2d):
     return assemble_quadrature(grid_2d, 0.5)
 
 
+@pytest.fixture(scope="session")
+def setup_2d():
+    """2D disc, h = 0.1, with two opposite exterior windows: reference and
+    Gaussian-bump systems."""
+    grid = build_grid(2, 0.1, 3.0,
+                      {"type": "disc", "center": [0, 0], "radius": 1.0},
+                      {"type": "disc", "center": [0, 0], "radius": 2.0},
+                      {"W1": {"type": "disc", "center": [1.5, 0], "radius": 0.35},
+                       "W2": {"type": "disc", "center": [-1.5, 0], "radius": 0.35}})
+    op = assemble_quadrature(grid, 0.5)
+    sys_ref = assemble_system(op, potential_from_spec(grid, 0.0))
+    q_true = potential_from_spec(
+        grid, {"type": "gaussian", "amplitude": 0.5, "center": [0.0, 0.0], "width": 0.5})
+    sys_true = assemble_system(op, q_true)
+    return grid, sys_ref, sys_true, q_true
+
+
 def smooth_bump(grid, center, width):
     r2 = np.sum((grid.coords - np.atleast_1d(center)) ** 2, axis=1)
     vals = np.exp(-r2 / (2.0 * width * width))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from fraccalderon.calderon import (BETA_FLOOR, reconstruct_potential,
                                    reconstruction_error, simulate_measurements)
 from fraccalderon.dirichlet import assemble_system, potential_from_spec
 from fraccalderon.errors import IllConditionedWarning, RungeFailError
+from fraccalderon.runge import control_to_interior_matrix
+
+from conftest import make_grid_1d
 
 BUMP = {"type": "gaussian", "amplitude": 0.5, "center": 0.0, "width": 0.4}
 
@@ -119,18 +123,16 @@ def test_runge_gate_trips(desk_setup):
 
 def test_backtracking_propagates_unrelated_errors(desk_setup, monkeypatch):
     # backtracking halves the step on an unsolvable trial system only; any
-    # other error while evaluating a trial (here a TypeError from the first
+    # other error while evaluating a trial (here a TypeError from the trial's
     # DN assembly) is a fault and must surface
     grid, sys_ref, sys_true, _ = desk_setup
     meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
     real = calderon.assemble_dn
-    calls = []
 
-    def flaky(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 1:
+    def flaky(sys, *args, **kwargs):
+        if sys is not sys_ref:
             raise TypeError("unrelated fault")
-        return real(*args, **kwargs)
+        return real(sys, *args, **kwargs)
 
     monkeypatch.setattr(calderon, "assemble_dn", flaky)
     with pytest.raises(TypeError, match="unrelated fault"):
@@ -147,6 +149,96 @@ def test_backtracking_halves_nonfinite_step(desk_setup, monkeypatch):
                         lambda B, *a, **k: (np.full(B.shape[1], np.inf), 1.0))
     out = reconstruct_potential(meas, sys_ref, iterations=1, mode="linearized")
     assert np.array_equal(out["q_diff"], np.zeros(len(grid.interior)))
+
+
+def _explicit_galerkin(U1, U2, data, meas, hn):
+    """The linearized Galerkin system row by row: one row per window pair."""
+    rows, rhs, noise_sq = [], [], 0.0
+    for k in range(U1.shape[1]):
+        for l in range(U2.shape[1]):
+            rows.append(hn * U1[:, k] * U2[:, l])
+            rhs.append(hn * float(data[l, k]))
+            noise_sq += meas.sigma**2 * hn**2 * float(meas.data[l, k] ** 2)
+    return np.asarray(rows), np.asarray(rhs), np.sqrt(noise_sq)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("case", ["desk_setup", "setup_2d"])
+def test_gram_normal_equations_match_explicit_galerkin(case, request, monkeypatch):
+    # the Gram-form BtB, Btm, residual and noise level that the linearized
+    # solve receives equal those of the explicit |W1|*|W2| x n_int matrix
+    grid, sys_ref, sys_true, _ = request.getfixturevalue(case)
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2", sigma=1e-3, seed=3)
+    seen = {}
+    real = calderon._solve_regularized
+
+    def spy(BtB, Btm, residual, L, noise_level, **kwargs):
+        seen.update(BtB=BtB, Btm=Btm, residual=residual, noise=noise_level)
+        seen["dq"], beta = real(BtB, Btm, residual, L, noise_level, **kwargs)
+        return seen["dq"], beta
+
+    monkeypatch.setattr(calderon, "_solve_regularized", spy)
+    reconstruct_potential(meas, sys_ref, iterations=1, mode="linearized", clean_beta=0.1)
+
+    hn = grid.h ** grid.dim
+    U1 = control_to_interior_matrix(sys_ref, meas.source_nodes)
+    U2 = control_to_interior_matrix(sys_ref, meas.observation_nodes)
+    B, m, noise = _explicit_galerkin(U1, U2, meas.data, meas, hn)
+    assert B.shape == (U1.shape[1] * U2.shape[1], len(grid.interior))
+    assert _rel(seen["BtB"], B.T @ B) <= 1e-12
+    assert _rel(seen["Btm"], B.T @ m) <= 1e-12
+    assert seen["noise"] > 0 and seen["noise"] == pytest.approx(noise, rel=1e-12)
+    rng = np.random.default_rng(0)
+    for dq in (seen["dq"], rng.standard_normal(B.shape[1])):
+        want = np.linalg.norm(B @ dq - m)
+        assert seen["residual"](dq) == pytest.approx(want, rel=1e-12)
+
+
+def test_linearized_memory_below_galerkin_matrix():
+    # a 2-sweep noisy linearized reconstruction at h = 0.01 never holds an
+    # array the size of the Galerkin matrix B (|W1|*|W2| x n_int doubles)
+    grid = make_grid_1d(0.01)
+    op = assemble_quadrature(grid, 0.5)
+    sys_ref = assemble_system(op, potential_from_spec(grid, 0.0))
+    sys_true = assemble_system(op, potential_from_spec(grid, BUMP))
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2", sigma=1e-3, seed=7)
+    b_bytes = 8 * len(meas.source_nodes) * len(meas.observation_nodes) * len(grid.interior)
+    tracemalloc.start()
+    try:
+        out = reconstruct_potential(meas, sys_ref, iterations=2, mode="linearized",
+                                    clean_beta=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out["diagnostics"]["iterations"]) == 2
+    assert peak < b_bytes
+
+
+def test_reference_dn_assembled_once(desk_setup, monkeypatch):
+    # the reference DN is assembled once per call and the accepted trial's DN
+    # serves as the next iteration's current DN: one assembly per trial
+    grid, sys_ref, sys_true, _ = desk_setup
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
+    base = reconstruct_potential(meas, sys_ref, iterations=3, mode="linearized",
+                                 clean_beta=0.1)
+    real = calderon.assemble_dn
+    systems = []
+
+    def counting(sys, *args, **kwargs):
+        systems.append(sys)
+        return real(sys, *args, **kwargs)
+
+    monkeypatch.setattr(calderon, "assemble_dn", counting)
+    out = reconstruct_potential(meas, sys_ref, iterations=3, mode="linearized",
+                                clean_beta=0.1)
+    assert np.array_equal(out["q_diff"], base["q_diff"])
+    assert sum(s is sys_ref for s in systems) == 1
+    # three sweeps, each accepting its first trial
+    assert len(systems) == 1 + 3
+    assert len({id(s) for s in systems}) == len(systems)
 
 
 def _setup_windows(w1, w2):

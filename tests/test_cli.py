@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fraccalderon import build_grid
 from fraccalderon.cli import main, run, validate_config
 from fraccalderon.errors import ConfigError
 
@@ -131,3 +132,48 @@ def test_constructive_invert_config(tmp_path):
     assert manifest["gates"]["reconstruction_error"]["value"] <= 0.08
     rows = np.loadtxt(tmp_path / "residuals.csv", delimiter=",", skiprows=1, ndmin=2)
     assert rows.shape[1] == 3
+
+
+def test_misspelt_tolerance_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_invert_config()))
+    code = main(["invert", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out"),
+                 "--set", "tolerances.reconstruction_eror=1e-9"])
+    assert code == 2
+    assert "reconstruction_eror" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tolerance_of_another_pipeline_rejected():
+    cfg = small_invert_config()
+    cfg["tolerances"] = {"semigroup": 1e-12}
+    with pytest.raises(ConfigError, match="semigroup"):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_committed_configs_valid(path):
+    validate_config(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("window", ["W1", "W2"])
+def test_diffuse_drives_source_window(window, tmp_path, monkeypatch):
+    # the forcing of the diffusion run sits on the configured source window
+    import fraccalderon.cli as cli
+    cfg = load_config("diffuse_desk1d.json")
+    if window != "W1":
+        cfg["source_window"] = window
+    forcings = []
+    real = cli.solve_poisson
+
+    def spy(sys, f):
+        forcings.append(f.copy())
+        return real(sys, f)
+
+    monkeypatch.setattr(cli, "solve_poisson", spy)
+    code, _ = run(cfg, output_dir=str(tmp_path))
+    assert code == 0
+    g = cfg["grid"]
+    grid = build_grid(g["dim"], g["h"], g["R"], g["omega"], g["support"], g["windows"])
+    driven = grid.ext_support[np.flatnonzero(forcings[0])]
+    assert np.array_equal(driven, np.sort(grid.indices_of(window)))

@@ -5,31 +5,12 @@ bound is a frozen regression of what the 32-node windows resolve at h = 0.1.
 """
 
 import numpy as np
-import pytest
 
-from fraccalderon import assemble_quadrature, build_grid
 from fraccalderon.calderon import (reconstruct_potential, reconstruction_error,
                                    simulate_measurements)
-from fraccalderon.dirichlet import (assemble_system, check_condition,
-                                    dirichlet_spectrum, potential_from_spec,
-                                    solve_poisson)
+from fraccalderon.dirichlet import check_condition, dirichlet_spectrum, solve_poisson
 from fraccalderon.dnmap import (assemble_dn, dn_decomposition_check,
                                 dn_pointwise, integral_identity)
-
-
-@pytest.fixture(scope="module")
-def setup_2d():
-    grid = build_grid(2, 0.1, 3.0,
-                      {"type": "disc", "center": [0, 0], "radius": 1.0},
-                      {"type": "disc", "center": [0, 0], "radius": 2.0},
-                      {"W1": {"type": "disc", "center": [1.5, 0], "radius": 0.35},
-                       "W2": {"type": "disc", "center": [-1.5, 0], "radius": 0.35}})
-    op = assemble_quadrature(grid, 0.5)
-    sys_ref = assemble_system(op, potential_from_spec(grid, 0.0))
-    q_true = potential_from_spec(
-        grid, {"type": "gaussian", "amplitude": 0.5, "center": [0.0, 0.0], "width": 0.5})
-    sys_true = assemble_system(op, q_true)
-    return grid, sys_ref, sys_true, q_true
 
 
 def test_2d_solvability_and_positivity(setup_2d):
