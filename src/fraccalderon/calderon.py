@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import (DirichletSystem, Potential, assemble_system,
-                        dirichlet_spectrum, ensure_solvable)
+from .dirichlet import DirichletSystem, Potential, assemble_system, dirichlet_spectrum
 from .dnmap import assemble_dn
 from .errors import (EigFailError, GridMismatchError, IllConditionedWarning,
                      RungeFailError, SingularSystemError)
@@ -189,7 +188,6 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     is raised to it with an ``IllConditionedWarning``; each iteration's
     diagnostics record the absolute weight used as ``beta``.
     """
-    ensure_solvable(sys_ref)
     grid = sys_ref.grid
     if meas.grid is not grid:
         raise GridMismatchError("measurements and reference system on different grids")
@@ -264,7 +262,6 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
         # the trial potential is non-finite or makes the system unsolvable
         def _data_misfit(q_vals):
             sys_try = assemble_system(sys_ref.op, Potential(grid, q_vals))
-            ensure_solvable(sys_try)
             dn_try = assemble_dn(sys_try, meas.source_nodes, meas.observation_nodes).matrix
             return sys_try, dn_try, float(np.linalg.norm(meas.data - (dn_try - dn_ref)))
 

@@ -248,7 +248,7 @@ def _pipeline_dnmap(cfg, out_dir, report):
 
     rng = np.random.default_rng(cfg.get("seed", 0))
     f = np.zeros(len(grid.ext_support))
-    w1 = np.searchsorted(grid.ext_support, grid.indices_of(src))
+    _, w1 = grid.exterior_window(src)
     f[w1] = rng.standard_normal(len(w1))
     agree = float(np.max(np.abs(M @ f - dn_pointwise(sys1, f)))
                   / max(np.max(np.abs(M @ f)), 1e-300))
@@ -366,7 +366,7 @@ def _pipeline_diffuse(cfg, out_dir, report):
     sys = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
     rng = np.random.default_rng(cfg.get("seed", 0))
     f = np.zeros(len(grid.ext_support))
-    src = np.searchsorted(grid.ext_support, grid.indices_of(cfg.get("source_window", "W1")))
+    _, src = grid.exterior_window(cfg.get("source_window", "W1"))
     f[src] = 1.0
     u_f = solve_poisson(sys, f)
     v0 = u_f.values.copy()

@@ -90,9 +90,6 @@ class DirichletSystem:
     op: FracOperator
     potential: Potential
     interior_matrix: np.ndarray          # A_II + diag(q)
-    coupling: np.ndarray                 # A_IE (interior x exterior-support)
-    int_pos: np.ndarray                  # interior positions within non-FAR ordering
-    es_pos: np.ndarray
     _lu: tuple = field(default=None, repr=False)
     _spectrum: Spectrum = field(default=None, repr=False)
 
@@ -111,14 +108,8 @@ def assemble_system(op: FracOperator, potential: Potential) -> DirichletSystem:
     grid = op.grid
     if potential.grid is not grid:
         raise DomainError("potential and operator live on different grids")
-    pos = np.full(grid.n_nodes, -1, dtype=np.int64)
-    pos[grid.nonfar] = np.arange(len(grid.nonfar))
-    int_pos = pos[grid.interior]
-    es_pos = pos[grid.ext_support]
-    interior = op.matrix[np.ix_(int_pos, int_pos)] + np.diag(potential.values)
-    coupling = op.matrix[np.ix_(int_pos, es_pos)]
-    return DirichletSystem(op=op, potential=potential, interior_matrix=interior,
-                           coupling=coupling, int_pos=int_pos, es_pos=es_pos)
+    interior = op.block(grid.interior, grid.interior) + np.diag(potential.values)
+    return DirichletSystem(op=op, potential=potential, interior_matrix=interior)
 
 
 def dirichlet_spectrum(sys: DirichletSystem) -> Spectrum:
@@ -157,11 +148,17 @@ def solve_poisson(sys: DirichletSystem, f: np.ndarray) -> GridFunction:
     f = np.asarray(f, dtype=float)
     if f.shape != (len(grid.ext_support),):
         raise ValueError("f must be given on the exterior-support nodes")
-    u_int = linalg.lu_solve(sys.lu(), -sys.coupling @ f)
+    u_int = linalg.lu_solve(sys.lu(), -sys.op.block(grid.interior, grid.ext_support) @ f)
     full = np.zeros(grid.n_nodes)
     full[grid.interior] = u_int
     full[grid.ext_support] = f
     return GridFunction(grid, full)
+
+
+def solve_window(sys: DirichletSystem, nodes: np.ndarray) -> np.ndarray:
+    """Interior values of the solutions driven by the unit exterior vectors
+    of the given exterior-support nodes, one column per node."""
+    return linalg.lu_solve(sys.lu(), -sys.op.block(sys.grid.interior, nodes))
 
 
 def solve_source(sys: DirichletSystem, F: np.ndarray) -> GridFunction:

@@ -17,26 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import DirichletSystem, ensure_solvable, solve_poisson
+from .dirichlet import DirichletSystem, solve_poisson, solve_window
 from .errors import GridMismatchError
 from .fracop import FracOperator
 from .grid import Grid, GridFunction
 
 __all__ = ["DNMap", "assemble_dn", "dn_pointwise", "ns_weight", "apply_ns",
            "dn_decomposition_check", "integral_identity", "export_dn_csv"]
-
-
-def _window_positions(grid: Grid, window) -> np.ndarray:
-    """Node positions (into the full node list) for a window name, region
-    name, or explicit node index array; must lie in the exterior support."""
-    if isinstance(window, str):
-        nodes = grid.indices_of(window)
-    else:
-        nodes = np.asarray(window, dtype=np.int64)
-    es = set(grid.ext_support.tolist())
-    if not all(int(n) in es for n in nodes):
-        raise GridMismatchError("window nodes must lie in the exterior support region")
-    return nodes
 
 
 def _potential_fingerprint(sys: DirichletSystem) -> str:
@@ -55,36 +42,23 @@ class DNMap:
 def assemble_dn(sys: DirichletSystem, W1, W2) -> DNMap:
     """Column k is the observation-window readout for the k-th source basis
     vector: (A u + E0(q u_I))|_{W2} with u the solution driven by e_k."""
-    ensure_solvable(sys)
     grid = sys.grid
-    src = _window_positions(grid, W1)
-    obs = _window_positions(grid, W2)
-    es_nodes = grid.ext_support
-    es_col = np.searchsorted(es_nodes, src)
-
-    from scipy.linalg import lu_solve
-    rhs = -sys.coupling[:, es_col]
-    U_int = lu_solve(sys.lu(), rhs)                      # interior x |W1|
-
-    pos = np.full(grid.n_nodes, -1, dtype=np.int64)
-    pos[grid.nonfar] = np.arange(len(grid.nonfar))
-    obs_pos = pos[obs]
-    A = sys.op.matrix
+    src, _ = grid.exterior_window(W1)
+    obs, _ = grid.exterior_window(W2)
+    U_int = solve_window(sys, src)                       # interior x |W1|
+    op = sys.op
     # exterior rows of A u; the q-term E0(q u_I) vanishes on exterior rows
-    src_pos = pos[src]
-    readout = A[np.ix_(obs_pos, sys.int_pos)] @ U_int + A[np.ix_(obs_pos, src_pos)]
+    readout = op.block(obs, grid.interior) @ U_int + op.block(obs, src)
     return DNMap(source_nodes=src, observation_nodes=obs, matrix=readout,
                  fingerprint=_potential_fingerprint(sys))
 
 
 def dn_pointwise(sys: DirichletSystem, f: np.ndarray) -> np.ndarray:
     """(A u_f) restricted to the exterior-support nodes."""
-    ensure_solvable(sys)
     grid = sys.grid
     u = solve_poisson(sys, f)
-    A = sys.op.matrix
-    nf = grid.nonfar
-    return (A @ u.values[nf])[sys.es_pos]
+    op = sys.op
+    return (op.matrix @ u.values[grid.nonfar])[op.rows(grid.ext_support)]
 
 
 def ns_weight(op: FracOperator) -> np.ndarray:
@@ -92,11 +66,7 @@ def ns_weight(op: FracOperator) -> np.ndarray:
     nodes, with the operator's own cell weights so the two-term formula for
     the nonlocal Neumann value is an exact rearrangement."""
     grid = op.grid
-    pos = np.full(grid.n_nodes, -1, dtype=np.int64)
-    pos[grid.nonfar] = np.arange(len(grid.nonfar))
-    es_pos = pos[grid.ext_support]
-    int_pos = pos[grid.interior]
-    return -op.matrix[np.ix_(es_pos, int_pos)].sum(axis=1)
+    return -op.block(grid.ext_support, grid.interior).sum(axis=1)
 
 
 def apply_ns(grid: Grid, s: float, u: GridFunction, op: FracOperator = None) -> np.ndarray:
@@ -107,14 +77,10 @@ def apply_ns(grid: Grid, s: float, u: GridFunction, op: FracOperator = None) -> 
         op = assemble_quadrature(grid, s)
     if op.grid is not grid or op.s != s:
         raise GridMismatchError("operator does not match the requested grid and order")
-    pos = np.full(grid.n_nodes, -1, dtype=np.int64)
-    pos[grid.nonfar] = np.arange(len(grid.nonfar))
-    es_pos = pos[grid.ext_support]
-    int_pos = pos[grid.interior]
     m = ns_weight(op)
     u_es = u.values[grid.ext_support]
     u_int = u.values[grid.interior]
-    return m * u_es + op.matrix[np.ix_(es_pos, int_pos)] @ u_int
+    return m * u_es + op.block(grid.ext_support, grid.interior) @ u_int
 
 
 def dn_decomposition_check(sys: DirichletSystem, f: np.ndarray) -> float:
@@ -123,14 +89,13 @@ def dn_decomposition_check(sys: DirichletSystem, f: np.ndarray) -> float:
     Both sides are rearrangements of the same matrix action, so the residual
     is solver round-off.
     """
-    ensure_solvable(sys)
     grid = sys.grid
     op = sys.op
     lhs = dn_pointwise(sys, f)
     u_f = solve_poisson(sys, f)
     m = ns_weight(op)
     ns_val = apply_ns(grid, op.s, u_f, op=op)
-    ext_term = (op.matrix[np.ix_(sys.es_pos, sys.es_pos)] @ np.asarray(f, dtype=float))
+    ext_term = op.block(grid.ext_support, grid.ext_support) @ np.asarray(f, dtype=float)
     rhs = ns_val - m * np.asarray(f, dtype=float) + ext_term
     return float(np.max(np.abs(lhs - rhs)))
 

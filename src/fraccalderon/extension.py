@@ -160,13 +160,8 @@ def ucp_conditioning(grid: Grid, s: float, W, norm_cap: float = None,
     """
     if op is None:
         op = assemble_quadrature(grid, s)
-    nodes = grid.indices_of(W) if isinstance(W, str) else np.asarray(W, dtype=np.int64)
-    pos = np.full(grid.n_nodes, -1, dtype=np.int64)
     nf = grid.nonfar
-    pos[nf] = np.arange(len(nf))
-    w_pos = pos[nodes]
-    if np.any(w_pos < 0):
-        raise DomainError("window must consist of non-FAR nodes")
+    w_pos = op.rows(grid.indices_of(W))
     sel = np.zeros((len(w_pos), len(nf)))
     sel[np.arange(len(w_pos)), w_pos] = 1.0
     C = np.vstack([sel, op.matrix[w_pos]])

@@ -67,6 +67,17 @@ class FracOperator:
     def nonfar(self) -> np.ndarray:
         return self.grid.nonfar
 
+    def rows(self, nodes) -> np.ndarray:
+        """Matrix rows (equally, columns) of the given nodes."""
+        rows = self.grid.nonfar_row[np.asarray(nodes, dtype=np.int64)]
+        if np.any(rows < 0):
+            raise DomainError("operator rows exist only for non-FAR nodes")
+        return rows
+
+    def block(self, row_nodes, col_nodes) -> np.ndarray:
+        """Copy of the matrix block coupling two node arrays."""
+        return self.matrix[np.ix_(self.rows(row_nodes), self.rows(col_nodes))]
+
     def apply(self, values_nonfar: np.ndarray) -> np.ndarray:
         return self.matrix @ values_nonfar
 
@@ -167,15 +178,13 @@ def _tail_outside_box_2d(pts: np.ndarray, R: float, s: float) -> np.ndarray:
 def _edge_pairs(grid: Grid) -> np.ndarray:
     """Pairs (p, q) of non-FAR node positions whose cells share a face."""
     nf = grid.nonfar
-    pos_of = np.full(grid.n_nodes, -1, dtype=np.int64)
-    pos_of[nf] = np.arange(len(nf))
     n_cells = int(round(2.0 * grid.R / grid.h))
     strides = n_cells ** np.arange(grid.dim - 1, -1, -1)
     idx = grid.idx[nf]
     pairs = []
     for k in range(grid.dim):
         p = np.flatnonzero(idx[:, k] + 1 < n_cells)
-        q = pos_of[idx[p] @ strides + strides[k]]
+        q = grid.nonfar_row[idx[p] @ strides + strides[k]]
         keep = q >= 0
         pairs.append(np.stack([p[keep], q[keep]], axis=1))
     return np.concatenate(pairs, axis=0)

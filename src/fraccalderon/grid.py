@@ -15,10 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyRegionError, GeometryError, UnknownRegionError
+from .errors import EmptyRegionError, GeometryError, GridMismatchError, UnknownRegionError
 
 
 class Region(IntEnum):
@@ -104,6 +105,15 @@ class Grid:
     def nonfar(self) -> np.ndarray:
         return np.flatnonzero(self.region != Region.EXTERIOR_FAR)
 
+    @cached_property
+    def nonfar_row(self) -> np.ndarray:
+        """Per node, its position in the non-FAR ordering (the operator
+        matrix's row and column); -1 on FAR nodes."""
+        nf = self.nonfar
+        row = np.full(self.n_nodes, -1, dtype=np.int64)
+        row[nf] = np.arange(len(nf))
+        return row
+
     @property
     def counts(self) -> dict:
         c = {r.name: int(np.sum(self.region == r)) for r in Region}
@@ -114,7 +124,8 @@ class Grid:
         return Region(int(self.region[node]))
 
     def indices_of(self, region) -> np.ndarray:
-        """Node positions of a Region (by name or enum) or a named window."""
+        """Node positions of a Region (by name or enum), a named window, or
+        an explicit node array (returned as int64)."""
         if isinstance(region, Region):
             return np.flatnonzero(self.region == region)
         if isinstance(region, str):
@@ -122,7 +133,18 @@ class Grid:
                 return np.flatnonzero(self.region == Region[region])
             if region in self.windows:
                 return self.windows[region]
-        raise UnknownRegionError(f"unknown region or window {region!r}")
+            raise UnknownRegionError(f"unknown region or window {region!r}")
+        return np.asarray(region, dtype=np.int64)
+
+    def exterior_window(self, window) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes of a window (name, region name or node array) and their
+        positions within the exterior support, the column index of exterior
+        data vectors; every node must lie in the exterior support."""
+        nodes = self.indices_of(window)
+        es = self.ext_support
+        if not np.isin(nodes, es).all():
+            raise GridMismatchError("window nodes must lie in the exterior support region")
+        return nodes, np.searchsorted(es, nodes)
 
     def to_json(self) -> str:
         payload = {

@@ -4,8 +4,9 @@ Solutions driven by data in an exterior window are dense in L2 of the
 domain; this module realizes that density constructively: given an interior
 target, it finds the window control whose solution restriction comes
 closest, with a ridge penalty stabilizing the severely ill-posed problem.
-The normal equations use the solve-based adjoint of the control-to-interior
-map, and the optimum satisfies adjoint(achieved - target) = -alpha * control.
+The ridge solution comes from the SVD of the control-to-interior matrix, and
+the optimum satisfies adjoint(achieved - target) = -alpha * control with the
+solve-based adjoint of that map.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_solve, svd
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.linalg import svd
 
-from .dirichlet import DirichletSystem, ensure_solvable, solve_poisson, solve_source
+from .dirichlet import DirichletSystem, solve_source, solve_window
 from .errors import IllConditionedWarning
-from .grid import Grid
 
-DENSE_WINDOW_LIMIT = 400
 DEFAULT_ALPHAS = tuple(np.logspace(-2, -12, 11))
 COND_WARN = 1e14
 
@@ -50,23 +48,14 @@ class RungeResult:
     residual: float                 # weighted L2 distance to the target
     control_norm: float
     alpha: float
-    singular_values: np.ndarray = field(default=None, repr=False)
-    condition: float = None
-
-
-def _window_nodes(grid: Grid, window) -> np.ndarray:
-    if isinstance(window, str):
-        return grid.indices_of(window)
-    return np.asarray(window, dtype=np.int64)
+    singular_values: np.ndarray = field(repr=False)
+    condition: float
 
 
 def control_to_interior_matrix(sys: DirichletSystem, window) -> np.ndarray:
     """Columns are interior values of solutions driven by window basis vectors."""
-    ensure_solvable(sys)
-    grid = sys.grid
-    nodes = _window_nodes(grid, window)
-    cols = np.searchsorted(grid.ext_support, nodes)
-    return lu_solve(sys.lu(), -sys.coupling[:, cols])
+    nodes, _ = sys.grid.exterior_window(window)
+    return solve_window(sys, nodes)
 
 
 def adjoint_apply(sys: DirichletSystem, v: np.ndarray, window) -> np.ndarray:
@@ -74,66 +63,41 @@ def adjoint_apply(sys: DirichletSystem, v: np.ndarray, window) -> np.ndarray:
     pairings: solve the source problem for v and read the negated operator
     action on the window (window basis vectors vanish on the domain, so the
     potential term drops)."""
-    ensure_solvable(sys)
     grid = sys.grid
-    nodes = _window_nodes(grid, window)
+    nodes, _ = grid.exterior_window(window)
     phi = solve_source(sys, np.asarray(v, dtype=float))
-    pos = np.full(grid.n_nodes, -1, dtype=np.int64)
-    pos[grid.nonfar] = np.arange(len(grid.nonfar))
-    out = sys.op.matrix[np.ix_(pos[nodes], sys.int_pos)] @ phi.values[grid.interior]
-    return -out
+    return -(sys.op.block(nodes, grid.interior) @ phi.values[grid.interior])
 
 
 def runge_approximate(p: ControlProblem) -> RungeResult:
-    """Minimize the weighted misfit plus ridge penalty over window controls.
-
-    Dense solve through the SVD of the control-to-interior matrix for small
-    windows; matrix-free conjugate gradients on the normal equations above
-    DENSE_WINDOW_LIMIT nodes.
-    """
+    """Minimize the weighted misfit plus ridge penalty over window controls,
+    through the SVD of the control-to-interior matrix."""
     sys = p.sys
     grid = sys.grid
     hn = grid.h ** grid.dim
-    nodes = _window_nodes(grid, p.window)
+    nodes, _ = grid.exterior_window(p.window)
     if len(nodes) == 0:
         raise ValueError("window captured zero nodes")
 
-    if len(nodes) <= DENSE_WINDOW_LIMIT:
-        K = control_to_interior_matrix(sys, nodes)
-        U, sig, Vt = svd(K, full_matrices=False)
-        cond = (sig[0] ** 2 + p.alpha) / (sig[-1] ** 2 + p.alpha)
-        if cond > COND_WARN:
-            warnings.warn(
-                f"normal equations condition number {cond:.2e}; the exterior "
-                "control problem is severely ill-posed", IllConditionedWarning)
-        beta = U.T @ p.target
-        if p.alpha == 0.0:
-            filt = np.where(sig > sig[0] * 1e-13, 1.0 / np.where(sig > 0, sig, 1.0), 0.0)
-            g = Vt.T @ (filt * beta)
-        else:
-            g = Vt.T @ (sig / (sig**2 + p.alpha) * beta)
-        achieved = K @ g
-        sig_out = sig
+    K = control_to_interior_matrix(sys, nodes)
+    U, sig, Vt = svd(K, full_matrices=False)
+    cond = (sig[0] ** 2 + p.alpha) / (sig[-1] ** 2 + p.alpha)
+    if cond > COND_WARN:
+        warnings.warn(
+            f"normal equations condition number {cond:.2e}; the exterior "
+            "control problem is severely ill-posed", IllConditionedWarning)
+    beta = U.T @ p.target
+    if p.alpha == 0.0:
+        filt = np.where(sig > sig[0] * 1e-13, 1.0 / np.where(sig > 0, sig, 1.0), 0.0)
+        g = Vt.T @ (filt * beta)
     else:
-        def normal_op(g):
-            f_es = np.zeros(len(grid.ext_support))
-            f_es[np.searchsorted(grid.ext_support, nodes)] = g
-            u = solve_poisson(sys, f_es).values[grid.interior]
-            return adjoint_apply(sys, u, nodes) + p.alpha * g
-        Aop = LinearOperator((len(nodes), len(nodes)), matvec=normal_op)
-        rhs = adjoint_apply(sys, p.target, nodes)
-        g, info = cg(Aop, rhs, rtol=1e-12, atol=0.0, maxiter=5 * len(nodes))
-        if info != 0:
-            warnings.warn("matrix-free normal equations stopped early", IllConditionedWarning)
-        f_es = np.zeros(len(grid.ext_support))
-        f_es[np.searchsorted(grid.ext_support, nodes)] = g
-        achieved = solve_poisson(sys, f_es).values[grid.interior]
-        sig_out, cond = None, None
+        g = Vt.T @ (sig / (sig**2 + p.alpha) * beta)
+    achieved = K @ g
 
     resid = float(np.sqrt(hn) * np.linalg.norm(achieved - p.target))
     return RungeResult(control=g, achieved=achieved, residual=resid,
                        control_norm=float(np.sqrt(hn) * np.linalg.norm(g)),
-                       alpha=p.alpha, singular_values=sig_out, condition=cond)
+                       alpha=p.alpha, singular_values=sig, condition=cond)
 
 
 def alpha_sweep(sys: DirichletSystem, window, target, alphas=DEFAULT_ALPHAS) -> list:

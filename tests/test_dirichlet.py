@@ -63,6 +63,39 @@ def test_check_condition_cases(desk_op, desk_sys0):
     assert check_condition(shifted)["margin"] >= 1.0
 
 
+@pytest.fixture(scope="module")
+def resonant(desk_op, desk_sys0):
+    """Desk system whose potential puts zero on the Dirichlet spectrum."""
+    lam1 = dirichlet_spectrum(desk_sys0).eigenvalues[0]
+    return assemble_system(desk_op, potential_from_spec(desk_op.grid, -float(lam1)))
+
+
+@pytest.mark.parametrize("entry", [
+    "solve_poisson", "solve_source", "assemble_dn", "dn_pointwise",
+    "control_to_interior_matrix", "evolve_homogeneous", "reconstruct_potential"])
+def test_resonant_system_refused(entry, resonant, desk_sys0, desk_sys_bump):
+    from fraccalderon import GridFunction
+    from fraccalderon.calderon import reconstruct_potential, simulate_measurements
+    from fraccalderon.diffusion import EvolutionMode, evolve
+    from fraccalderon.dnmap import assemble_dn, dn_pointwise
+    from fraccalderon.runge import control_to_interior_matrix
+    g = resonant.grid
+    f = np.ones(len(g.ext_support))
+    calls = {
+        "solve_poisson": lambda: solve_poisson(resonant, f),
+        "solve_source": lambda: solve_source(resonant, np.ones(len(g.interior))),
+        "assemble_dn": lambda: assemble_dn(resonant, "W1", "W2"),
+        "dn_pointwise": lambda: dn_pointwise(resonant, f),
+        "control_to_interior_matrix": lambda: control_to_interior_matrix(resonant, "W1"),
+        "evolve_homogeneous": lambda: evolve(resonant, GridFunction(g, np.zeros(g.n_nodes)),
+                                             EvolutionMode.HOMOGENEOUS, 1.0),
+        "reconstruct_potential": lambda: reconstruct_potential(
+            simulate_measurements(desk_sys_bump, desk_sys0, "W1", "W2"), resonant),
+    }
+    with pytest.raises(SingularSystemError):
+        calls[entry]()
+
+
 def test_solve_poisson_basics(desk_sys0):
     g = desk_sys0.grid
     zero = solve_poisson(desk_sys0, np.zeros(len(g.ext_support)))
@@ -106,7 +139,8 @@ def test_well_posedness_estimate(desk_sys_bump):
     g = desk_sys_bump.grid
     rng = np.random.default_rng(4)
     margin = check_condition(desk_sys_bump)["margin"]
-    coupling_norm = np.linalg.norm(desk_sys_bump.coupling, 2)
+    coupling = desk_sys_bump.op.block(g.interior, g.ext_support)
+    coupling_norm = np.linalg.norm(coupling, 2)
     for _ in range(3):
         f = rng.normal(size=len(g.ext_support))
         F = rng.normal(size=len(g.interior))

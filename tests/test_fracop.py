@@ -176,6 +176,20 @@ def test_boundary_profile_diagnostic(fine_op):
     assert osc <= 0.10
 
 
+def test_block_read_and_far_rejected(desk_op):
+    g = desk_op.grid
+    pos = np.full(g.n_nodes, -1, dtype=int)
+    pos[g.nonfar] = np.arange(len(g.nonfar))
+    w1 = g.windows["W1"]
+    expect = desk_op.matrix[np.ix_(pos[g.interior], pos[w1])]
+    assert np.array_equal(desk_op.block(g.interior, w1), expect)
+    with pytest.raises(DomainError):
+        desk_op.block(g.interior, g.far[:2])
+    from fraccalderon.extension import ucp_conditioning
+    with pytest.raises(DomainError):
+        ucp_conditioning(g, 0.5, g.far[:2], op=desk_op)
+
+
 def test_assembly_deterministic(desk_grid):
     a = assemble_quadrature(desk_grid, 0.5)
     b = assemble_quadrature(desk_grid, 0.5)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fraccalderon import Region, build_grid, chi, embed, restrict
-from fraccalderon.errors import EmptyRegionError, GeometryError, UnknownRegionError
+from fraccalderon.errors import (EmptyRegionError, GeometryError, GridMismatchError,
+                                 UnknownRegionError)
 
 from conftest import make_grid_1d
 
@@ -94,6 +95,18 @@ def test_unknown_region_raises():
     g = make_grid_1d(0.05)
     with pytest.raises(UnknownRegionError):
         g.indices_of("W9")
+
+
+def test_exterior_window_and_rows():
+    g = make_grid_1d(0.05)
+    for window in ("W1", "EXTERIOR_SUPPORT", g.windows["W2"][::2]):
+        nodes, cols = g.exterior_window(window)
+        assert np.array_equal(g.ext_support[cols], nodes)
+    for bad in ("INTERIOR", g.far[:2], np.append(g.windows["W1"], g.interior[0])):
+        with pytest.raises(GridMismatchError):
+            g.exterior_window(bad)
+    assert np.array_equal(g.nonfar_row[g.nonfar], np.arange(len(g.nonfar)))
+    assert np.all(g.nonfar_row[g.far] == -1)
 
 
 def test_build_is_deterministic():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fraccalderon.dirichlet import solve_poisson
-from fraccalderon.errors import IllConditionedWarning
+from fraccalderon.errors import GridMismatchError, IllConditionedWarning
 from fraccalderon.runge import (ControlProblem, adjoint_apply, alpha_sweep,
                                 control_to_interior_matrix, runge_approximate,
                                 sweep_to_csv)
@@ -109,12 +109,34 @@ def test_sweep_csv(tmp_path, desk_sys0):
     assert rows[0, 0] == 1e-4
 
 
-def test_matrix_free_path_matches_dense(desk_sys0, monkeypatch):
-    import fraccalderon.runge as runge_mod
-    g = desk_sys0.grid
+def test_large_window_dense_stationarity():
+    # a window above 400 nodes takes the same SVD path and meets the
+    # optimality condition K^T(achieved - target) = -alpha * control
+    from fraccalderon import assemble_quadrature, build_grid
+    from fraccalderon.dirichlet import assemble_system, potential_from_spec
+    g = build_grid(1, 0.002, 1.5,
+                   {"type": "interval", "bounds": [-0.1, 0.1]},
+                   {"type": "interval", "bounds": [-1.0, 1.0]},
+                   {"W1": {"type": "interval", "bounds": [0.15, 1.0]}})
+    assert len(g.windows["W1"]) > 400
+    sys = assemble_system(assemble_quadrature(g, 0.5), potential_from_spec(g, 0.0))
     target = np.ones(len(g.interior))
-    dense = runge_approximate(ControlProblem(desk_sys0, "W1", target, alpha=1e-4))
-    monkeypatch.setattr(runge_mod, "DENSE_WINDOW_LIMIT", 1)
-    mf = runge_approximate(ControlProblem(desk_sys0, "W1", target, alpha=1e-4))
-    assert np.max(np.abs(dense.control - mf.control)) <= 1e-9
-    assert mf.residual == pytest.approx(dense.residual, rel=1e-9)
+    alpha = 1e-4
+    res = runge_approximate(ControlProblem(sys, "W1", target, alpha=alpha))
+    K = control_to_interior_matrix(sys, "W1")
+    rhs = -alpha * res.control
+    scale = max(np.max(np.abs(rhs)), 1e-12)
+    assert np.max(np.abs(K.T @ (res.achieved - target) - rhs)) <= 1e-9 * scale
+    lhs = adjoint_apply(sys, res.achieved - target, "W1")
+    assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
+
+
+def test_window_outside_exterior_support_rejected(desk_sys0):
+    g = desk_sys0.grid
+    nodes = g.interior[:3]
+    with pytest.raises(GridMismatchError):
+        control_to_interior_matrix(desk_sys0, nodes)
+    with pytest.raises(GridMismatchError):
+        runge_approximate(ControlProblem(desk_sys0, nodes, np.ones(len(g.interior))))
+    with pytest.raises(GridMismatchError):
+        adjoint_apply(desk_sys0, np.ones(len(g.interior)), nodes)
