@@ -1,15 +1,15 @@
 """Potential reconstruction from partial exterior measurements.
 
 Forward data is the difference of DN maps restricted to a source window and
-an observation window.  Reconstruction runs the constructive density
-argument: exterior controls are built whose solutions approximate chosen
-interior targets (through the reference system), a second control drives
-the solution toward the constant one, and pairing the measured DN
-difference with these controls turns the integral identity into moments of
-the potential difference against the targets, solved for in the targets'
-span.  An optional Newton
-loop repeats the step around the updated potential, reusing the same
-measured data.
+an observation window.  By the integral identity, the data paired with a
+source control g1 and an observation control g2 is, to first order, the
+interior integral of the potential difference against the two driven
+solutions.  Reconstruction tests this linearized Galerkin system on one
+family of control pairs P and seeks the update in one unknown basis Phi:
+unit pairs and Phi = I (linearized mode), or Runge pairs g_c g_k^T, whose
+solution products approximate interior targets, and Phi = the targets
+(constructive mode).  An optional Newton loop repeats the step around the
+updated potential, reusing the same measured data.
 """
 
 from __future__ import annotations
@@ -121,44 +121,53 @@ def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, L: np.ndarray
     return np.linalg.solve(BtB + floor * LtL, Btm), floor
 
 
-def _linearized_normal_equations(U1: np.ndarray, U2: np.ndarray, data: np.ndarray,
-                                 hn: float):
+def _linearized_normal_equations(A1: np.ndarray, A2: np.ndarray, D: np.ndarray,
+                                 hn: float, basis: np.ndarray = None):
     """Normal equations of the linearized Galerkin system, without the system.
 
-    Window pair (k, l) gives the row hn * U1[:, k] * U2[:, l] with datum
-    hn * data[l, k], so B (|W1|*|W2| x n_int) is the row-wise Khatri-Rao
-    product of U1^T and U2^T.  Its normal equations and residual follow from
-    n_int x n_int Gram matrices:
+    Test pair (k, l) gives the row hn * A1[:, k] * A2[:, l] with datum
+    hn * D[l, k], so B (one row per pair, n_int columns) is the row-wise
+    Khatri-Rao product of A1^T and A2^T.  Its normal equations and residual
+    follow from n_int x n_int Gram matrices:
 
-        BtB = hn^2 * (U1 U1^T) o (U2 U2^T)
-        Btm = hn^2 * rowsum(U1 o (U2 data))
-        ||B dq - m|| = hn * ||U1^T diag(dq) U2 - data^T||_F
+        BtB = hn^2 * (A1 A1^T) o (A2 A2^T)
+        Btm = hn^2 * rowsum(A1 o (A2 D))
+        ||B dq - m|| = hn * ||A1^T diag(dq) A2 - D^T||_F
 
-    Returns ``(BtB, Btm, residual)`` for ``_solve_regularized``.
+    In an unknown basis Phi (dq = Phi c; None is the identity) they become
+    Phi^T BtB Phi, Phi^T Btm and the residual at Phi c.  Returns
+    ``(BtB, Btm, residual)`` for ``_solve_regularized``.
     """
-    BtB = hn**2 * ((U1 @ U1.T) * (U2 @ U2.T))
-    Btm = hn**2 * np.sum(U1 * (U2 @ data), axis=1)
+    BtB = hn**2 * ((A1 @ A1.T) * (A2 @ A2.T))
+    Btm = hn**2 * np.sum(A1 * (A2 @ D), axis=1)
 
     def residual(dq):
-        return hn * float(np.linalg.norm(U1.T @ (dq[:, None] * U2) - data.T))
+        return hn * float(np.linalg.norm(A1.T @ (dq[:, None] * A2) - D.T))
 
-    return BtB, Btm, residual
+    if basis is None:
+        return BtB, Btm, residual
+    return basis.T @ BtB @ basis, basis.T @ Btm, lambda c: residual(basis @ c)
 
 
-def _build_controls(sys: DirichletSystem, window_nodes, targets: np.ndarray,
+def _pair(X: np.ndarray, G1: np.ndarray, G2: np.ndarray, power: int = 1) -> np.ndarray:
+    """Window data X tested on the control pairs, (G2^p)^T X G1^p (entrywise
+    powers); X itself for unit pairs (G1 = G2 = None)."""
+    if G1 is None:
+        return X
+    return (G2**power).T @ X @ G1**power
+
+
+def _runge_controls(sys: DirichletSystem, window_nodes, targets: np.ndarray,
                     alpha: float, gate: float, hn: float, label: str):
-    """Runge controls for each target column; gate on the relative residual."""
-    results = []
-    for k in range(targets.shape[1]):
-        tgt = targets[:, k]
-        res = runge_approximate(ControlProblem(sys, window_nodes, tgt, alpha=alpha))
-        tgt_norm = np.sqrt(hn) * np.linalg.norm(tgt)
-        if res.residual > gate * tgt_norm:
-            raise RungeFailError(
-                f"{label} control {k}: residual {res.residual:.3e} exceeds "
-                f"{gate:.0%} of target norm {tgt_norm:.3e}")
-        results.append(res)
-    return results
+    """Runge controls for every target column from one window solve; gate on
+    each column's relative residual."""
+    res = runge_approximate(ControlProblem(sys, window_nodes, targets, alpha=alpha))
+    tgt_norms = np.sqrt(hn) * np.linalg.norm(targets, axis=0)
+    for k, (resid, tgt_norm) in enumerate(zip(res.residual, tgt_norms)):
+        if resid > gate * tgt_norm:
+            raise RungeFailError(f"{label} control {k}: residual {resid:.3e} exceeds "
+                                 f"{gate:.0%} of target norm {tgt_norm:.3e}")
+    return res
 
 
 def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
@@ -168,25 +177,28 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
                           clean_beta: float = 1e-3) -> dict:
     """Estimate the potential difference against the reference system.
 
-    Per iteration: build controls on the current system whose solutions
-    approximate the targets (window W1) and the constant one (window W2),
-    read the pairing of the residual DN data with each control pair, and
-    solve the resulting linear system with a curvature penalty.  The
-    measured data stays fixed across iterations; only the linearization
-    point moves.
+    Per iteration the residual DN data (measured minus what the current
+    estimate explains) is tested on control pairs of the current system.
+    With U1, U2 the interior solutions driven by the window basis vectors,
+    the pair factors are A1 = U1 G1 and A2 = U2 G2, the paired data is
+    D = G2^T data G1, and the update is dq = Phi c.  Linearized mode takes
+    G1 = G2 = Phi = I.  Constructive mode takes G1 = Runge controls (ridge
+    weight ``alpha``) for ``targets`` on the source window (default: the
+    ``n_targets`` lowest Dirichlet eigenvectors), G2 = one control for the
+    constant one on the observation window, and Phi = targets, since each
+    pairing is a moment against one target.  A control whose relative
+    residual exceeds ``runge_gate`` raises ``RungeFailError``.  Each window's
+    controls come from one window solve and SVD.  Tolerance: the estimate
+    equals that of the explicit moment rows hn (U1 g_k) o (U2 g_c) up to
+    rounding order, within 1e-8 relative max-norm on the 1D desk case.
 
-    In constructive mode each pairing is a moment of the potential against
-    one target (the control products approximate the targets), so the
-    update is sought in the span of the targets, q = targets @ c: a
-    len(targets)-unknown system, where a solve over every interior node
-    would leave all directions the moments do not see to the penalty.
-    Linearized mode solves over every interior node.
-
-    ``clean_beta`` is the relative penalty weight (see ``_solve_regularized``).
-    The penalized normal matrix has condition number at most about
-    1e6 * (1 + 1/clean_beta), so a weight below ``BETA_FLOOR`` (about 1e-8)
-    is raised to it with an ``IllConditionedWarning``; each iteration's
-    diagnostics record the absolute weight used as ``beta``.
+    Both modes solve one Gram-form penalized system
+    (``_linearized_normal_equations``) at the noise level
+    sigma * hn * sqrt(sum((G2 o G2)^T (data o data) (G1 o G1))), which is
+    sigma * hn * ||data|| for unit pairs.  ``clean_beta`` is the relative
+    penalty weight (see ``_solve_regularized``); below ``BETA_FLOOR`` (about
+    1e-8) it is raised to the floor with an ``IllConditionedWarning``, and
+    each iteration's diagnostics record the absolute weight as ``beta``.
     """
     grid = sys_ref.grid
     if meas.grid is not grid:
@@ -194,20 +206,21 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     hn = grid.h ** grid.dim
     n_int = len(grid.interior)
 
-    if targets is None:
-        spec = dirichlet_spectrum(sys_ref)
-        targets = spec.eigenvectors[:, :min(n_targets, n_int)] / np.sqrt(hn)
-    targets = np.asarray(targets, dtype=float)
-    if targets.ndim == 1:
-        targets = targets[:, None]
-
     q_hat = sys_ref.potential.values.copy()
     sys_cur = sys_ref
     # the reference DN is fixed for the whole call; the current one is carried
     # over from the accepted trial, which is the next iteration's system
     dn_ref = assemble_dn(sys_ref, meas.source_nodes, meas.observation_nodes).matrix
     dn_cur = dn_ref
-    L = _second_difference(n_int)
+    if mode not in ("linearized", "constructive"):
+        raise ValueError(f"unknown mode {mode!r}")
+    L, basis = _second_difference(n_int), None
+    if mode == "constructive":
+        if targets is None:
+            spec = dirichlet_spectrum(sys_ref)
+            targets = spec.eigenvectors[:, :min(n_targets, n_int)] / np.sqrt(hn)
+        basis = np.asarray(targets, dtype=float).reshape(n_int, -1)
+        L = L @ basis
     diagnostics = {"iterations": [], "mode": mode}
 
     # once the residual data sits at the noise floor, further sweeps only fit noise
@@ -223,40 +236,27 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
             if float(np.linalg.norm(data_cur)) <= noise_floor:
                 break
 
-        runge_res, test_res = [], []
-        if mode == "constructive":
-            ctrls = _build_controls(sys_cur, meas.source_nodes, targets, alpha,
-                                    runge_gate, hn, "target")
-            ones = np.ones(n_int)
-            const = _build_controls(sys_cur, meas.observation_nodes,
-                                    ones[:, None], alpha, runge_gate, hn, "constant")[0]
-            runge_res = [r.residual for r in ctrls]
-            test_res = [const.residual]
-            rows, rhs, noise_sq = [], [], 0.0
-            for rk in ctrls:
-                rows.append(hn * rk.achieved * const.achieved)
-                rhs.append(hn * float(const.control @ (data_cur @ rk.control)))
-                if meas.sigma > 0:
-                    noise_sq += meas.sigma**2 * hn**2 * float(
-                        np.sum((np.outer(const.control, rk.control) * meas.data) ** 2))
-            # the pairings are moments against the targets: solve in their span
-            Bc = np.asarray(rows) @ targets
-            m = np.asarray(rhs)
-            dc, beta = _solve_regularized(
-                Bc.T @ Bc, Bc.T @ m, lambda c: float(np.linalg.norm(Bc @ c - m)),
-                L @ targets, np.sqrt(noise_sq), clean_beta=clean_beta)
-            dq = targets @ dc
-        elif mode == "linearized":
-            # window-basis solution pairs as a Galerkin product family; the
-            # pairing of the data with basis controls is the data itself
-            U1 = control_to_interior_matrix(sys_cur, meas.source_nodes)
-            U2 = control_to_interior_matrix(sys_cur, meas.observation_nodes)
-            BtB, Btm, residual = _linearized_normal_equations(U1, U2, data_cur, hn)
-            noise_level = meas.sigma * hn * float(np.linalg.norm(meas.data))
-            dq, beta = _solve_regularized(BtB, Btm, residual, L, noise_level,
-                                          clean_beta=clean_beta)
+        # test-pair factors A1 = U1 G1 and A2 = U2 G2 (G None: unit pairs)
+        if basis is None:
+            A1 = control_to_interior_matrix(sys_cur, meas.source_nodes)
+            A2 = control_to_interior_matrix(sys_cur, meas.observation_nodes)
+            G1 = G2 = None
+            runge_res, test_res = [], []
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            r1 = _runge_controls(sys_cur, meas.source_nodes, basis, alpha,
+                                 runge_gate, hn, "target")
+            r2 = _runge_controls(sys_cur, meas.observation_nodes, np.ones((n_int, 1)),
+                                 alpha, runge_gate, hn, "constant")
+            A1, A2, G1, G2 = r1.achieved, r2.achieved, r1.control, r2.control
+            runge_res, test_res = r1.residual.tolist(), r2.residual.tolist()
+
+        noise_level = meas.sigma * hn * float(np.sqrt(np.sum(
+            _pair(meas.data**2, G1, G2, power=2))))
+        BtB, Btm, residual = _linearized_normal_equations(
+            A1, A2, _pair(data_cur, G1, G2), hn, basis)
+        dc, beta = _solve_regularized(BtB, Btm, residual, L, noise_level,
+                                      clean_beta=clean_beta)
+        dq = dc if basis is None else basis @ dc
 
         # backtrack the update if it stops explaining the measured data, or if
         # the trial potential is non-finite or makes the system unsolvable

@@ -33,7 +33,7 @@ from .diffusion import (EvolutionMode, decay_series, dn_cost_check, evolve,
                         heat_kernel_free, series_to_csv)
 from .calderon import (reconstruct_potential, reconstruction_error,
                        simulate_measurements)
-from .runge import alpha_sweep, sweep_to_csv
+from .runge import DEFAULT_ALPHAS, alpha_sweep, sweep_to_csv
 
 PIPELINES = ("validate-op", "spectrum", "dnmap", "runge-sweep", "invert",
              "extend", "diffuse")
@@ -281,7 +281,7 @@ def _pipeline_runge(cfg, out_dir, report):
         target = np.asarray(tgt_spec, dtype=float)
     else:
         raise ConfigError(f"unknown runge target {tgt_spec!r}")
-    alphas = rcfg.get("alphas", list(np.logspace(-2, -12, 11)))
+    alphas = rcfg.get("alphas", DEFAULT_ALPHAS)
     results = alpha_sweep(sys, window, target, alphas=alphas)
     sweep_to_csv(results, str(out_dir / "runge_sweep.csv"))
     resids = [r.residual for r in results]
@@ -306,16 +306,8 @@ def _pipeline_invert(cfg, out_dir, report):
                                  cfg.get("observation_window", "W2"),
                                  sigma=noise.get("sigma", 0.0),
                                  seed=noise.get("seed", cfg.get("seed", 0)))
-    icfg = cfg.get("invert", {})
-    out = reconstruct_potential(
-        meas, sys_ref,
-        alpha=icfg.get("alpha", 1e-10),
-        n_targets=icfg.get("n_targets", 10),
-        runge_gate=icfg.get("runge_gate", 0.05),
-        iterations=icfg.get("iterations", 1),
-        mode=icfg.get("mode", "constructive"),
-        clean_beta=icfg.get("clean_beta", 1e-3),
-    )
+    # the schema's invert keys are reconstruct_potential's keywords and defaults
+    out = reconstruct_potential(meas, sys_ref, **cfg.get("invert", {}))
     truth = q_true.values - q_ref.values
     est = out["q_diff"]
     x = grid.coords[grid.interior]

@@ -40,6 +40,18 @@ def _homogeneous_propagate(sys: DirichletSystem, interior0: np.ndarray, t: float
     return spec.eigenvectors @ (np.exp(-spec.eigenvalues * t) * coeff)
 
 
+def _clamped_split(sys: DirichletSystem, initial: GridFunction, f) -> tuple:
+    """Steady state u_f and interior difference initial - u_f under the clamp f."""
+    grid = sys.grid
+    if f is None:
+        raise ModeMismatchError("clamped evolution requires exterior data f")
+    f = np.asarray(f, dtype=float)
+    if np.max(np.abs(initial.values[grid.ext_support] - f)) > 0:
+        raise ModeMismatchError("initial state must honor the exterior clamp exactly")
+    u_f = solve_poisson(sys, f)
+    return u_f, initial.values[grid.interior] - u_f.values[grid.interior]
+
+
 def evolve(sys: DirichletSystem, initial: GridFunction, mode: EvolutionMode,
            t: float, f: np.ndarray = None) -> EvolutionState:
     """Propagate an initial state exactly through the cached eigenbasis."""
@@ -57,13 +69,7 @@ def evolve(sys: DirichletSystem, initial: GridFunction, mode: EvolutionMode,
         out[grid.interior] = _homogeneous_propagate(sys, initial.values[grid.interior], t)
         return EvolutionState(sys=sys, t=t, state=GridFunction(grid, out), mode=mode)
     if mode == EvolutionMode.CLAMPED:
-        if f is None:
-            raise ModeMismatchError("clamped evolution requires exterior data f")
-        f = np.asarray(f, dtype=float)
-        if np.max(np.abs(initial.values[grid.ext_support] - f)) > 0:
-            raise ModeMismatchError("initial state must honor the exterior clamp exactly")
-        u_f = solve_poisson(sys, f)
-        diff0 = initial.values[grid.interior] - u_f.values[grid.interior]
+        u_f, diff0 = _clamped_split(sys, initial, f)
         out = u_f.values.copy()
         out[grid.interior] += _homogeneous_propagate(sys, diff0, t)
         return EvolutionState(sys=sys, t=t, state=GridFunction(grid, out), mode=mode)
@@ -95,16 +101,16 @@ def heat_kernel_free(grid: Grid, s: float, t: float, pad_factor: int = 64) -> Gr
 
 def decay_series(sys: DirichletSystem, initial: GridFunction, f: np.ndarray,
                  times) -> list:
-    """(t, distance to steady state) pairs for the clamped evolution."""
-    grid = sys.grid
-    u_f = solve_poisson(sys, f)
-    hn = grid.h ** grid.dim
-    rows = []
-    for t in times:
-        st = evolve(sys, initial, EvolutionMode.CLAMPED, float(t), f=f)
-        dist = np.sqrt(hn) * np.linalg.norm(st.state.values - u_f.values)
-        rows.append((float(t), float(dist)))
-    return rows
+    """(t, distance to steady state) pairs for the clamped evolution: one
+    Poisson solve, then the interior difference decays through the spectrum."""
+    times = [float(t) for t in times]
+    if any(t < 0 for t in times):
+        raise DomainError("t must be nonnegative")
+    initial.check_far_zero()
+    _, diff0 = _clamped_split(sys, initial, f)   # the Poisson solve checks solvability
+    hn = sys.grid.h ** sys.grid.dim
+    return [(t, float(np.sqrt(hn) * np.linalg.norm(_homogeneous_propagate(sys, diff0, t))))
+            for t in times]
 
 
 def dn_cost_check(sys: DirichletSystem, f: np.ndarray, dt: float = None) -> dict:

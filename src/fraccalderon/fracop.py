@@ -78,18 +78,6 @@ class FracOperator:
         """Copy of the matrix block coupling two node arrays."""
         return self.matrix[np.ix_(self.rows(row_nodes), self.rows(col_nodes))]
 
-    def apply(self, values_nonfar: np.ndarray) -> np.ndarray:
-        return self.matrix @ values_nonfar
-
-    def apply_full(self, u: GridFunction) -> GridFunction:
-        """Apply to a grid function vanishing on FAR nodes; result on all nodes
-        is reported on the non-FAR nodes (zero placeholders elsewhere)."""
-        u.check_far_zero()
-        out = np.zeros(self.grid.n_nodes)
-        nf = self.nonfar
-        out[nf] = self.matrix @ u.values[nf]
-        return GridFunction(self.grid, out)
-
 
 def _adjacent_weight_1d(h: float, s: float) -> float:
     # exact integral of |z|^(-1-2s) over the neighboring cell [h/2, 3h/2]

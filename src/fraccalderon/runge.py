@@ -6,7 +6,9 @@ target, it finds the window control whose solution restriction comes
 closest, with a ridge penalty stabilizing the severely ill-posed problem.
 The ridge solution comes from the SVD of the control-to-interior matrix, and
 the optimum satisfies adjoint(achieved - target) = -alpha * control with the
-solve-based adjoint of that map.
+solve-based adjoint of that map.  One window solve and one SVD serve every
+target column and every alpha: each control is a set of filter factors on
+that SVD.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ COND_WARN = 1e14
 class ControlProblem:
     sys: DirichletSystem
     window: object                  # window name or node-position array
-    target: np.ndarray              # interior nodes
+    target: np.ndarray              # interior nodes, or one column per target
     alpha: float = 1e-10
 
     def __post_init__(self):
         self.target = np.asarray(self.target, dtype=float)
-        if self.target.shape != (len(self.sys.grid.interior),):
+        if self.target.ndim not in (1, 2) or len(self.target) != len(self.sys.grid.interior):
             raise ValueError("target must be given on the interior nodes")
         if not np.all(np.isfinite(self.target)):
             raise ValueError("target must be finite")
@@ -43,6 +45,7 @@ class ControlProblem:
 
 @dataclass
 class RungeResult:
+    # a target matrix gives one column (or one entry) per target column
     control: np.ndarray             # on window nodes
     achieved: np.ndarray            # interior values of the driven solution
     residual: float                 # weighted L2 distance to the target
@@ -69,18 +72,18 @@ def adjoint_apply(sys: DirichletSystem, v: np.ndarray, window) -> np.ndarray:
     return -(sys.op.block(nodes, grid.interior) @ phi.values[grid.interior])
 
 
-def runge_approximate(p: ControlProblem) -> RungeResult:
-    """Minimize the weighted misfit plus ridge penalty over window controls,
-    through the SVD of the control-to-interior matrix."""
-    sys = p.sys
-    grid = sys.grid
-    hn = grid.h ** grid.dim
-    nodes, _ = grid.exterior_window(p.window)
+def _window_svd(sys: DirichletSystem, window):
+    """Control-to-interior matrix of a window and its thin SVD."""
+    nodes, _ = sys.grid.exterior_window(window)
     if len(nodes) == 0:
         raise ValueError("window captured zero nodes")
-
     K = control_to_interior_matrix(sys, nodes)
-    U, sig, Vt = svd(K, full_matrices=False)
+    return K, svd(K, full_matrices=False)
+
+
+def _ridge_controls(K: np.ndarray, factors, p: ControlProblem) -> RungeResult:
+    """Ridge controls for every target column: filter factors on K's SVD."""
+    U, sig, Vt = factors
     cond = (sig[0] ** 2 + p.alpha) / (sig[-1] ** 2 + p.alpha)
     if cond > COND_WARN:
         warnings.warn(
@@ -89,23 +92,33 @@ def runge_approximate(p: ControlProblem) -> RungeResult:
     beta = U.T @ p.target
     if p.alpha == 0.0:
         filt = np.where(sig > sig[0] * 1e-13, 1.0 / np.where(sig > 0, sig, 1.0), 0.0)
-        g = Vt.T @ (filt * beta)
     else:
-        g = Vt.T @ (sig / (sig**2 + p.alpha) * beta)
+        filt = sig / (sig**2 + p.alpha)
+    g = Vt.T @ (filt * beta.T).T
     achieved = K @ g
 
-    resid = float(np.sqrt(hn) * np.linalg.norm(achieved - p.target))
-    return RungeResult(control=g, achieved=achieved, residual=resid,
-                       control_norm=float(np.sqrt(hn) * np.linalg.norm(g)),
-                       alpha=p.alpha, singular_values=sig, condition=cond)
+    # weighted L2 norms, one per target column
+    root_hn = np.sqrt(p.sys.grid.h ** p.sys.grid.dim)
+    norm = (lambda x: float(root_hn * np.linalg.norm(x))) if p.target.ndim == 1 else (
+        lambda x: root_hn * np.linalg.norm(x, axis=0))
+    return RungeResult(control=g, achieved=achieved, residual=norm(achieved - p.target),
+                       control_norm=norm(g), alpha=p.alpha, singular_values=sig,
+                       condition=cond)
+
+
+def runge_approximate(p: ControlProblem) -> RungeResult:
+    """Minimize the weighted misfit plus ridge penalty over window controls,
+    through the SVD of the control-to-interior matrix (one per window, shared
+    by the columns of a target matrix)."""
+    return _ridge_controls(*_window_svd(p.sys, p.window), p)
 
 
 def alpha_sweep(sys: DirichletSystem, window, target, alphas=DEFAULT_ALPHAS) -> list:
-    """Regularization path (the discrete L-curve data)."""
-    out = []
-    for a in alphas:
-        out.append(runge_approximate(ControlProblem(sys, window, target, alpha=float(a))))
-    return out
+    """Regularization path (the discrete L-curve data), one window solve and
+    SVD for every alpha."""
+    problems = [ControlProblem(sys, window, target, alpha=float(a)) for a in alphas]
+    K, factors = _window_svd(sys, window)
+    return [_ridge_controls(K, factors, p) for p in problems]
 
 
 def sweep_to_csv(results: list, path: str) -> None:

@@ -7,9 +7,9 @@ import pytest
 from fraccalderon import assemble_quadrature, build_grid, calderon
 from fraccalderon.calderon import (BETA_FLOOR, reconstruct_potential,
                                    reconstruction_error, simulate_measurements)
-from fraccalderon.dirichlet import assemble_system, potential_from_spec
+from fraccalderon.dirichlet import assemble_system, dirichlet_spectrum, potential_from_spec
 from fraccalderon.errors import IllConditionedWarning, RungeFailError
-from fraccalderon.runge import control_to_interior_matrix
+from fraccalderon.runge import ControlProblem, control_to_interior_matrix, runge_approximate
 
 from conftest import make_grid_1d
 
@@ -111,6 +111,68 @@ def test_constructive_stable_under_rounding(desk_setup):
             assert betas == [d["beta"] for d in at_floor["diagnostics"]["iterations"]]
             assert np.array_equal(out["q_diff"], at_floor["q_diff"])
     assert max(errs) - min(errs) <= 1e-3
+
+
+def test_constructive_one_window_solve_per_window(desk_setup, monkeypatch):
+    # every target's control comes from one source-window solve and SVD, and
+    # the constant's from one observation-window solve and SVD
+    from fraccalderon import runge
+    grid, sys_ref, sys_true, _ = desk_setup
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
+    calls = {"solve": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(runge, "control_to_interior_matrix",
+                        counted("solve", runge.control_to_interior_matrix))
+    monkeypatch.setattr(runge, "svd", counted("svd", runge.svd))
+    out = reconstruct_potential(meas, sys_ref, alpha=1e-12, n_targets=4,
+                                runge_gate=0.95, iterations=1, mode="constructive")
+    assert calls == {"solve": 2, "svd": 2}
+    diag = out["diagnostics"]["iterations"][0]
+    assert len(diag["runge_residuals"]) == 4 and len(diag["test_residuals"]) == 1
+
+
+def test_constructive_is_galerkin_on_control_pairs(desk_setup, monkeypatch):
+    # the constructive system, one moment row hn*(U1 g_k)o(U2 g_c) per target
+    # with datum hn*g_c^T data g_k, solved in the targets' span, is the
+    # Galerkin system tested on the pairs g_c g_k^T with unknown basis Phi
+    grid, sys_ref, sys_true, _ = desk_setup
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2", sigma=1e-3, seed=3)
+    seen = {}
+    real = calderon._solve_regularized
+
+    def spy(BtB, Btm, residual, L, noise_level, **kwargs):
+        seen.update(BtB=BtB, Btm=Btm, residual=residual, noise=noise_level)
+        return real(BtB, Btm, residual, L, noise_level, **kwargs)
+
+    monkeypatch.setattr(calderon, "_solve_regularized", spy)
+    alpha, hn = 1e-8, grid.h
+    targets = dirichlet_spectrum(sys_ref).eigenvectors[:, :4] / np.sqrt(hn)
+    reconstruct_potential(meas, sys_ref, targets=targets, alpha=alpha,
+                          runge_gate=0.95, iterations=1, mode="constructive")
+
+    def control(window, target):
+        return runge_approximate(ControlProblem(sys_ref, window, target, alpha=alpha))
+
+    const = control(meas.observation_nodes, np.ones(len(grid.interior)))
+    rows, rhs, noise_sq = [], [], 0.0
+    for k in range(targets.shape[1]):
+        rk = control(meas.source_nodes, targets[:, k])
+        rows.append(hn * rk.achieved * const.achieved)
+        rhs.append(hn * float(const.control @ (meas.data @ rk.control)))
+        noise_sq += meas.sigma**2 * hn**2 * float(
+            np.sum((np.outer(const.control, rk.control) * meas.data) ** 2))
+    Bc, m = np.asarray(rows) @ targets, np.asarray(rhs)
+    assert _rel(seen["BtB"], Bc.T @ Bc) <= 1e-10
+    assert _rel(seen["Btm"], Bc.T @ m) <= 1e-10
+    assert seen["noise"] == pytest.approx(np.sqrt(noise_sq), rel=1e-10)
+    c = np.random.default_rng(0).standard_normal(targets.shape[1])
+    assert seen["residual"](c) == pytest.approx(np.linalg.norm(Bc @ c - m), rel=1e-10)
 
 
 def test_runge_gate_trips(desk_setup):

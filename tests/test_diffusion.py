@@ -160,3 +160,31 @@ def test_decay_series_csv(tmp_path, desk_sys0):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (2, 2)
     assert np.all(data[:, 1] <= 1e-12)
+
+
+def test_decay_series_one_poisson_solve(desk_sys0, monkeypatch):
+    # one steady-state solve for the whole series, the distances of the
+    # clamped evolution at each time, and evolve's input checks kept
+    from fraccalderon import diffusion
+    g = desk_sys0.grid
+    f = window_vector(g, "W1", 1.0)
+    v0 = solve_poisson(desk_sys0, f).values.copy()
+    v0[g.interior] += np.random.default_rng(3).normal(size=len(g.interior))
+    v0 = GridFunction(g, v0)
+    times = [0.0, 0.3, 2.0]
+    u_f = solve_poisson(desk_sys0, f)
+    want = [np.sqrt(g.h) * np.linalg.norm(
+        evolve(desk_sys0, v0, EvolutionMode.CLAMPED, t, f=f).state.values - u_f.values)
+        for t in times]
+    solves = []
+    real = diffusion.solve_poisson
+    monkeypatch.setattr(diffusion, "solve_poisson",
+                        lambda *a: solves.append(1) or real(*a))
+    rows = decay_series(desk_sys0, v0, f, times)
+    assert len(solves) == 1
+    assert [t for t, _ in rows] == times
+    assert np.allclose([d for _, d in rows], want, rtol=1e-12, atol=1e-15)
+    with pytest.raises(ModeMismatchError):
+        decay_series(desk_sys0, GridFunction(g, np.zeros(g.n_nodes)), f, times)
+    with pytest.raises(DomainError):
+        decay_series(desk_sys0, v0, f, [1.0, -0.5])

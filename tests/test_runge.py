@@ -140,3 +140,45 @@ def test_window_outside_exterior_support_rejected(desk_sys0):
         runge_approximate(ControlProblem(desk_sys0, nodes, np.ones(len(g.interior))))
     with pytest.raises(GridMismatchError):
         adjoint_apply(desk_sys0, np.ones(len(g.interior)), nodes)
+
+
+def test_target_matrix_matches_single_columns(desk_sys_bump):
+    # one window solve and SVD serve every target column: a target matrix
+    # gives what one call per column gives
+    g = desk_sys_bump.grid
+    rng = np.random.default_rng(2)
+    targets = np.column_stack([np.ones(len(g.interior)), np.sign(g.coords[g.interior, 0]),
+                               rng.normal(size=len(g.interior))])
+    many = runge_approximate(ControlProblem(desk_sys_bump, "W1", targets, alpha=1e-8))
+    assert many.control.shape == (len(g.windows["W1"]), 3)
+    assert many.achieved.shape == targets.shape
+    for k in range(targets.shape[1]):
+        one = runge_approximate(ControlProblem(desk_sys_bump, "W1", targets[:, k], alpha=1e-8))
+        for got, want in ((many.control[:, k], one.control),
+                          (many.achieved[:, k], one.achieved)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert many.residual[k] == pytest.approx(one.residual, rel=1e-12)
+        assert many.control_norm[k] == pytest.approx(one.control_norm, rel=1e-12)
+
+
+def test_alpha_sweep_matches_single_alphas(desk_sys0):
+    # the sweep reuses one window solve and SVD: same values, and the
+    # ill-conditioning warning still fires once per ill-conditioned alpha
+    import warnings
+    g = desk_sys0.grid
+    target = np.ones(len(g.interior))
+    alphas = [1e-2, 1e-8, 1e-16, 0.0]
+    with warnings.catch_warnings(record=True) as swept:
+        warnings.simplefilter("always")
+        results = alpha_sweep(desk_sys0, "W1", target, alphas=alphas)
+    with warnings.catch_warnings(record=True) as single:
+        warnings.simplefilter("always")
+        want = [runge_approximate(ControlProblem(desk_sys0, "W1", target, alpha=a))
+                for a in alphas]
+    ill = [w for w in swept if issubclass(w.category, IllConditionedWarning)]
+    assert len(ill) == sum(r.condition > 1e14 for r in want) >= 1
+    assert len(ill) == len([w for w in single if issubclass(w.category, IllConditionedWarning)])
+    for r, w in zip(results, want):
+        assert r.alpha == w.alpha and r.condition == w.condition
+        assert r.residual == w.residual and r.control_norm == w.control_norm
+        assert np.array_equal(r.control, w.control)
