@@ -21,8 +21,8 @@ import numpy as np
 
 from .dirichlet import DirichletSystem, Potential, assemble_system, dirichlet_spectrum
 from .dnmap import assemble_dn
-from .errors import (EigFailError, GridMismatchError, IllConditionedWarning,
-                     RungeFailError, SingularSystemError)
+from .errors import (GridMismatchError, IllConditionedWarning, RungeFailError,
+                     SingularSystemError)
 from .grid import Grid
 from .runge import (COND_WARN, ControlProblem, control_to_interior_matrix,
                     runge_approximate)
@@ -274,7 +274,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
                 continue
             try:
                 sys_next, dn_next, misfit_next = _data_misfit(trial)
-            except (SingularSystemError, EigFailError, np.linalg.LinAlgError):
+            except (SingularSystemError, np.linalg.LinAlgError):
                 step = step / 2.0
                 continue
             if misfit_next <= misfit_now or it == 0:

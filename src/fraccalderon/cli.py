@@ -380,9 +380,8 @@ def _pipeline_diffuse(cfg, out_dir, report):
     semi = float(np.max(np.abs(b.state.values - c.state.values)))
     report.add("semigroup", semi, tol.get("semigroup", 1e-12))
 
-    out1 = dn_cost_check(sys, f)
-    out2 = dn_cost_check(sys, f, dt=out1["dt"] / 2)
-    ratio = out1["deviation"] / max(out2["deviation"], 1e-300)
+    cost = dn_cost_check(sys, f)
+    ratio = cost["deviation"] / max(cost["deviation_half"], 1e-300)
     report.add("cost_richardson_ratio", abs(ratio - 2.0),
                tol.get("richardson_band", 0.3))
 

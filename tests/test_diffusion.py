@@ -144,6 +144,14 @@ def test_dn_cost_richardson(desk_sys0):
     assert abs(ratio - 2.0) <= 0.3
 
 
+def test_dn_cost_pair_in_one_call(desk_sys0):
+    # the dt/2 deviation of one call is a second call at dt/2, bit for bit
+    f = window_vector(desk_sys0.grid, "W1", 1.0)
+    out = dn_cost_check(desk_sys0, f)
+    half = dn_cost_check(desk_sys0, f, dt=out["dt"] / 2)
+    assert out["deviation_half"] == half["deviation"]
+
+
 def test_dn_cost_zero_data(desk_sys0):
     g = desk_sys0.grid
     out = dn_cost_check(desk_sys0, np.zeros(len(g.ext_support)))

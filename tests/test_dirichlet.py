@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from fraccalderon.dirichlet import (Potential, assemble_system, check_condition,
+from fraccalderon.dirichlet import (CONDITION_TOL, DirichletSystem, Potential,
+                                    assemble_system, check_condition,
                                     dirichlet_spectrum, potential_from_spec,
                                     solve_poisson, solve_source)
 from fraccalderon.errors import DomainError, SingularSystemError
@@ -94,6 +98,70 @@ def test_resonant_system_refused(entry, resonant, desk_sys0, desk_sys_bump):
     }
     with pytest.raises(SingularSystemError):
         calls[entry]()
+
+
+def test_solve_path_runs_no_eigendecomposition(desk_op, monkeypatch):
+    # solvability is read from the LU that solves, so no solve or inversion
+    # entry point runs an eigendecomposition; fresh systems, so that no
+    # cached spectrum hides one
+    from fraccalderon.calderon import reconstruct_potential, simulate_measurements
+    from fraccalderon.dnmap import assemble_dn
+    from fraccalderon.runge import control_to_interior_matrix
+    calls = []
+    for module in (scipy.linalg, np.linalg):
+        def counting(*args, _real=module.eigh, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "eigh", counting)
+    g = desk_op.grid
+    sys0 = assemble_system(desk_op, potential_from_spec(g, 0.0))
+    bump = assemble_system(desk_op, potential_from_spec(
+        g, {"type": "gaussian", "amplitude": 0.5, "center": 0.0, "width": 0.4}))
+    solve_poisson(sys0, np.ones(len(g.ext_support)))
+    solve_source(bump, np.ones(len(g.interior)))
+    assemble_dn(bump, "W1", "W2")
+    control_to_interior_matrix(sys0, "W1")
+    reconstruct_potential(simulate_measurements(bump, sys0, "W1", "W2"), sys0,
+                          iterations=2, mode="linearized")
+    assert len(calls) == 0
+    dirichlet_spectrum(sys0)        # the counter sees the spectrum's eigh
+    assert len(calls) == 1
+
+
+def _rcond(sys):
+    return check_condition(sys)["margin"] / np.linalg.norm(sys.interior_matrix, 1)
+
+
+def test_rcond_within_factor_n_of_eigenvalue_ratio(desk_sys0, desk_sys_bump, setup_2d):
+    # the gate's 1-norm rcond estimate against the 2-norm ratio
+    # min|lambda|/max|lambda| that the eigenvalue gate used
+    _, sys_ref, sys_true, _ = setup_2d
+    for sys in (desk_sys0, desk_sys_bump, sys_ref, sys_true):
+        n_int = len(sys.grid.interior)
+        w = np.abs(dirichlet_spectrum(sys).eigenvalues)
+        ratio = w.min() / w.max()
+        assert ratio / n_int <= _rcond(sys) <= ratio * n_int
+
+
+def test_resonant_rcond_below_tolerance(desk_op, desk_sys0):
+    # near-resonant (q = -lambda_1) and exactly singular (a zero pivot)
+    # systems read rcond <= CONDITION_TOL from their LU, and the refusal is
+    # the only report: no LinAlgWarning ahead of it
+    g = desk_op.grid
+    lam1 = dirichlet_spectrum(desk_sys0).eigenvalues[0]
+    resonant = assemble_system(desk_op, potential_from_spec(g, -float(lam1)))
+    singular = resonant.interior_matrix.copy()
+    singular[0, :] = 0.0
+    singular[:, 0] = 0.0
+    exact = DirichletSystem(op=desk_op, potential=resonant.potential,
+                            interior_matrix=singular)
+    for sys in (resonant, exact):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            with pytest.raises(SingularSystemError):
+                solve_poisson(sys, np.zeros(len(g.ext_support)))
+        assert not check_condition(sys)["ok"]
+        assert _rcond(sys) <= CONDITION_TOL
 
 
 def test_solve_poisson_basics(desk_sys0):
