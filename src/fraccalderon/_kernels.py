@@ -2,10 +2,10 @@
 
 On a uniform lattice the midpoint kernel weight |x_i - x_j|^(-power) depends
 only on the integer offset |idx_i - idx_j|.  ``offset_table`` evaluates it
-once per offset, ``gather_offsets`` reads a dense pairwise matrix from the
+once per offset, ``gather_offsets`` reads a dense pairwise block from the
 table, and ``offset_convolve`` sums a table against a lattice indicator by
 zero-padded FFT.  A gathered entry depends only on |idx_i - idx_j|, so the
-matrix is exactly symmetric and does not depend on evaluation order.
+blocks are exactly symmetric and do not depend on evaluation order.
 """
 
 import numpy as np
@@ -32,36 +32,40 @@ def offset_table(shape, h: float, power: float) -> np.ndarray:
     return tab
 
 
-def gather_offsets(tab: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Dense matrix M[i, j] = tab[|idx_i - idx_j|] for lattice indices (n, dim)."""
+def gather_offsets(tab: np.ndarray, idx_rows: np.ndarray, idx_cols: np.ndarray) -> np.ndarray:
+    """Dense block M[i, j] = tab[|idx_rows_i - idx_cols_j|] for lattice
+    indices of shape (n_rows, dim) and (n_cols, dim)."""
     # flat table positions fit in 32 bits for any table that fits in memory
     itype = np.int32 if tab.size < 2**31 else np.int64
-    idx = np.asarray(idx, dtype=itype)
-    n, dim = idx.shape
+    rows = np.asarray(idx_rows, dtype=itype)
+    cols = np.asarray(idx_cols, dtype=itype)
+    n, dim = rows.shape
+    m = len(cols)
     strides = [itype(np.prod(tab.shape[k + 1:])) for k in range(dim)]
     flat = tab.ravel()
-    out = np.empty((n, n))
+    out = np.empty((n, m))
     # cap the integer offset temporaries at ~16 MB
-    block = max(1, (1 << 22) // max(n, 1))
+    block = max(1, (1 << 22) // max(m, 1))
     for r0 in range(0, n, block):
         r1 = min(n, r0 + block)
-        pos = np.abs(idx[r0:r1, None, 0] - idx[None, :, 0]) * strides[0]
+        pos = np.abs(rows[r0:r1, None, 0] - cols[None, :, 0]) * strides[0]
         for k in range(1, dim):
-            pos += np.abs(idx[r0:r1, None, k] - idx[None, :, k]) * strides[k]
+            pos += np.abs(rows[r0:r1, None, k] - cols[None, :, k]) * strides[k]
         np.take(flat, pos, out=out[r0:r1])
     return out
 
 
 def offset_convolve(tab: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """out[i] = sum_j mask[j] * tab[|i - j|] on a 2D lattice, by FFT.
+    """out[i] = sum_j mask[j] * tab[|i - j|] on a 1D or 2D lattice, by FFT.
 
     ``tab`` covers at least the offsets of ``mask``'s shape.  The signed
     kernel has shape (2 n_k - 1) per axis; both are zero-padded to a power
     of two >= 3 n_k - 2, so the circular convolution equals the linear one.
     """
-    n1, n2 = mask.shape
-    kern = tab[np.ix_(np.abs(np.arange(1 - n1, n1)), np.abs(np.arange(1 - n2, n2)))]
-    shape = tuple(1 << (3 * m - 3).bit_length() for m in (n1, n2))
-    spec = np.fft.rfft2(mask, shape) * np.fft.rfft2(kern, shape)
-    full = np.fft.irfft2(spec, shape)
-    return full[n1 - 1:2 * n1 - 1, n2 - 1:2 * n2 - 1]
+    n = mask.shape
+    kern = tab[np.ix_(*[np.abs(np.arange(1 - m, m)) for m in n])]
+    shape = tuple(1 << (3 * m - 3).bit_length() for m in n)
+    axes = tuple(range(len(n)))
+    spec = np.fft.rfftn(mask, shape, axes) * np.fft.rfftn(kern, shape, axes)
+    full = np.fft.irfftn(spec, shape, axes)
+    return full[tuple(slice(m - 1, 2 * m - 1) for m in n)]

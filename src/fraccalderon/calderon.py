@@ -79,7 +79,13 @@ RIDGE = 1e-6
 BETA_FLOOR = 1.0 / (RIDGE * COND_WARN - 1.0)
 
 
-def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, L: np.ndarray,
+def _penalty(L: np.ndarray) -> np.ndarray:
+    """Curvature penalty LtL + ridge * I of a regularization operator L."""
+    LtL = L.T @ L
+    return LtL + RIDGE * np.linalg.norm(LtL) * np.eye(LtL.shape[0])
+
+
+def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, LtL: np.ndarray,
                        noise_level: float, clean_beta: float = 1e-3) -> tuple[np.ndarray, float]:
     """Penalized least squares min ||B x - m||^2 + beta * ||L x||^2 (plus a
     ridge), with the weight picked by discrepancy against the noise estimate
@@ -87,7 +93,8 @@ def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, L: np.ndarray
 
     B and m enter only through the normal-equation pieces ``BtB`` (B^T B)
     and ``Btm`` (B^T m), and through ``residual(x)`` = ||B x - m|| for the
-    discrepancy test, so a caller never has to form B.
+    discrepancy test, so a caller never has to form B.  ``LtL`` is the
+    penalty matrix from ``_penalty``, built once per reconstruction.
 
     The relative weight ``clean_beta`` is the penalty weight over
     ||BtB||_F / ||LtL + ridge * I||_F; the normal matrix's condition number
@@ -98,8 +105,6 @@ def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, L: np.ndarray
     naming both weights, and the discrepancy grid stops there.  Above the
     floor nothing changes.  Returns the solution and the absolute weight used.
     """
-    LtL = L.T @ L
-    LtL = LtL + RIDGE * np.linalg.norm(LtL) * np.eye(LtL.shape[0])
     scale = np.linalg.norm(BtB) / max(np.linalg.norm(LtL), 1e-300)
     if clean_beta < BETA_FLOOR:
         warnings.warn(
@@ -221,6 +226,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
             targets = spec.eigenvectors[:, :min(n_targets, n_int)] / np.sqrt(hn)
         basis = np.asarray(targets, dtype=float).reshape(n_int, -1)
         L = L @ basis
+    LtL = _penalty(L)
     diagnostics = {"iterations": [], "mode": mode}
 
     # once the residual data sits at the noise floor, further sweeps only fit noise
@@ -254,7 +260,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
             _pair(meas.data**2, G1, G2, power=2))))
         BtB, Btm, residual = _linearized_normal_equations(
             A1, A2, _pair(data_cur, G1, G2), hn, basis)
-        dc, beta = _solve_regularized(BtB, Btm, residual, L, noise_level,
+        dc, beta = _solve_regularized(BtB, Btm, residual, LtL, noise_level,
                                       clean_beta=clean_beta)
         dq = dc if basis is None else basis @ dc
 

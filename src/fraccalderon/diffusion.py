@@ -119,7 +119,9 @@ def dn_cost_check(sys: DirichletSystem, f: np.ndarray, dt: float = None) -> dict
     (f - u(dt))/dt on the exterior support approximates the DN map of f with
     an O(dt) remainder; the deviation halves when dt does.  ``deviation`` is
     taken at dt and ``deviation_half`` at dt/2, from the same eigenbasis of
-    the non-FAR operator and the same Poisson solve.
+    the non-FAR operator and the same Poisson solve.  That eigenbasis needs
+    the whole matrix (N_nf^2 doubles) and an O(N_nf^3) ``eigh``, so this
+    check suits grids of a few thousand non-FAR nodes.
     """
     grid = sys.grid
     op = sys.op

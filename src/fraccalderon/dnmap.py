@@ -57,8 +57,9 @@ def dn_pointwise(sys: DirichletSystem, f: np.ndarray) -> np.ndarray:
     """(A u_f) restricted to the exterior-support nodes."""
     grid = sys.grid
     u = solve_poisson(sys, f)
-    op = sys.op
-    return (op.matrix @ u.values[grid.nonfar])[op.rows(grid.ext_support)]
+    es, interior = grid.ext_support, grid.interior
+    return (sys.op.block(es, interior) @ u.values[interior]
+            + sys.op.block(es, es) @ u.values[es])
 
 
 def ns_weight(op: FracOperator) -> np.ndarray:

@@ -157,14 +157,17 @@ def ucp_conditioning(grid: Grid, s: float, W, norm_cap: float = None,
     with energy at most ``norm_cap`` (default: half-Nyquist energy
     (pi/(4h))^(2s)); for smooth candidates the constraints are far from
     degenerate, which is the discrete residue of the uniqueness property.
+    The smooth candidates need the whole matrix (N_nf^2 doubles) and its full
+    ``eigh``, so this study suits grids of a few thousand non-FAR nodes.
     """
     if op is None:
         op = assemble_quadrature(grid, s)
     nf = grid.nonfar
-    w_pos = op.rows(grid.indices_of(W))
+    w_nodes = grid.indices_of(W)
+    w_pos = op.rows(w_nodes)
     sel = np.zeros((len(w_pos), len(nf)))
     sel[np.arange(len(w_pos)), w_pos] = 1.0
-    C = np.vstack([sel, op.matrix[w_pos]])
+    C = np.vstack([sel, op.block(w_nodes, nf)])
 
     _, sv, Vt = np.linalg.svd(C, full_matrices=True)
     minimizer = Vt[-1]

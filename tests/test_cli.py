@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 from fraccalderon import build_grid
-from fraccalderon.cli import main, run, validate_config
+from fraccalderon.cli import CONFIG_SCHEMA, main, run, validate_config
 from fraccalderon.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -177,3 +179,25 @@ def test_diffuse_drives_source_window(window, tmp_path, monkeypatch):
     grid = build_grid(g["dim"], g["h"], g["R"], g["omega"], g["support"], g["windows"])
     driven = grid.ext_support[np.flatnonzero(forcings[0])]
     assert np.array_equal(driven, np.sort(grid.indices_of(window)))
+
+
+def test_config_schema_is_a_valid_schema():
+    # validate_config trusts the schema instead of re-checking it per call
+    validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda cfg: cfg.update(noize={"sigma": 0.0}),
+     "Additional properties are not allowed ('noize' was unexpected)"),
+    (lambda cfg: cfg.update(s="0.5"), "'0.5' is not of type 'number'"),
+])
+def test_config_error_messages(edit, message):
+    # the first line of the error jsonschema.validate raises, as before
+    cfg = small_invert_config()
+    edit(cfg)
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+    assert str(ref.value).splitlines()[0] == message
+    with pytest.raises(ConfigError) as exc:
+        validate_config(cfg)
+    assert str(exc.value) == message

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +11,9 @@ from scipy import integrate, special
 
 from fraccalderon import GridFunction, apply_spectral, assemble_quadrature, build_grid, cns_constant
 from fraccalderon._kernels import gather_offsets, offset_convolve, offset_table
-from fraccalderon.fracop import _cell_weights, _tail_outside_box_2d, export_operator
+from fraccalderon.dirichlet import assemble_system, potential_from_spec
+from fraccalderon.fracop import (_cell_weights, _kappa_1d, _kappa_2d, _smooth_integral,
+                                 _tail_outside_box_2d, _unit_cell_integral_2d, export_operator)
 from fraccalderon.errors import DomainError
 from fraccalderon.grid import Region
 
@@ -103,15 +110,16 @@ def test_oracle_agreement_2d_desk():
         {"type": "disc", "center": [0.0, 0.0], "radius": 2.0},
         {"W1": {"type": "disc", "center": [1.5, 0.0], "radius": 0.35}})
     op = assemble_quadrature(g, 0.5)
+    A = op.matrix
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(6):
         vals = smooth_bump(g, rng.uniform(-0.4, 0.4, size=2), rng.uniform(0.2, 0.3))
-        quad = op.matrix @ vals[g.nonfar]
+        quad = A @ vals[g.nonfar]
         spec = apply_spectral(GridFunction(g, vals), 0.5, 8).values[g.nonfar]
         worst = max(worst, np.linalg.norm(quad - spec) / np.linalg.norm(spec))
     assert worst <= 2e-2
-    assert np.max(np.abs(op.matrix - op.matrix.T)) == 0.0
+    assert np.max(np.abs(A - A.T)) == 0.0
 
 
 def test_spectral_linearity(desk_grid):
@@ -229,7 +237,7 @@ def test_offset_table_weights_match_broadcast(grid, s):
     idx = grid.idx[grid.nonfar]
     power = grid.dim + 2.0 * s
     span = idx.max(axis=0) - idx.min(axis=0) + 1
-    gathered = gather_offsets(offset_table(tuple(span), grid.h, power), idx)
+    gathered = gather_offsets(offset_table(tuple(span), grid.h, power), idx, idx)
     assert np.array_equal(gathered, _midpoint_weights_broadcast(idx, grid.h, power))
 
 
@@ -288,3 +296,114 @@ def test_assembly_near_classical_limit_2d():
     assert np.array_equal(A, A.T)
     assert np.linalg.eigvalsh(A)[0] > 0
     assert np.max(np.abs(A.sum(axis=1) - op.tail)) <= 1e-12 * np.max(np.abs(A))
+
+
+def _unit_cell_dblquad(s, corner):
+    # reference: adaptive quadrature of the adjacent-cell integral
+    other = (0.5, 1.5) if corner else (-0.5, 0.5)
+    val, err = integrate.dblquad(lambda w2, w1: (w1 * w1 + w2 * w2) ** (-1.0 - s),
+                                 0.5, 1.5, *other, epsabs=0.0, epsrel=1e-12)
+    assert err <= 1e-11 * val
+    return val
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.85, 0.99])
+def test_gauss_legendre_cell_integrals_match_adaptive(s):
+    for corner in (False, True):
+        ref = _unit_cell_dblquad(s, corner)
+        assert abs(_unit_cell_integral_2d(s, corner) - ref) <= 1e-13 * ref
+    # the defect coefficient's integral of (1 + t^2)^(-s) over [0, 1]
+    f = lambda t: (1.0 + t * t) ** (-s)
+    ref, err = integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+    assert err <= 1e-13 * ref
+    assert abs(_smooth_integral(f, [(0.0, 1.0)]) - ref) <= 1e-13 * ref
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, fraccalderon.cli; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _dense_reference(grid, s, curvature_correction):
+    """The dense assembly the structured operator replaces: full gather, row
+    sum diagonal, springs scattered on the edge pairs; in 2D with adaptive
+    adjacent-cell integrals."""
+    n, h = grid.dim, grid.h
+    c = cns_constant(n, s)
+    idx = grid.idx[grid.nonfar]
+    K = _cell_weights(grid, s)
+    if n == 2:
+        edge, corner = _unit_cell_dblquad(s, False), _unit_cell_dblquad(s, True)
+        K[0, 1] = K[1, 0] = h ** (-2 * s) * edge
+        K[1, 1] = h ** (-2 * s) * corner
+    V = gather_offsets(K, idx, idx)
+    tail = assemble_quadrature(grid, s, curvature_correction).tail
+    diag = c * V.sum(axis=1) + tail
+    A = np.multiply(V, -c, out=V)
+    A[np.diag_indices(len(A))] = diag
+    if curvature_correction:
+        kappa = _kappa_1d(s) if n == 1 else _kappa_2d(s, edge, corner)
+        spring = c * kappa * h ** (-2.0 * s)
+        di = np.abs(idx[:, None, :] - idx[None, :, :]).sum(axis=2)
+        p, q = np.nonzero(np.triu(di == 1))
+        np.add.at(A, (p, p), spring)
+        np.add.at(A, (q, q), spring)
+        np.add.at(A, (p, q), -spring)
+        np.add.at(A, (q, p), -spring)
+    return A
+
+
+@pytest.mark.parametrize("curvature_correction", [True, False])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.85])
+@pytest.mark.parametrize("grid", [make_grid_1d(0.05), _disc_grid_2d(0.1)], ids=["desk1d", "disc2d"])
+def test_structured_operator_matches_dense_reference(grid, s, curvature_correction):
+    A = assemble_quadrature(grid, s, curvature_correction).matrix
+    ref = _dense_reference(grid, s, curvature_correction)
+    off = ~np.eye(len(A), dtype=bool)
+    idx = grid.idx[grid.nonfar]
+    cheb1 = np.abs(idx[:, None, :] - idx[None, :, :]).max(axis=2) == 1
+    if grid.dim == 1:
+        assert np.array_equal(A[off], ref[off])
+    else:
+        # the adjacent cells' Gauss-Legendre integrals differ from the
+        # adaptive ones by rounding; every other entry is the same table read
+        assert np.array_equal(A[off & ~cheb1], ref[off & ~cheb1])
+        assert np.max(np.abs(A[cheb1] / ref[cheb1] - 1.0)) <= 1e-14
+    assert np.max(np.abs(np.diag(A) / np.diag(ref) - 1.0)) <= 1e-14
+
+
+def test_block_equals_matrix_slices(desk_op):
+    g = desk_op.grid
+    A = desk_op.matrix
+    nf = g.nonfar
+    perm = np.random.default_rng(5).permutation(nf)
+    cases = [(g.interior, g.windows["W1"]),             # disjoint
+             (nf[10:60], nf[40:100]),                   # overlapping
+             (perm[:50], perm[25:90]),                  # unsorted, overlapping
+             (perm, perm[::-1])]                        # unsorted, equal sets
+    for rows, cols in cases:
+        expect = A[np.ix_(g.nonfar_row[rows], g.nonfar_row[cols])]
+        assert np.array_equal(desk_op.block(rows, cols), expect)
+    with pytest.raises(DomainError):
+        desk_op.block(nf[[3, 4, 3]], nf[:5])
+
+
+def test_operator_and_system_memory_2d():
+    # the 2D disc at h = 0.05 has 5024 non-FAR nodes, so the dense matrix
+    # would hold 193 MB; the operator and one system stay far below that
+    g = build_grid(2, 0.05, 3.0,
+                   {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
+                   {"type": "disc", "center": [0.0, 0.0], "radius": 2.0},
+                   {"W1": {"type": "disc", "center": [1.5, 0.0], "radius": 0.35}})
+    q = potential_from_spec(g, 0.0)
+    assert len(g.nonfar) == 5024
+    tracemalloc.start()
+    try:
+        sys_ref = assemble_system(assemble_quadrature(g, 0.5), q)
+        sys_ref.lu()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * 2**20
