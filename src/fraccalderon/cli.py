@@ -56,7 +56,33 @@ _GEOMETRY_SCHEMA = {
     ]
 }
 
-_POTENTIAL_SCHEMA = {"type": ["object", "number"]}
+
+def _potential_family(kind: str, properties: dict, required: list) -> dict:
+    return {"type": "object", "additionalProperties": False,
+            "properties": {"type": {"const": kind}, **properties},
+            "required": ["type", *required]}
+
+
+_NUMBER = {"type": "number"}
+_BUMP = {"amplitude": _NUMBER, "width": _NUMBER,
+         "center": {"type": ["number", "array"], "items": _NUMBER}}
+
+# one branch per family of dirichlet.potential_from_spec; a bare number is a
+# constant
+_POTENTIAL_SCHEMA = {
+    "oneOf": [
+        _NUMBER,
+        _potential_family("constant", {"value": _NUMBER}, ["value"]),
+        _potential_family("gaussian", _BUMP, ["amplitude", "width"]),
+        _potential_family("two_bump", {"bumps": {
+            "type": "array", "items": {"type": "object", "additionalProperties": False,
+                                       "properties": _BUMP,
+                                       "required": ["amplitude", "width"]}}}, ["bumps"]),
+        _potential_family("nodes", {"values": {"type": "array", "items": _NUMBER}},
+                          ["values"]),
+        _potential_family("csv", {"path": {"type": "string"}}, ["path"]),
+    ]
+}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -231,7 +257,8 @@ def _pipeline_spectrum(cfg, out_dir, report):
     spec = dirichlet_spectrum(sys)
     _write_csv(out_dir / "spectrum.csv", "index,eigenvalue",
                list(enumerate(spec.eigenvalues)))
-    resid = float(np.max(np.abs(sys.interior_matrix @ spec.eigenvectors
+    A = sys.interior_matrix             # gathered anew: the system holds its LU only
+    resid = float(np.max(np.abs(A @ spec.eigenvectors
                                 - spec.eigenvectors * spec.eigenvalues)))
     scale = float(np.max(np.abs(spec.eigenvalues)))
     report.add("eigen_residual", resid, 1e-10 * scale)
@@ -307,9 +334,10 @@ def _pipeline_invert(cfg, out_dir, report):
     q_ref = potential_from_spec(grid, cfg.get("potential_ref", 0.0))
     q_true = potential_from_spec(grid, cfg["potential_true"])
     sys_ref = assemble_system(op, q_ref)
-    sys_true = assemble_system(op, q_true)
     noise = cfg.get("noise", {})
-    meas = simulate_measurements(sys_true, sys_ref,
+    # the true system serves only the measurements, so it is freed before
+    # the reconstruction
+    meas = simulate_measurements(assemble_system(op, q_true), sys_ref,
                                  cfg.get("source_window", "W1"),
                                  cfg.get("observation_window", "W2"),
                                  sigma=noise.get("sigma", 0.0),

@@ -1,16 +1,18 @@
 """Exterior-value Dirichlet problem for the fractional Schrodinger operator.
 
-The interior block of the operator matrix plus diag(q) governs solvability:
-its spectrum is the discrete Dirichlet spectrum, and solves are refused when
-zero is an eigenvalue within tolerance (the forward problem would not be
-uniquely solvable).  The verdict comes from the LU factorization that the
-solves use: LAPACK's 1-norm reciprocal-condition estimate rcond must exceed
-``CONDITION_TOL``.  For the symmetric interior matrix rcond agrees with the
-eigenvalue ratio min|lambda|/max|lambda| to within a factor n_int, so
-solving needs no eigendecomposition.  The full spectrum
-(``dirichlet_spectrum``) is computed only by its users: the ``spectrum``
-pipeline, the eigen-expansion of ``diffusion`` and the default targets of
-constructive reconstruction.
+The interior block of the operator matrix plus diag(q), A = A_II + diag(q),
+governs solvability: its spectrum is the discrete Dirichlet spectrum, and
+solves are refused when zero is an eigenvalue within tolerance (the forward
+problem would not be uniquely solvable).  A system is the LU factorization
+of A, built once at assembly in the buffer A was gathered into; no copy of
+A is kept.  The verdict comes from that same LU: LAPACK's 1-norm
+reciprocal-condition estimate rcond must exceed ``CONDITION_TOL``.  For the
+symmetric A, rcond agrees with the eigenvalue ratio min|lambda|/max|lambda|
+to within a factor n_int, so solving needs no eigendecomposition.  The full
+spectrum (``dirichlet_spectrum``) is computed only by its users: the
+``spectrum`` pipeline, the eigen-expansion of ``diffusion`` and the default
+targets of constructive reconstruction; they read A through
+``DirichletSystem.interior_matrix``, which gathers it anew.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import lapack
 
-from .errors import DomainError, EigFailError, SingularSystemError
+from .errors import ConfigError, DomainError, EigFailError, SingularSystemError
 from .fracop import FracOperator
 from .grid import Grid, GridFunction
 
@@ -51,7 +53,10 @@ def potential_from_spec(grid: Grid, spec) -> Potential:
     Specs: {"type": "constant", "value": v},
            {"type": "gaussian", "amplitude": a, "center": c, "width": w},
            {"type": "two_bump", "bumps": [gaussian-like dicts]},
-           {"type": "nodes", "values": [...]} (one value per interior node).
+           {"type": "nodes", "values": [...]} (one value per interior node;
+            another count raises ``ConfigError``),
+           {"type": "csv", "path": p} (see ``potential_from_csv``);
+    a bare number is a constant.
     """
     x = grid.coords[grid.interior]
     if isinstance(spec, (int, float)):
@@ -73,7 +78,11 @@ def potential_from_spec(grid: Grid, spec) -> Potential:
             vals += float(bump["amplitude"]) * np.exp(-r2 / (2.0 * w * w))
         return Potential(grid, vals)
     if kind == "nodes":
-        return Potential(grid, np.asarray(spec["values"], dtype=float))
+        values = np.asarray(spec["values"], dtype=float)
+        if values.shape != (len(x),):
+            raise ConfigError(f"a nodes potential needs {len(x)} values, one per "
+                              f"interior node; got {values.size}")
+        return Potential(grid, values)
     if kind == "csv":
         return potential_from_csv(grid, spec["path"])
     raise DomainError(f"unknown potential family {kind!r}")
@@ -95,43 +104,53 @@ class Spectrum:
 
 @dataclass
 class DirichletSystem:
+    """The Dirichlet problem of one potential, held as the LU factors of
+    A = A_II + diag(q); build it with ``assemble_system``."""
     op: FracOperator
     potential: Potential
-    interior_matrix: np.ndarray          # A_II + diag(q)
-    _lu: tuple = field(default=None, repr=False)
-    _rcond: float = field(default=None, repr=False)     # dgecon estimate for _lu
-    _anorm: float = field(default=None, repr=False)     # ||interior_matrix||_1
+    factors: tuple = field(repr=False)      # (lu, piv) from LAPACK getrf of A
+    rcond: float                            # dgecon's 1-norm rcond estimate of A
+    anorm: float                            # ||A||_1
     _spectrum: Spectrum = field(default=None, repr=False)
 
     @property
     def grid(self) -> Grid:
         return self.op.grid
 
-    def _factor(self) -> None:
-        """Build the LU factors and their reciprocal-condition estimate once."""
-        if self._lu is None:
-            # LAPACK getrf as in linalg.lu_factor, minus its LinAlgWarning on
-            # an exactly zero pivot: that pivot reads rcond = 0, and the gate
-            # reports it
-            lu, piv, _ = lapack.dgetrf(self.interior_matrix)
-            self._anorm = float(np.linalg.norm(self.interior_matrix, 1))
-            self._rcond = float(lapack.dgecon(lu, self._anorm, norm="1")[0])
-            self._lu = (lu, piv)
+    @property
+    def interior_matrix(self) -> np.ndarray:
+        """A = A_II + diag(q), gathered anew from the operator on each access
+        (n_int^2 doubles); the system keeps only its LU.  Bind it once."""
+        return _interior_matrix(self.op, self.potential)
 
     def lu(self):
-        """LU factors of the interior matrix (the only factorization a solve
-        builds); raises ``SingularSystemError`` when ``ensure_solvable`` does."""
-        self._factor()
+        """LU factors of A (the only factorization a solve uses), the same
+        tuple on every call; raises ``SingularSystemError`` when
+        ``ensure_solvable`` does."""
         ensure_solvable(self)
-        return self._lu
+        return self.factors
+
+
+def _interior_matrix(op: FracOperator, potential: Potential) -> np.ndarray:
+    A = op.block(op.grid.interior, op.grid.interior)
+    A[np.diag_indices_from(A)] += potential.values
+    return A
 
 
 def assemble_system(op: FracOperator, potential: Potential) -> DirichletSystem:
-    grid = op.grid
-    if potential.grid is not grid:
+    """Gather A = A_II + diag(q), read ||A||_1, and factor A in its own buffer."""
+    if potential.grid is not op.grid:
         raise DomainError("potential and operator live on different grids")
-    interior = op.block(grid.interior, grid.interior) + np.diag(potential.values)
-    return DirichletSystem(op=op, potential=potential, interior_matrix=interior)
+    A = _interior_matrix(op, potential)
+    anorm = float(np.linalg.norm(A, 1))
+    # the operator is exactly symmetric, so A.T is A in Fortran order and
+    # getrf overwrites it without a copy.  LAPACK getrf as in
+    # linalg.lu_factor, minus its LinAlgWarning on an exactly zero pivot:
+    # that pivot reads rcond = 0, and the gate reports it
+    lu, piv, _ = lapack.dgetrf(A.T, overwrite_a=True)
+    rcond = float(lapack.dgecon(lu, anorm, norm="1")[0])
+    return DirichletSystem(op=op, potential=potential, factors=(lu, piv),
+                           rcond=rcond, anorm=anorm)
 
 
 def dirichlet_spectrum(sys: DirichletSystem) -> Spectrum:
@@ -158,8 +177,7 @@ def check_condition(sys: DirichletSystem, tol: float = CONDITION_TOL) -> dict:
     reciprocal condition number), and between 1/sqrt(n_int) and 1 times
     min|lambda|; the estimate can only read larger than the exact value.
     """
-    sys._factor()
-    return {"ok": sys._rcond > tol, "margin": sys._rcond * sys._anorm}
+    return {"ok": sys.rcond > tol, "margin": sys.rcond * sys.anorm}
 
 
 def ensure_solvable(sys: DirichletSystem, tol: float = CONDITION_TOL) -> None:

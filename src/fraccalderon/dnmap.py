@@ -70,14 +70,12 @@ def ns_weight(op: FracOperator) -> np.ndarray:
     return -op.block(grid.ext_support, grid.interior).sum(axis=1)
 
 
-def apply_ns(grid: Grid, s: float, u: GridFunction, op: FracOperator = None) -> np.ndarray:
+def apply_ns(op: FracOperator, u: GridFunction) -> np.ndarray:
     """Nonlocal Neumann value on exterior-support nodes:
     c * sum over interior cells of (u(x) - u(y)) |x-y|^(-dim-2s)."""
-    if op is None:
-        from .fracop import assemble_quadrature
-        op = assemble_quadrature(grid, s)
-    if op.grid is not grid or op.s != s:
-        raise GridMismatchError("operator does not match the requested grid and order")
+    grid = op.grid
+    if u.grid is not grid:
+        raise GridMismatchError("function and operator live on different grids")
     m = ns_weight(op)
     u_es = u.values[grid.ext_support]
     u_int = u.values[grid.interior]
@@ -95,7 +93,7 @@ def dn_decomposition_check(sys: DirichletSystem, f: np.ndarray) -> float:
     lhs = dn_pointwise(sys, f)
     u_f = solve_poisson(sys, f)
     m = ns_weight(op)
-    ns_val = apply_ns(grid, op.s, u_f, op=op)
+    ns_val = apply_ns(op, u_f)
     ext_term = op.block(grid.ext_support, grid.ext_support) @ np.asarray(f, dtype=float)
     rhs = ns_val - m * np.asarray(f, dtype=float) + ext_term
     return float(np.max(np.abs(lhs - rhs)))

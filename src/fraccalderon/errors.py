@@ -32,7 +32,8 @@ class DomainError(FracCalderonError):
 
 
 class QuadratureError(FracCalderonError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The 32- and 64-point Gauss-Legendre rules of a smooth cell integral
+    disagree beyond tolerance."""
 
     code = "QUADRATURE_FAIL"
 

@@ -120,9 +120,6 @@ class Grid:
         c.update({name: len(ix) for name, ix in self.windows.items()})
         return c
 
-    def region_of(self, node: int) -> Region:
-        return Region(int(self.region[node]))
-
     def indices_of(self, region) -> np.ndarray:
         """Node positions of a Region (by name or enum), a named window, or
         an explicit node array (returned as int64)."""

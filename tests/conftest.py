@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fraccalderon import assemble_quadrature, build_grid
 from fraccalderon.dirichlet import assemble_system, potential_from_spec
+from fraccalderon.fracop import FracOperator
 
 DESK_WINDOWS = {
     "W1": {"type": "interval", "bounds": [1.2, 1.8]},
@@ -101,3 +104,14 @@ def window_vector(grid, window, values):
     f = np.zeros(len(grid.ext_support))
     f[np.searchsorted(grid.ext_support, grid.indices_of(window))] = values
     return f
+
+
+class DenseOperator(FracOperator):
+    """An operator whose blocks read a given dense (symmetric) matrix."""
+
+    def __init__(self, op, dense):
+        super().__init__(**{f.name: getattr(op, f.name) for f in dataclasses.fields(op)})
+        self.dense = dense
+
+    def block(self, row_nodes, col_nodes):
+        return self.dense[np.ix_(self.rows(row_nodes), self.rows(col_nodes))]

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,10 +8,9 @@ from fraccalderon.calderon import (BETA_FLOOR, reconstruct_potential,
                                    reconstruction_error, simulate_measurements)
 from fraccalderon.dirichlet import assemble_system, dirichlet_spectrum, potential_from_spec
 from fraccalderon.errors import IllConditionedWarning, RungeFailError
-from fraccalderon.fracop import FracOperator
 from fraccalderon.runge import ControlProblem, control_to_interior_matrix, runge_approximate
 
-from conftest import make_grid_1d
+from conftest import DenseOperator, make_grid_1d
 
 BUMP = {"type": "gaussian", "amplitude": 0.5, "center": 0.0, "width": 0.4}
 
@@ -89,17 +87,6 @@ def test_constructive_mode_regression(desk_setup):
     assert len(diag["runge_residuals"]) == 4
 
 
-class _PerturbedOperator(FracOperator):
-    """An operator whose blocks read a given dense matrix."""
-
-    def __init__(self, op, dense):
-        super().__init__(**{f.name: getattr(op, f.name) for f in dataclasses.fields(op)})
-        self.dense = dense
-
-    def block(self, row_nodes, col_nodes):
-        return self.dense[np.ix_(self.rows(row_nodes), self.rows(col_nodes))]
-
-
 def test_constructive_stable_under_rounding(desk_setup):
     # the regression case under seeded symmetric relative operator
     # perturbations at rounding scale: a weight below the resolvable floor is
@@ -111,7 +98,7 @@ def test_constructive_stable_under_rounding(desk_setup):
     errs = []
     for seed in range(8):
         S = np.random.default_rng(seed).standard_normal(A0.shape)
-        op = _PerturbedOperator(sys_ref0.op, A0 * (1.0 + 1e-14 * (S + S.T) / 2))
+        op = DenseOperator(sys_ref0.op, A0 * (1.0 + 1e-14 * (S + S.T) / 2))
         sys_ref = assemble_system(op, potential_from_spec(grid, 0.0))
         meas = simulate_measurements(assemble_system(op, q_true), sys_ref, "W1", "W2")
         with pytest.warns(IllConditionedWarning, match="resolvable floor"):

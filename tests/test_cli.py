@@ -91,14 +91,23 @@ def test_main_set_override_changes_hash(tmp_path):
 
 
 def test_main_invalid_config_exit_2(tmp_path, capsys):
-    cfg = small_invert_config()
-    cfg["s"] = 2.0
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code = main(["invert", "--config", str(cfg_path),
-                 "--output-dir", str(tmp_path / "out")])
-    assert code == 2
-    assert "CONFIG_INVALID" in capsys.readouterr().err
+    # an out-of-range s, and potential specs with a misspelt key, a missing
+    # key, or a node list of the wrong length
+    edits = [
+        lambda cfg: cfg.update(s=2.0),
+        lambda cfg: cfg["potential_true"].update(centre=cfg["potential_true"].pop("center")),
+        lambda cfg: cfg["potential_true"].pop("width"),
+        lambda cfg: cfg.update(potential_true={"type": "nodes", "values": [0.5] * 7}),
+    ]
+    for k, edit in enumerate(edits):
+        cfg = small_invert_config()
+        edit(cfg)
+        cfg_path = tmp_path / f"cfg{k}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["invert", "--config", str(cfg_path),
+                     "--output-dir", str(tmp_path / f"out{k}")])
+        assert code == 2
+        assert "CONFIG_INVALID" in capsys.readouterr().err
 
 
 def test_writes_stay_inside_output_dir(tmp_path, monkeypatch):

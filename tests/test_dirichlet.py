@@ -1,16 +1,18 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from fraccalderon.dirichlet import (CONDITION_TOL, DirichletSystem, Potential,
+from fraccalderon import assemble_quadrature, build_grid
+from fraccalderon.dirichlet import (CONDITION_TOL, Potential,
                                     assemble_system, check_condition,
                                     dirichlet_spectrum, potential_from_spec,
                                     solve_poisson, solve_source)
-from fraccalderon.errors import DomainError, SingularSystemError
+from fraccalderon.errors import ConfigError, DomainError, SingularSystemError
 
-from conftest import make_grid_1d, window_vector
+from conftest import DenseOperator, make_grid_1d, window_vector
 
 # Converged first Dirichlet eigenvalue for q = 0, s = 1/2 on (-1, 1):
 # Richardson extrapolation of this assembly at h in {0.04, 0.02, 0.01}
@@ -144,17 +146,20 @@ def test_rcond_within_factor_n_of_eigenvalue_ratio(desk_sys0, desk_sys_bump, set
 
 
 def test_resonant_rcond_below_tolerance(desk_op, desk_sys0):
-    # near-resonant (q = -lambda_1) and exactly singular (a zero pivot)
-    # systems read rcond <= CONDITION_TOL from their LU, and the refusal is
-    # the only report: no LinAlgWarning ahead of it
+    # near-resonant (q = -lambda_1) and exactly singular (a zero row and
+    # column, so a zero pivot) systems read rcond <= CONDITION_TOL from their
+    # LU, and the refusal is the only report: no LinAlgWarning ahead of it
     g = desk_op.grid
     lam1 = dirichlet_spectrum(desk_sys0).eigenvalues[0]
-    resonant = assemble_system(desk_op, potential_from_spec(g, -float(lam1)))
-    singular = resonant.interior_matrix.copy()
-    singular[0, :] = 0.0
-    singular[:, 0] = 0.0
-    exact = DirichletSystem(op=desk_op, potential=resonant.potential,
-                            interior_matrix=singular)
+    q = potential_from_spec(g, -float(lam1))
+    resonant = assemble_system(desk_op, q)
+    dense = desk_op.matrix
+    r = desk_op.rows(g.interior[:1])[0]
+    dense[r, :] = 0.0
+    dense[:, r] = 0.0
+    dense[r, r] = -q.values[0]          # cancels q on the diagonal
+    exact = assemble_system(DenseOperator(desk_op, dense), q)
+    assert not np.any(exact.interior_matrix[0]) and not np.any(exact.interior_matrix[:, 0])
     for sys in (resonant, exact):
         with warnings.catch_warnings():
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
@@ -162,6 +167,38 @@ def test_resonant_rcond_below_tolerance(desk_op, desk_sys0):
                 solve_poisson(sys, np.zeros(len(g.ext_support)))
         assert not check_condition(sys)["ok"]
         assert _rcond(sys) <= CONDITION_TOL
+
+
+def test_system_is_its_lu(desk_sys_bump):
+    # one factorization, returned as the same tuple on every call, and the
+    # interior matrix gathered anew from the operator
+    sys = desk_sys_bump
+    assert sys.lu() is sys.lu()
+    interior = sys.grid.interior
+    want = sys.op.block(interior, interior) + np.diag(sys.potential.values)
+    assert np.array_equal(sys.interior_matrix, want)
+
+
+def test_system_holds_one_matrix_2d():
+    # on the 2D disc at h = 0.05 (1264 interior nodes) a factored system
+    # holds its LU and no second n_int x n_int array
+    g = build_grid(2, 0.05, 3.0,
+                   {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
+                   {"type": "disc", "center": [0.0, 0.0], "radius": 2.0})
+    op = assemble_quadrature(g, 0.5)
+    q = potential_from_spec(g, 0.0)
+    assemble_system(op, q).lu()         # lazily built grid tables
+    n_int = len(g.interior)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sys = assemble_system(op, q)
+        sys.lu()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert n_int == 1264
+    assert held <= 1.1 * 8 * n_int**2
 
 
 def test_solve_poisson_basics(desk_sys0):
@@ -230,6 +267,8 @@ def test_potential_families():
     assert p2.values[np.argmin(np.abs(x + 0.5))] > 0.9
     p3 = potential_from_spec(g, {"type": "nodes", "values": list(range(len(x)))})
     assert p3.values[-1] == len(x) - 1
+    with pytest.raises(ConfigError):
+        potential_from_spec(g, {"type": "nodes", "values": list(range(len(x) + 1))})
     with pytest.raises(DomainError):
         potential_from_spec(g, {"type": "mystery"})
     with pytest.raises(ValueError):

@@ -63,7 +63,7 @@ def test_ns_constant_gives_zero(desk_op):
     u = np.zeros(g.n_nodes)
     u[g.interior] = 4.2
     u[g.ext_support] = 4.2
-    out = apply_ns(g, 0.5, GridFunction(g, u), op=desk_op)
+    out = apply_ns(desk_op, GridFunction(g, u))
     assert np.max(np.abs(out)) <= 1e-12 * abs(4.2) * np.max(ns_weight(desk_op))
 
 
@@ -71,7 +71,7 @@ def test_ns_indicator(desk_op):
     g = desk_op.grid
     u = np.zeros(g.n_nodes)
     u[g.interior] = 1.0
-    out = apply_ns(g, 0.5, GridFunction(g, u), op=desk_op)
+    out = apply_ns(desk_op, GridFunction(g, u))
     m = ns_weight(desk_op)
     assert np.allclose(out, -m, atol=1e-13 * np.max(m))
 
@@ -82,7 +82,7 @@ def test_ns_two_term_formula(desk_op, desk_sys0):
     u = rng.normal(size=g.n_nodes)
     u[g.far] = 0.0
     gf = GridFunction(g, u)
-    direct = apply_ns(g, 0.5, gf, op=desk_op)
+    direct = apply_ns(desk_op, gf)
     pos = np.full(g.n_nodes, -1, dtype=int)
     pos[g.nonfar] = np.arange(len(g.nonfar))
     chi_u = u.copy()
@@ -110,7 +110,7 @@ def test_decomposition_data_terms_are_potential_independent(desk_sys0, desk_sys_
     for sys in (desk_sys0, desk_sys_bump):
         u_f = solve_poisson(sys, f)
         lhs = dn_pointwise(sys, f)[w2]
-        ns = apply_ns(g, 0.5, u_f, op=sys.op)[w2]
+        ns = apply_ns(sys.op, u_f)[w2]
         diffs.append(lhs - ns)
     assert np.max(np.abs(diffs[0] - diffs[1])) <= 1e-11 * max(np.max(np.abs(diffs[0])), 1e-30)
 
@@ -146,6 +146,8 @@ def test_grid_mismatch_raises(desk_sys0, fine_sys0):
     f = rand_ext(g, 12)
     with pytest.raises(GridMismatchError):
         integral_identity(desk_sys0, fine_sys0, f, f)
+    with pytest.raises(GridMismatchError):
+        apply_ns(fine_sys0.op, GridFunction(g, np.zeros(g.n_nodes)))
 
 
 def test_export_csv(tmp_path, desk_sys0):
