@@ -4,11 +4,11 @@ from partial exterior measurements."""
 
 __version__ = "0.1.0"
 
-from .grid import Grid, GridFunction, Region, build_grid, chi, embed, restrict
+from .grid import Grid, GridFunction, Region, build_grid
 from .fracop import FracOperator, apply_spectral, assemble_quadrature, cns_constant
 
 __all__ = [
-    "Grid", "GridFunction", "Region", "build_grid", "chi", "embed", "restrict",
+    "Grid", "GridFunction", "Region", "build_grid",
     "FracOperator", "apply_spectral", "assemble_quadrature", "cns_constant",
     "__version__",
 ]

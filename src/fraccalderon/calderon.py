@@ -33,13 +33,10 @@ DEFAULT_RUNGE_GATE = 0.05
 @dataclass
 class MeasurementSet:
     grid: Grid
-    s: float
     source_nodes: np.ndarray
     observation_nodes: np.ndarray
     data: np.ndarray            # (|W2| x |W1|) DN difference, possibly noisy
     sigma: float
-    seed: int
-    clean: np.ndarray = None    # kept for diagnostics in synthetic studies
 
 
 def simulate_measurements(sys_true: DirichletSystem, sys_ref: DirichletSystem,
@@ -50,15 +47,13 @@ def simulate_measurements(sys_true: DirichletSystem, sys_ref: DirichletSystem,
         raise GridMismatchError("systems must share one grid")
     dn_t = assemble_dn(sys_true, W1, W2)
     dn_r = assemble_dn(sys_ref, W1, W2)
-    clean = dn_t.matrix - dn_r.matrix
-    data = clean
+    data = dn_t.matrix - dn_r.matrix
     if sigma > 0:
         rng = np.random.default_rng(seed)
-        data = clean * (1.0 + sigma * rng.standard_normal(clean.shape))
-    return MeasurementSet(grid=sys_true.grid, s=sys_true.op.s,
-                          source_nodes=dn_t.source_nodes,
+        data = data * (1.0 + sigma * rng.standard_normal(data.shape))
+    return MeasurementSet(grid=sys_true.grid, source_nodes=dn_t.source_nodes,
                           observation_nodes=dn_t.observation_nodes,
-                          data=data, sigma=float(sigma), seed=int(seed), clean=clean)
+                          data=data, sigma=float(sigma))
 
 
 def _second_difference(n: int) -> np.ndarray:

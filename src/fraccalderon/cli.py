@@ -29,8 +29,8 @@ from .extension import (cs_extend, export_field_csv, frequency_energy_fraction,
                         trace_derivative, trace_ladder, ucp_conditioning)
 from .fracop import apply_spectral, assemble_quadrature, export_operator
 from .grid import GridFunction, build_grid
-from .diffusion import (EvolutionMode, decay_series, dn_cost_check, evolve,
-                        heat_kernel_free, series_to_csv)
+from .diffusion import (decay_series, dn_cost_check, evolve, heat_kernel_free,
+                        series_to_csv)
 from .calderon import (reconstruct_potential, reconstruction_error,
                        simulate_measurements)
 from .runge import DEFAULT_ALPHAS, alpha_sweep, sweep_to_csv
@@ -38,51 +38,47 @@ from .runge import DEFAULT_ALPHAS, alpha_sweep, sweep_to_csv
 PIPELINES = ("validate-op", "spectrum", "dnmap", "runge-sweep", "invert",
              "extend", "diffuse")
 
-_GEOMETRY_SCHEMA = {
-    "oneOf": [
-        {"type": "object", "additionalProperties": False,
-         "properties": {"type": {"const": "interval"},
-                        "bounds": {"type": "array", "items": {"type": "number"},
-                                   "minItems": 2, "maxItems": 2}},
-         "required": ["type", "bounds"]},
-        {"type": "object", "additionalProperties": False,
-         "properties": {"type": {"const": "disc"},
-                        "center": {"type": "array", "items": {"type": "number"}},
-                        "radius": {"type": "number"}},
-         "required": ["type", "center", "radius"]},
-        {"type": "object", "additionalProperties": False,
-         "properties": {"type": {"const": "rect"}, "bounds": {"type": "array"}},
-         "required": ["type", "bounds"]},
-    ]
-}
 
-
-def _potential_family(kind: str, properties: dict, required: list) -> dict:
-    return {"type": "object", "additionalProperties": False,
-            "properties": {"type": {"const": kind}, **properties},
-            "required": ["type", *required]}
+def _tagged(families: dict) -> dict:
+    """Schema of an object whose ``type`` names one of ``families`` (kind ->
+    (properties, required keys)), with that family's keys and no others.  An
+    enum and one if/then per family rather than a oneOf, so that a failure
+    names the misspelt, missing or unexpected key."""
+    return {"type": "object", "required": ["type"],
+            "properties": {"type": {"enum": list(families)}},
+            "allOf": [{"if": {"properties": {"type": {"const": kind}},
+                              "required": ["type"]},
+                       "then": {"additionalProperties": False,
+                                "properties": {"type": {}, **properties},
+                                "required": required}}
+                      for kind, (properties, required) in families.items()]}
 
 
 _NUMBER = {"type": "number"}
+
+_GEOMETRY_SCHEMA = _tagged({
+    "interval": ({"bounds": {"type": "array", "items": _NUMBER,
+                             "minItems": 2, "maxItems": 2}}, ["bounds"]),
+    "disc": ({"center": {"type": "array", "items": _NUMBER}, "radius": _NUMBER},
+             ["center", "radius"]),
+    "rect": ({"bounds": {"type": "array"}}, ["bounds"]),
+})
+
 _BUMP = {"amplitude": _NUMBER, "width": _NUMBER,
          "center": {"type": ["number", "array"], "items": _NUMBER}}
 
-# one branch per family of dirichlet.potential_from_spec; a bare number is a
-# constant
-_POTENTIAL_SCHEMA = {
-    "oneOf": [
-        _NUMBER,
-        _potential_family("constant", {"value": _NUMBER}, ["value"]),
-        _potential_family("gaussian", _BUMP, ["amplitude", "width"]),
-        _potential_family("two_bump", {"bumps": {
-            "type": "array", "items": {"type": "object", "additionalProperties": False,
-                                       "properties": _BUMP,
-                                       "required": ["amplitude", "width"]}}}, ["bumps"]),
-        _potential_family("nodes", {"values": {"type": "array", "items": _NUMBER}},
-                          ["values"]),
-        _potential_family("csv", {"path": {"type": "string"}}, ["path"]),
-    ]
-}
+# one family per branch of dirichlet.potential_from_spec; a bare number is a
+# constant (the object keywords do not apply to a number)
+_POTENTIAL_SCHEMA = {**_tagged({
+    "constant": ({"value": _NUMBER}, ["value"]),
+    "gaussian": (_BUMP, ["amplitude", "width"]),
+    "two_bump": ({"bumps": {"type": "array",
+                            "items": {"type": "object", "additionalProperties": False,
+                                      "properties": _BUMP,
+                                      "required": ["amplitude", "width"]}}}, ["bumps"]),
+    "nodes": ({"values": {"type": "array", "items": _NUMBER}}, ["values"]),
+    "csv": ({"path": {"type": "string"}}, ["path"]),
+}), "type": ["number", "object"]}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -377,7 +373,7 @@ def _pipeline_extend(cfg, out_dir, report):
     rel = float(np.linalg.norm(td - spec) / np.linalg.norm(spec))
     report.add("trace_identity", rel, tol.get("trace_identity", 5e-3))
 
-    ucp = ucp_conditioning(grid, s, ecfg.get("ucp_window", "EXTERIOR_SUPPORT"), op=op)
+    ucp = ucp_conditioning(op, ecfg.get("ucp_window", "EXTERIOR_SUPPORT"))
     frac = frequency_energy_fraction(grid, ucp["minimizer"], np.pi / (4 * grid.h))
     report.add("ucp_sigma_positive", -ucp["sigma_min"], 0.0,
                ok=(ucp["sigma_min"] > 0.0))
@@ -410,10 +406,10 @@ def _pipeline_diffuse(cfg, out_dir, report):
     ok_rate = all(d <= np.exp(-lam1 * t) * d0 * (1 + 1e-9) for t, d in rows)
     report.add("decay_rate_bound", 0.0 if ok_rate else 1.0, 0.0, ok=ok_rate)
 
-    a = evolve(sys, GridFunction(grid, v0), EvolutionMode.CLAMPED, 0.4, f=f)
-    b = evolve(sys, a.state, EvolutionMode.CLAMPED, 0.6, f=f)
-    c = evolve(sys, GridFunction(grid, v0), EvolutionMode.CLAMPED, 1.0, f=f)
-    semi = float(np.max(np.abs(b.state.values - c.state.values)))
+    a = evolve(sys, GridFunction(grid, v0), 0.4, f=f)
+    b = evolve(sys, a, 0.6, f=f)
+    c = evolve(sys, GridFunction(grid, v0), 1.0, f=f)
+    semi = float(np.max(np.abs(b.values - c.values)))
     report.add("semigroup", semi, tol.get("semigroup", 1e-12))
 
     cost = dn_cost_check(sys, f)
@@ -481,6 +477,8 @@ def _apply_overrides(cfg: dict, pairs) -> None:
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set {key}: {part!r} is not an object")
         node[parts[-1]] = value
 
 

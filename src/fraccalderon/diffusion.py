@@ -10,28 +10,12 @@ which is the dynamical reading of the exterior measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .dirichlet import DirichletSystem, dirichlet_spectrum, ensure_solvable, solve_poisson
 from .dnmap import dn_pointwise
 from .errors import DomainError, ModeMismatchError
 from .grid import Grid, GridFunction
-
-
-class EvolutionMode(Enum):
-    HOMOGENEOUS = "homogeneous"     # exterior clamped to zero
-    CLAMPED = "clamped"             # exterior clamped to data f
-
-
-@dataclass
-class EvolutionState:
-    sys: DirichletSystem
-    t: float
-    state: GridFunction
-    mode: EvolutionMode
 
 
 def _homogeneous_propagate(sys: DirichletSystem, interior0: np.ndarray, t: float) -> np.ndarray:
@@ -41,39 +25,29 @@ def _homogeneous_propagate(sys: DirichletSystem, interior0: np.ndarray, t: float
 
 
 def _clamped_split(sys: DirichletSystem, initial: GridFunction, f) -> tuple:
-    """Steady state u_f and interior difference initial - u_f under the clamp f."""
+    """Steady state u_f (full node vector) and interior difference
+    initial - u_f under the exterior clamp f.  f = None clamps to zero, whose
+    steady state is zero, so no Poisson solve runs."""
     grid = sys.grid
-    if f is None:
-        raise ModeMismatchError("clamped evolution requires exterior data f")
-    f = np.asarray(f, dtype=float)
-    if np.max(np.abs(initial.values[grid.ext_support] - f)) > 0:
-        raise ModeMismatchError("initial state must honor the exterior clamp exactly")
-    u_f = solve_poisson(sys, f)
-    return u_f, initial.values[grid.interior] - u_f.values[grid.interior]
+    clamp = 0.0 if f is None else np.asarray(f, dtype=float)
+    if np.max(np.abs(initial.values[grid.ext_support] - clamp)) > 0:
+        raise ModeMismatchError("initial state must equal the exterior data "
+                                "(zero without f) on the exterior support")
+    u_f = np.zeros(grid.n_nodes) if f is None else solve_poisson(sys, clamp).values
+    return u_f, initial.values[grid.interior] - u_f[grid.interior]
 
 
-def evolve(sys: DirichletSystem, initial: GridFunction, mode: EvolutionMode,
-           t: float, f: np.ndarray = None) -> EvolutionState:
-    """Propagate an initial state exactly through the cached eigenbasis."""
+def evolve(sys: DirichletSystem, initial: GridFunction, t: float,
+           f: np.ndarray = None) -> GridFunction:
+    """State at time t of the evolution with the exterior clamped to f (zero
+    when f is None), propagated exactly through the cached eigenbasis."""
     ensure_solvable(sys)
     if t < 0:
         raise DomainError("t must be nonnegative")
-    grid = sys.grid
     initial.check_far_zero()
-    if mode == EvolutionMode.HOMOGENEOUS:
-        ext = initial.values[grid.ext_support]
-        if len(ext) and np.max(np.abs(ext)) > 0:
-            raise ModeMismatchError("homogeneous evolution requires the initial "
-                                    "state to vanish outside the domain")
-        out = np.zeros(grid.n_nodes)
-        out[grid.interior] = _homogeneous_propagate(sys, initial.values[grid.interior], t)
-        return EvolutionState(sys=sys, t=t, state=GridFunction(grid, out), mode=mode)
-    if mode == EvolutionMode.CLAMPED:
-        u_f, diff0 = _clamped_split(sys, initial, f)
-        out = u_f.values.copy()
-        out[grid.interior] += _homogeneous_propagate(sys, diff0, t)
-        return EvolutionState(sys=sys, t=t, state=GridFunction(grid, out), mode=mode)
-    raise ModeMismatchError(f"unknown mode {mode!r}")
+    u_f, diff0 = _clamped_split(sys, initial, f)
+    u_f[sys.grid.interior] += _homogeneous_propagate(sys, diff0, t)
+    return GridFunction(sys.grid, u_f)
 
 
 def heat_kernel_free(grid: Grid, s: float, t: float, pad_factor: int = 64) -> GridFunction:
@@ -103,6 +77,8 @@ def decay_series(sys: DirichletSystem, initial: GridFunction, f: np.ndarray,
                  times) -> list:
     """(t, distance to steady state) pairs for the clamped evolution: one
     Poisson solve, then the interior difference decays through the spectrum."""
+    if f is None:
+        raise ModeMismatchError("the decay series requires exterior data f")
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise DomainError("t must be nonnegative")

@@ -42,10 +42,6 @@ class Potential:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("potential values must be finite")
 
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
-
 
 def potential_from_spec(grid: Grid, spec) -> Potential:
     """Built-in parametric families plus explicit node values.
@@ -89,10 +85,20 @@ def potential_from_spec(grid: Grid, spec) -> Potential:
 
 
 def potential_from_csv(grid: Grid, path: str) -> Potential:
-    """Read interior node values from CSV rows of ``index,value``."""
+    """Read interior node values from CSV rows of ``index,value``; nodes not
+    listed are zero.  An index that is not an integer in [0, n_int), or that
+    repeats, raises ``ConfigError``."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    values = np.zeros(len(grid.interior))
-    values[data[:, 0].astype(int)] = data[:, 1]
+    n_int = len(grid.interior)
+    index = data[:, 0]
+    bad = (index != np.floor(index)) | (index < 0) | (index >= n_int)
+    if np.any(bad):
+        raise ConfigError(f"{path}: potential index {index[bad][0]:g} is not an "
+                          f"interior node index, an integer in [0, {n_int})")
+    if len(np.unique(index)) < len(index):
+        raise ConfigError(f"{path}: potential indices repeat")
+    values = np.zeros(n_int)
+    values[index.astype(np.int64)] = data[:, 1]
     return Potential(grid, values)
 
 
@@ -166,24 +172,24 @@ def dirichlet_spectrum(sys: DirichletSystem) -> Spectrum:
     return sys._spectrum
 
 
-def check_condition(sys: DirichletSystem, tol: float = CONDITION_TOL) -> dict:
+def check_condition(sys: DirichletSystem) -> dict:
     """Is zero eigenvalue-free within tolerance?  Read from the system's LU.
 
-    ok = rcond > tol, with rcond LAPACK dgecon's estimate of the 1-norm
-    reciprocal condition number 1 / (||A||_1 ||A^-1||_1) of
+    ok = rcond > ``CONDITION_TOL``, with rcond LAPACK dgecon's estimate of
+    the 1-norm reciprocal condition number 1 / (||A||_1 ||A^-1||_1) of
     A = A_II + diag(q); margin = rcond ||A||_1 estimates 1 / ||A^-1||_1.
     For symmetric A the exact 1-norm quantities lie between 1/n_int and 1
     times the eigenvalue ratio min|lambda|/max|lambda| (the 2-norm
     reciprocal condition number), and between 1/sqrt(n_int) and 1 times
     min|lambda|; the estimate can only read larger than the exact value.
     """
-    return {"ok": sys.rcond > tol, "margin": sys.rcond * sys.anorm}
+    return {"ok": sys.rcond > CONDITION_TOL, "margin": sys.rcond * sys.anorm}
 
 
-def ensure_solvable(sys: DirichletSystem, tol: float = CONDITION_TOL) -> None:
+def ensure_solvable(sys: DirichletSystem) -> None:
     """Raise ``SingularSystemError`` unless the LU's 1-norm rcond estimate
-    exceeds ``tol`` (``check_condition``)."""
-    chk = check_condition(sys, tol)
+    exceeds ``CONDITION_TOL`` (``check_condition``)."""
+    chk = check_condition(sys)
     if not chk["ok"]:
         raise SingularSystemError(
             f"zero is a Dirichlet eigenvalue within tolerance (margin {chk['margin']:.3e})")

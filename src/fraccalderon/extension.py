@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, LadderError
-from .fracop import FracOperator, assemble_quadrature, extension_trace_constant
+from .fracop import FracOperator, extension_trace_constant
 from .grid import Grid, GridFunction
 
 
@@ -74,11 +74,6 @@ def cs_extend(u: GridFunction, s: float, y_levels) -> ExtensionField:
         vals[:, m] = K @ u.values
     return ExtensionField(grid=grid, s=s, y_levels=y_levels, base=u.values.copy(),
                           values=vals)
-
-
-def default_ladder(h: float, n_levels: int = 8) -> np.ndarray:
-    """Geometric level ladder with ratio 2 starting at the grid spacing."""
-    return h * 2.0 ** np.arange(n_levels)
 
 
 def trace_ladder(h: float, n_levels: int = 6) -> np.ndarray:
@@ -144,8 +139,7 @@ def frequency_energy_fraction(grid: Grid, values_nonfar: np.ndarray, cutoff: flo
     return float(power[xi >= cutoff].sum() / total)
 
 
-def ucp_conditioning(grid: Grid, s: float, W, norm_cap: float = None,
-                     op: FracOperator = None) -> dict:
+def ucp_conditioning(op: FracOperator, W) -> dict:
     """Conditioning of the double-vanishing constraints on a window.
 
     Stacks the rows selecting u on W with the operator rows producing
@@ -154,14 +148,13 @@ def ucp_conditioning(grid: Grid, s: float, W, norm_cap: float = None,
     (near-violations exist at fixed h) but the minimizer is a grid artifact:
     its energy concentrates above the resolvable band.  The complementary
     number ``smooth_sigma_min`` restricts candidates to operator eigenvectors
-    with energy at most ``norm_cap`` (default: half-Nyquist energy
-    (pi/(4h))^(2s)); for smooth candidates the constraints are far from
+    with energy at most ``norm_cap``, the half-Nyquist energy
+    (pi/(4h))^(2s); for smooth candidates the constraints are far from
     degenerate, which is the discrete residue of the uniqueness property.
     The smooth candidates need the whole matrix (N_nf^2 doubles) and its full
     ``eigh``, so this study suits grids of a few thousand non-FAR nodes.
     """
-    if op is None:
-        op = assemble_quadrature(grid, s)
+    grid = op.grid
     nf = grid.nonfar
     w_nodes = grid.indices_of(W)
     w_pos = op.rows(w_nodes)
@@ -180,8 +173,7 @@ def ucp_conditioning(grid: Grid, s: float, W, norm_cap: float = None,
         sigma_min = 0.0
         sigma_rows = float(sv[C.shape[0] - 1])
 
-    if norm_cap is None:
-        norm_cap = (np.pi / (4.0 * grid.h)) ** (2.0 * s)
+    norm_cap = (np.pi / (4.0 * grid.h)) ** (2.0 * op.s)
     evals, evecs = np.linalg.eigh(op.matrix)
     keep = evals <= norm_cap
     if np.any(keep):

@@ -214,7 +214,7 @@ def _cell_weights(grid: Grid, s: float) -> np.ndarray:
     return K
 
 
-def assemble_quadrature(grid: Grid, s: float, curvature_correction: bool = True) -> FracOperator:
+def assemble_quadrature(grid: Grid, s: float) -> FracOperator:
     """Structured quadrature operator of the fractional Laplacian on non-FAR nodes."""
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
@@ -243,21 +243,20 @@ def assemble_quadrature(grid: Grid, s: float, curvature_correction: bool = True)
         far_sum = offset_convolve(K, far_mask.reshape(K.shape)).ravel()
         tail_int = _tail_outside_box_2d(x_nf, grid.R, s) + far_sum[nf]
 
-    if curvature_correction:
-        # the near-singular zone mistreats the quadratic Taylor term of u by
-        # -c h^(2-2s) kappa(s) u''; redistribute that defect onto nearest
-        # neighbor springs (keeps symmetry, signs and row sums)
-        key = (n, round(s, 12))
-        if key not in _KAPPA_CACHE:
-            if n == 1:
-                _KAPPA_CACHE[key] = _kappa_1d(s)
-            else:
-                _KAPPA_CACHE[key] = _kappa_2d(s, _unit_cell_integral_2d(s, corner=False),
-                                              _unit_cell_integral_2d(s, corner=True))
-        spring = c * _KAPPA_CACHE[key] * h ** (-2.0 * s)
-        for k in range(n):
-            unit = tuple(int(j == k) for j in range(n))
-            table[unit] += -spring
+    # the near-singular zone mistreats the quadratic Taylor term of u by
+    # -c h^(2-2s) kappa(s) u''; redistribute that defect onto nearest
+    # neighbor springs (keeps symmetry, signs and row sums)
+    key = (n, round(s, 12))
+    if key not in _KAPPA_CACHE:
+        if n == 1:
+            _KAPPA_CACHE[key] = _kappa_1d(s)
+        else:
+            _KAPPA_CACHE[key] = _kappa_2d(s, _unit_cell_integral_2d(s, corner=False),
+                                          _unit_cell_integral_2d(s, corner=True))
+    spring = c * _KAPPA_CACHE[key] * h ** (-2.0 * s)
+    for k in range(n):
+        unit = tuple(int(j == k) for j in range(n))
+        table[unit] += -spring
 
     # row-sum identity: the diagonal is the tail minus the off-diagonal row
     # sum, the table (zero at d = 0) convolved with the non-FAR indicator

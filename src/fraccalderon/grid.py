@@ -12,7 +12,6 @@ half-open per axis ([a, b)) so boundary ties resolve deterministically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
@@ -80,9 +79,6 @@ class Grid:
     coords: np.ndarray          # (N, dim) cell centers, lexicographic order
     idx: np.ndarray             # (N, dim) integer lattice indices
     region: np.ndarray          # (N,) Region codes
-    omega_spec: dict
-    support_spec: dict
-    window_specs: dict
     windows: dict = field(default_factory=dict)   # name -> node positions
 
     @property
@@ -114,12 +110,6 @@ class Grid:
         row[nf] = np.arange(len(nf))
         return row
 
-    @property
-    def counts(self) -> dict:
-        c = {r.name: int(np.sum(self.region == r)) for r in Region}
-        c.update({name: len(ix) for name, ix in self.windows.items()})
-        return c
-
     def indices_of(self, region) -> np.ndarray:
         """Node positions of a Region (by name or enum), a named window, or
         an explicit node array (returned as int64)."""
@@ -142,29 +132,6 @@ class Grid:
         if not np.isin(nodes, es).all():
             raise GridMismatchError("window nodes must lie in the exterior support region")
         return nodes, np.searchsorted(es, nodes)
-
-    def to_json(self) -> str:
-        payload = {
-            "dim": self.dim,
-            "h": self.h,
-            "R": self.R,
-            "omega_spec": self.omega_spec,
-            "support_spec": self.support_spec,
-            "window_specs": self.window_specs,
-            "region_codes": self.region.astype(int).tolist(),
-        }
-        return json.dumps(payload, indent=1)
-
-    @staticmethod
-    def from_json(text: str) -> "Grid":
-        payload = json.loads(text)
-        g = build_grid(
-            payload["dim"], payload["h"], payload["R"],
-            payload["omega_spec"], payload["support_spec"], payload["window_specs"],
-        )
-        if payload["region_codes"] != g.region.astype(int).tolist():
-            raise GeometryError("serialized region codes disagree with rebuilt grid")
-        return g
 
 
 @dataclass
@@ -189,7 +156,6 @@ def build_grid(dim, h, R, omega_spec, support_spec, window_specs=None) -> Grid:
         raise GeometryError(f"dim must be 1 or 2, got {dim}")
     if h <= 0 or R <= 0:
         raise GeometryError("h and R must be positive")
-    window_specs = dict(window_specs or {})
 
     box = {"type": "interval", "bounds": [-R, R]} if dim == 1 else \
           {"type": "rect", "bounds": [[-R, R], [-R, R]]}
@@ -225,7 +191,7 @@ def build_grid(dim, h, R, omega_spec, support_spec, window_specs=None) -> Grid:
             raise EmptyRegionError(f"region {name} captured zero nodes")
 
     windows = {}
-    for name, spec in window_specs.items():
+    for name, spec in (window_specs or {}).items():
         inside = np.flatnonzero(_contains_point(spec, coords))
         if len(inside) == 0:
             raise EmptyRegionError(f"window {name!r} captured zero nodes")
@@ -234,26 +200,5 @@ def build_grid(dim, h, R, omega_spec, support_spec, window_specs=None) -> Grid:
         windows[name] = inside
 
     return Grid(dim=dim, h=float(h), R=float(R), coords=coords, idx=idx,
-                region=region, omega_spec=omega_spec, support_spec=support_spec,
-                window_specs=window_specs, windows=windows)
+                region=region, windows=windows)
 
-
-def restrict(grid: Grid, values: np.ndarray, region) -> np.ndarray:
-    """Subvector of a full node vector on a region or window."""
-    return np.asarray(values, dtype=float)[grid.indices_of(region)]
-
-
-def embed(grid: Grid, sub: np.ndarray, region) -> np.ndarray:
-    """Zero-extension of a region subvector back to a full node vector."""
-    ix = grid.indices_of(region)
-    sub = np.asarray(sub, dtype=float)
-    if sub.shape != (len(ix),):
-        raise ValueError(f"expected {len(ix)} values for region {region!r}")
-    full = np.zeros(grid.n_nodes)
-    full[ix] = sub
-    return full
-
-
-def chi(grid: Grid, values: np.ndarray, region) -> np.ndarray:
-    """Multiply by the indicator of a region (zero elsewhere)."""
-    return embed(grid, restrict(grid, values, region), region)

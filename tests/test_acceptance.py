@@ -13,8 +13,7 @@ from fraccalderon.calderon import (reconstruct_potential, reconstruction_error,
                                    simulate_measurements)
 from fraccalderon.dirichlet import (assemble_system, dirichlet_spectrum,
                                     potential_from_spec, solve_poisson)
-from fraccalderon.diffusion import (EvolutionMode, dn_cost_check, evolve,
-                                    heat_kernel_free)
+from fraccalderon.diffusion import dn_cost_check, evolve, heat_kernel_free
 from fraccalderon.dnmap import (assemble_dn, dn_decomposition_check,
                                 dn_pointwise, integral_identity)
 from fraccalderon.extension import (cs_extend, frequency_energy_fraction,
@@ -171,7 +170,7 @@ def test_criterion_7_uniqueness_witness():
     details = []
     for h in (0.08, 0.04, 0.02):
         g = make_grid_1d(h)
-        out = ucp_conditioning(g, 0.5, "EXTERIOR_SUPPORT")
+        out = ucp_conditioning(assemble_quadrature(g, 0.5), "EXTERIOR_SUPPORT")
         assert out["sigma_min"] > 0.0
         frac = frequency_energy_fraction(g, out["minimizer"], np.pi / (4 * h))
         assert frac > 0.5
@@ -188,17 +187,17 @@ def test_criterion_8_diffusion(desk_sys0):
     v0 = u_f.values.copy()
     v0[g.interior] += rng.normal(size=len(g.interior))
 
-    a = evolve(desk_sys0, GridFunction(g, v0), EvolutionMode.CLAMPED, 0.4, f=f)
-    b = evolve(desk_sys0, a.state, EvolutionMode.CLAMPED, 0.6, f=f)
-    c = evolve(desk_sys0, GridFunction(g, v0), EvolutionMode.CLAMPED, 1.0, f=f)
-    semi = np.max(np.abs(b.state.values - c.state.values))
+    a = evolve(desk_sys0, GridFunction(g, v0), 0.4, f=f)
+    b = evolve(desk_sys0, a, 0.6, f=f)
+    c = evolve(desk_sys0, GridFunction(g, v0), 1.0, f=f)
+    semi = np.max(np.abs(b.values - c.values))
     assert semi <= 1e-12
 
     lam1 = dirichlet_spectrum(desk_sys0).eigenvalues[0]
     d0 = np.linalg.norm(v0 - u_f.values)
     for t in (0.1, 1.0, 5.0):
-        st = evolve(desk_sys0, GridFunction(g, v0), EvolutionMode.CLAMPED, t, f=f)
-        assert np.linalg.norm(st.state.values - u_f.values) \
+        st = evolve(desk_sys0, GridFunction(g, v0), t, f=f)
+        assert np.linalg.norm(st.values - u_f.values) \
             <= np.exp(-lam1 * t) * d0 * (1 + 1e-12)
 
     out1 = dn_cost_check(desk_sys0, f)

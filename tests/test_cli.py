@@ -91,23 +91,31 @@ def test_main_set_override_changes_hash(tmp_path):
 
 
 def test_main_invalid_config_exit_2(tmp_path, capsys):
-    # an out-of-range s, and potential specs with a misspelt key, a missing
-    # key, or a node list of the wrong length
-    edits = [
-        lambda cfg: cfg.update(s=2.0),
-        lambda cfg: cfg["potential_true"].update(centre=cfg["potential_true"].pop("center")),
-        lambda cfg: cfg["potential_true"].pop("width"),
-        lambda cfg: cfg.update(potential_true={"type": "nodes", "values": [0.5] * 7}),
+    # an out-of-range s; potential specs with a misspelt key, a missing key
+    # or a node list of the wrong length; a disc key on an interval geometry;
+    # --set through a non-object.  Where given, the message names the key.
+    cases = [
+        (lambda cfg: cfg.update(s=2.0), [], None),
+        (lambda cfg: cfg["potential_true"].update(centre=cfg["potential_true"].pop("center")),
+         [], "('centre' was unexpected)"),
+        (lambda cfg: cfg["potential_true"].pop("width"), [], "'width' is a required property"),
+        (lambda cfg: cfg.update(potential_true={"type": "nodes", "values": [0.5] * 7}),
+         [], "nodes potential"),
+        (lambda cfg: cfg["grid"]["omega"].update(radius=1.0), [], "('radius' was unexpected)"),
+        (lambda cfg: None, ["--set", "potential_true.centre=0.1"], "('centre' was unexpected)"),
+        (lambda cfg: None, ["--set", "s.x=1"], "'s' is not an object"),
     ]
-    for k, edit in enumerate(edits):
+    for k, (edit, sets, message) in enumerate(cases):
         cfg = small_invert_config()
         edit(cfg)
         cfg_path = tmp_path / f"cfg{k}.json"
         cfg_path.write_text(json.dumps(cfg))
         code = main(["invert", "--config", str(cfg_path),
-                     "--output-dir", str(tmp_path / f"out{k}")])
+                     "--output-dir", str(tmp_path / f"out{k}"), *sets])
         assert code == 2
-        assert "CONFIG_INVALID" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "CONFIG_INVALID" in err
+        assert message is None or message in err
 
 
 def test_writes_stay_inside_output_dir(tmp_path, monkeypatch):

@@ -3,8 +3,8 @@ import pytest
 
 from fraccalderon import GridFunction, build_grid
 from fraccalderon.dirichlet import dirichlet_spectrum, solve_poisson
-from fraccalderon.diffusion import (EvolutionMode, decay_series, dn_cost_check,
-                                    evolve, heat_kernel_free, series_to_csv)
+from fraccalderon.diffusion import (decay_series, dn_cost_check, evolve,
+                                    heat_kernel_free, series_to_csv)
 from fraccalderon.errors import DomainError, ModeMismatchError
 
 from conftest import window_vector
@@ -24,20 +24,23 @@ def interior_state(sys, values):
     return GridFunction(sys.grid, full)
 
 
-def test_t_zero_identity(desk_sys0):
+def test_t_zero_identity(desk_sys0, monkeypatch):
+    # without exterior data the steady state is zero: no Poisson solve runs
+    from fraccalderon import diffusion
+    monkeypatch.setattr(diffusion, "solve_poisson", None)
     g = desk_sys0.grid
     rng = np.random.default_rng(0)
     u0 = interior_state(desk_sys0, rng.normal(size=len(g.interior)))
-    st = evolve(desk_sys0, u0, EvolutionMode.HOMOGENEOUS, 0.0)
-    assert np.allclose(st.state.values, u0.values, atol=1e-14)
+    st = evolve(desk_sys0, u0, 0.0)
+    assert np.allclose(st.values, u0.values, atol=1e-14)
 
 
 def test_single_mode_decay(desk_sys0):
     spec = dirichlet_spectrum(desk_sys0)
     phi1 = interior_state(desk_sys0, spec.eigenvectors[:, 0])
     for t in (0.5, 2.0):
-        st = evolve(desk_sys0, phi1, EvolutionMode.HOMOGENEOUS, t)
-        norm = np.linalg.norm(st.state.values[desk_sys0.grid.interior])
+        st = evolve(desk_sys0, phi1, t)
+        norm = np.linalg.norm(st.values[desk_sys0.grid.interior])
         assert norm == pytest.approx(np.exp(-spec.eigenvalues[0] * t), rel=1e-12)
 
 
@@ -45,10 +48,9 @@ def test_semigroup_property(desk_sys0):
     g = desk_sys0.grid
     rng = np.random.default_rng(1)
     u0 = interior_state(desk_sys0, rng.normal(size=len(g.interior)))
-    two_step = evolve(desk_sys0, evolve(desk_sys0, u0, EvolutionMode.HOMOGENEOUS, 0.3).state,
-                      EvolutionMode.HOMOGENEOUS, 0.7)
-    one_step = evolve(desk_sys0, u0, EvolutionMode.HOMOGENEOUS, 1.0)
-    assert np.max(np.abs(two_step.state.values - one_step.state.values)) <= 1e-12
+    two_step = evolve(desk_sys0, evolve(desk_sys0, u0, 0.3), 0.7)
+    one_step = evolve(desk_sys0, u0, 1.0)
+    assert np.max(np.abs(two_step.values - one_step.values)) <= 1e-12
 
 
 def test_contraction_for_nonnegative_q(desk_sys_bump):
@@ -58,8 +60,8 @@ def test_contraction_for_nonnegative_q(desk_sys_bump):
     n0 = np.linalg.norm(u0.values)
     prev = n0
     for t in (0.1, 0.5, 2.0):
-        st = evolve(desk_sys_bump, u0, EvolutionMode.HOMOGENEOUS, t)
-        n = np.linalg.norm(st.state.values)
+        st = evolve(desk_sys_bump, u0, t)
+        n = np.linalg.norm(st.values)
         assert n <= prev * (1 + 1e-13)
         prev = n
 
@@ -74,8 +76,8 @@ def test_clamped_convergence_rate(desk_sys0):
     lam1 = dirichlet_spectrum(desk_sys0).eigenvalues[0]
     d0 = np.linalg.norm(v0 - u_f.values)
     for t in (0.1, 1.0, 10.0):
-        st = evolve(desk_sys0, GridFunction(g, v0), EvolutionMode.CLAMPED, t, f=f)
-        assert np.linalg.norm(st.state.values - u_f.values) \
+        st = evolve(desk_sys0, GridFunction(g, v0), t, f=f)
+        assert np.linalg.norm(st.values - u_f.values) \
             <= np.exp(-lam1 * t) * d0 * (1 + 1e-12)
 
 
@@ -84,8 +86,8 @@ def test_steady_state_fixed_point(desk_sys0):
     f = window_vector(g, "W1", 1.0)
     u_f = solve_poisson(desk_sys0, f)
     for t in (0.5, 5.0):
-        st = evolve(desk_sys0, u_f, EvolutionMode.CLAMPED, t, f=f)
-        assert np.max(np.abs(st.state.values - u_f.values)) <= 1e-12
+        st = evolve(desk_sys0, u_f, t, f=f)
+        assert np.max(np.abs(st.values - u_f.values)) <= 1e-12
 
 
 def test_mode_mismatch_errors(desk_sys0):
@@ -93,14 +95,10 @@ def test_mode_mismatch_errors(desk_sys0):
     bad = np.zeros(g.n_nodes)
     bad[g.ext_support[0]] = 1.0
     with pytest.raises(ModeMismatchError):
-        evolve(desk_sys0, GridFunction(g, bad), EvolutionMode.HOMOGENEOUS, 1.0)
+        evolve(desk_sys0, GridFunction(g, bad), 1.0)
     f = window_vector(g, "W1", 1.0)
     with pytest.raises(ModeMismatchError):
-        evolve(desk_sys0, GridFunction(g, np.zeros(g.n_nodes)),
-               EvolutionMode.CLAMPED, 1.0, f=f)
-    with pytest.raises(ModeMismatchError):
-        evolve(desk_sys0, GridFunction(g, np.zeros(g.n_nodes)),
-               EvolutionMode.CLAMPED, 1.0)
+        evolve(desk_sys0, GridFunction(g, np.zeros(g.n_nodes)), 1.0, f=f)
 
 
 def test_heat_kernel_closed_form(heat_grid):
@@ -182,7 +180,7 @@ def test_decay_series_one_poisson_solve(desk_sys0, monkeypatch):
     times = [0.0, 0.3, 2.0]
     u_f = solve_poisson(desk_sys0, f)
     want = [np.sqrt(g.h) * np.linalg.norm(
-        evolve(desk_sys0, v0, EvolutionMode.CLAMPED, t, f=f).state.values - u_f.values)
+        evolve(desk_sys0, v0, t, f=f).values - u_f.values)
         for t in times]
     solves = []
     real = diffusion.solve_poisson

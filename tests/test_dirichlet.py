@@ -82,7 +82,7 @@ def resonant(desk_op, desk_sys0):
 def test_resonant_system_refused(entry, resonant, desk_sys0, desk_sys_bump):
     from fraccalderon import GridFunction
     from fraccalderon.calderon import reconstruct_potential, simulate_measurements
-    from fraccalderon.diffusion import EvolutionMode, evolve
+    from fraccalderon.diffusion import evolve
     from fraccalderon.dnmap import assemble_dn, dn_pointwise
     from fraccalderon.runge import control_to_interior_matrix
     g = resonant.grid
@@ -94,7 +94,7 @@ def test_resonant_system_refused(entry, resonant, desk_sys0, desk_sys_bump):
         "dn_pointwise": lambda: dn_pointwise(resonant, f),
         "control_to_interior_matrix": lambda: control_to_interior_matrix(resonant, "W1"),
         "evolve_homogeneous": lambda: evolve(resonant, GridFunction(g, np.zeros(g.n_nodes)),
-                                             EvolutionMode.HOMOGENEOUS, 1.0),
+                                             1.0),
         "reconstruct_potential": lambda: reconstruct_potential(
             simulate_measurements(desk_sys_bump, desk_sys0, "W1", "W2"), resonant),
     }
@@ -260,7 +260,7 @@ def test_potential_families():
     x = g.coords[g.interior, 0]
     p = potential_from_spec(g, {"type": "gaussian", "amplitude": 2.0, "center": 0.5, "width": 0.3})
     assert p.values.argmax() == np.argmin(np.abs(x - 0.5))
-    assert p.sup_norm == pytest.approx(2.0, rel=1e-2)
+    assert np.max(np.abs(p.values)) == pytest.approx(2.0, rel=1e-2)
     p2 = potential_from_spec(g, {"type": "two_bump", "bumps": [
         {"amplitude": 1.0, "center": -0.5, "width": 0.2},
         {"amplitude": 1.0, "center": 0.5, "width": 0.2}]})
@@ -284,3 +284,10 @@ def test_potential_from_csv(tmp_path):
     assert p.values[0] == 1.5
     assert p.values[5] == -0.25
     assert np.count_nonzero(p.values) == 2
+    # an index that is negative, past the last interior node, fractional or
+    # repeated is refused, not wrapped, raised as IndexError or truncated
+    for rows in ("-1,1.0\n", f"{len(g.interior)},1.0\n", "999,1.0\n", "2.5,1.0\n",
+                 "3,1.0\n3,2.0\n"):
+        path.write_text("index,value\n" + rows)
+        with pytest.raises(ConfigError):
+            potential_from_csv(g, str(path))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fraccalderon import GridFunction, apply_spectral
+from fraccalderon import GridFunction, apply_spectral, assemble_quadrature
 from fraccalderon.errors import DomainError, LadderError
-from fraccalderon.extension import (cs_extend, default_ladder, export_field_csv,
+from fraccalderon.extension import (cs_extend, export_field_csv,
                                     frequency_energy_fraction,
                                     poisson_kernel_weights, trace_derivative,
                                     trace_ladder, ucp_conditioning)
@@ -26,7 +26,7 @@ def test_delta_mass_preservation(fine_grid):
     k = int(np.argmin(np.abs(g.coords[:, 0])))
     u = np.zeros(g.n_nodes)
     u[k] = 3.0
-    levels = default_ladder(g.h, 4)
+    levels = g.h * 2.0 ** np.arange(4)
     field = cs_extend(GridFunction(g, u), 0.5, levels)
     for m, y in enumerate(levels):
         _, escape = poisson_kernel_weights(g, 0.5, float(y))
@@ -37,7 +37,7 @@ def test_delta_mass_preservation(fine_grid):
 def test_even_symmetry(fine_grid):
     g = fine_grid
     vals = smooth_bump(g, 0.0, 0.25)
-    field = cs_extend(GridFunction(g, vals), 0.5, default_ladder(g.h, 3))
+    field = cs_extend(GridFunction(g, vals), 0.5, g.h * 2.0 ** np.arange(3))
     flipped = field.values[::-1, :]
     assert np.allclose(field.values, flipped, atol=1e-13)
 
@@ -117,7 +117,7 @@ def test_ladder_validation(fine_grid):
 
 
 def test_ucp_full_observation(desk_grid, desk_op):
-    out = ucp_conditioning(desk_grid, 0.5, desk_grid.nonfar, op=desk_op)
+    out = ucp_conditioning(desk_op, desk_grid.nonfar)
     # identity rows force sigma_min >= 1
     assert out["sigma_min"] >= 1.0
     assert out["null_dim"] == 0
@@ -126,7 +126,7 @@ def test_ucp_full_observation(desk_grid, desk_op):
 def test_ucp_refinement_witness():
     for h in (0.08, 0.04, 0.02):
         g = make_grid_1d(h)
-        out = ucp_conditioning(g, 0.5, "EXTERIOR_SUPPORT")
+        out = ucp_conditioning(assemble_quadrature(g, 0.5), "EXTERIOR_SUPPORT")
         assert out["sigma_min"] > 0.0
         assert out["null_dim"] == 0
         frac = frequency_energy_fraction(g, out["minimizer"], np.pi / (4 * h))
@@ -136,7 +136,7 @@ def test_ucp_refinement_witness():
 
 
 def test_ucp_wide_window_reports_structural_null(desk_grid, desk_op):
-    out = ucp_conditioning(desk_grid, 0.5, "W1", op=desk_op)
+    out = ucp_conditioning(desk_op, "W1")
     assert out["null_dim"] > 0
     assert out["sigma_min"] == 0.0
     assert out["row_sigma_min"] > 0.0
@@ -152,7 +152,7 @@ def test_frequency_fraction_of_smooth_mode(desk_grid):
 def test_field_csv(tmp_path, fine_grid):
     g = fine_grid
     field = cs_extend(GridFunction(g, smooth_bump(g, 0.0, 0.2)), 0.5,
-                      default_ladder(g.h, 2))
+                      g.h * 2.0 ** np.arange(2))
     path = tmp_path / "field.csv"
     export_field_csv(field, str(path))
     rows = np.loadtxt(path, delimiter=",", skiprows=1)

@@ -195,7 +195,7 @@ def test_block_read_and_far_rejected(desk_op):
         desk_op.block(g.interior, g.far[:2])
     from fraccalderon.extension import ucp_conditioning
     with pytest.raises(DomainError):
-        ucp_conditioning(g, 0.5, g.far[:2], op=desk_op)
+        ucp_conditioning(desk_op, g.far[:2])
 
 
 def test_assembly_deterministic(desk_grid):
@@ -326,7 +326,7 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def _dense_reference(grid, s, curvature_correction):
+def _dense_reference(grid, s):
     """The dense assembly the structured operator replaces: full gather, row
     sum diagonal, springs scattered on the edge pairs; in 2D with adaptive
     adjacent-cell integrals."""
@@ -339,28 +339,29 @@ def _dense_reference(grid, s, curvature_correction):
         K[0, 1] = K[1, 0] = h ** (-2 * s) * edge
         K[1, 1] = h ** (-2 * s) * corner
     V = gather_offsets(K, idx, idx)
-    tail = assemble_quadrature(grid, s, curvature_correction).tail
+    tail = assemble_quadrature(grid, s).tail
     diag = c * V.sum(axis=1) + tail
     A = np.multiply(V, -c, out=V)
     A[np.diag_indices(len(A))] = diag
-    if curvature_correction:
-        kappa = _kappa_1d(s) if n == 1 else _kappa_2d(s, edge, corner)
-        spring = c * kappa * h ** (-2.0 * s)
-        di = np.abs(idx[:, None, :] - idx[None, :, :]).sum(axis=2)
-        p, q = np.nonzero(np.triu(di == 1))
-        np.add.at(A, (p, p), spring)
-        np.add.at(A, (q, q), spring)
-        np.add.at(A, (p, q), -spring)
-        np.add.at(A, (q, p), -spring)
+    kappa = _kappa_1d(s) if n == 1 else _kappa_2d(s, edge, corner)
+    spring = c * kappa * h ** (-2.0 * s)
+    di = np.abs(idx[:, None, :] - idx[None, :, :]).sum(axis=2)
+    p, q = np.nonzero(np.triu(di == 1))
+    np.add.at(A, (p, p), spring)
+    np.add.at(A, (q, q), spring)
+    np.add.at(A, (p, q), -spring)
+    np.add.at(A, (q, p), -spring)
     return A
 
 
-@pytest.mark.parametrize("curvature_correction", [True, False])
+# the curvature correction is not optional; the one-value parameter keeps
+# the case ids stable
+@pytest.mark.parametrize("curvature_correction", [True])
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.85])
 @pytest.mark.parametrize("grid", [make_grid_1d(0.05), _disc_grid_2d(0.1)], ids=["desk1d", "disc2d"])
 def test_structured_operator_matches_dense_reference(grid, s, curvature_correction):
-    A = assemble_quadrature(grid, s, curvature_correction).matrix
-    ref = _dense_reference(grid, s, curvature_correction)
+    A = assemble_quadrature(grid, s).matrix
+    ref = _dense_reference(grid, s)
     off = ~np.eye(len(A), dtype=bool)
     idx = grid.idx[grid.nonfar]
     cheb1 = np.abs(idx[:, None, :] - idx[None, :, :]).max(axis=2) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fraccalderon import Region, build_grid, chi, embed, restrict
+from fraccalderon import Region, build_grid
 from fraccalderon.errors import (EmptyRegionError, GeometryError, GridMismatchError,
                                  UnknownRegionError)
 
@@ -10,11 +10,10 @@ from conftest import make_grid_1d
 
 def test_desk_region_counts():
     g = make_grid_1d(0.05)
-    counts = g.counts
     # 40 cells of width 0.05 have centers inside (-1, 1)
-    assert counts["INTERIOR"] == 40
-    assert counts["W1"] == 12
-    assert counts["W2"] == 12
+    assert len(g.interior) == 40
+    assert len(g.windows["W1"]) == 12
+    assert len(g.windows["W2"]) == 12
     assert set(g.windows["W1"]).isdisjoint(g.windows["W2"])
 
 
@@ -72,25 +71,6 @@ def test_disc_interior_count_matches_enumeration():
     assert abs(count - area_estimate) <= 2 * (2 * np.pi) / 0.1
 
 
-def test_restrict_embed_roundtrip():
-    g = make_grid_1d(0.05)
-    ones = np.ones(len(g.windows["W1"]))
-    full = embed(g, ones, "W1")
-    assert np.array_equal(restrict(g, full, "W1"), ones)
-    # disjoint supports
-    assert np.all(restrict(g, full, "INTERIOR") == 0.0)
-
-
-def test_chi_partition_of_unity():
-    g = make_grid_1d(0.05)
-    rng = np.random.default_rng(0)
-    u = rng.normal(size=g.n_nodes)
-    interior_part = chi(g, u, "INTERIOR")
-    rest = u - interior_part
-    assert np.array_equal(interior_part + rest, u)
-    assert np.all(interior_part[g.ext_support] == 0.0)
-
-
 def test_unknown_region_raises():
     g = make_grid_1d(0.05)
     with pytest.raises(UnknownRegionError):
@@ -116,13 +96,6 @@ def test_build_is_deterministic():
     assert np.array_equal(a.region, b.region)
     for name in a.windows:
         assert np.array_equal(a.windows[name], b.windows[name])
-
-
-def test_json_roundtrip():
-    g = make_grid_1d(0.05)
-    g2 = type(g).from_json(g.to_json())
-    assert np.array_equal(g.region, g2.region)
-    assert g2.counts == g.counts
 
 
 def test_h_must_tile_box():
