@@ -18,7 +18,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
+from ._kernels import matmul, norm
 from .dirichlet import DirichletSystem, Potential, assemble_system, dirichlet_spectrum
 from .dnmap import assemble_dn
 from .errors import (GridMismatchError, IllConditionedWarning, RungeFailError,
@@ -56,11 +58,11 @@ def simulate_measurements(sys_true: DirichletSystem, sys_ref: DirichletSystem,
                           data=data, sigma=float(sigma))
 
 
-def _second_difference(n: int) -> np.ndarray:
-    L = np.zeros((max(n - 2, 0), n))
-    for i in range(n - 2):
-        L[i, i:i + 3] = (1.0, -2.0, 1.0)
-    return L
+def _second_difference(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n - 2) x n second difference L as its stencil: row i of L holds
+    ``weights[i]`` at columns ``cols[i]``, (L x)_i = x_i - 2 x_{i+1} + x_{i+2}."""
+    cols = np.arange(max(n - 2, 0))[:, None] + np.arange(3)
+    return cols, np.broadcast_to(np.array([1.0, -2.0, 1.0]), cols.shape)
 
 
 # relative ridge added to the curvature penalty: the second difference leaves
@@ -74,13 +76,36 @@ RIDGE = 1e-6
 BETA_FLOOR = 1.0 / (RIDGE * COND_WARN - 1.0)
 
 
-def _penalty(L: np.ndarray) -> np.ndarray:
-    """Curvature penalty LtL + ridge * I of a regularization operator L."""
-    LtL = L.T @ L
-    return LtL + RIDGE * np.linalg.norm(LtL) * np.eye(LtL.shape[0])
+def _penalty(L: tuple[np.ndarray, np.ndarray], n: int,
+             basis: np.ndarray = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Curvature penalty P = LtL + ridge * I in coordinate form.
+
+    ``L`` is the stencil of ``_second_difference`` on n unknowns.  Returns
+    ``(rows, cols, vals)`` with P[rows, cols] = vals, each position once and
+    every other entry zero.  Without a basis, LtL[j, k] sums the products
+    L[i, j] L[i, k] of the entries in each row i: a band of < 5 n positions
+    whose entries are small integers, so they are exact in any summation
+    order.  In an unknown basis Phi the operator is L Phi and P is the
+    dense k x k matrix (L Phi)^T (L Phi) + ridge * I.  The ridge is
+    RIDGE * ||LtL||_F, added to the diagonal.
+    """
+    cols, weights = L
+    if basis is None:
+        pairs = (cols[:, :, None] * n + cols[:, None, :]).ravel()
+        products = (weights[:, :, None] * weights[:, None, :]).ravel()
+        pos, where = np.unique(pairs, return_inverse=True)
+        rows, cols, vals = pos // n, pos % n, np.bincount(where, weights=products)
+    else:
+        LPhi = np.sum(weights[:, :, None] * basis[cols], axis=1)
+        LtL = matmul(LPhi.T, LPhi)
+        rows, cols = np.indices(LtL.shape).reshape(2, -1)
+        vals = LtL.ravel()
+    # a sum of squares, not dnrm2: exact on the integer band
+    ridge = RIDGE * np.sqrt(np.sum(vals * vals))
+    return rows, cols, vals + ridge * (rows == cols)
 
 
-def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, LtL: np.ndarray,
+def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, penalty: tuple,
                        noise_level: float, clean_beta: float = 1e-3) -> tuple[np.ndarray, float]:
     """Penalized least squares min ||B x - m||^2 + beta * ||L x||^2 (plus a
     ridge), with the weight picked by discrepancy against the noise estimate
@@ -88,11 +113,17 @@ def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, LtL: np.ndarr
 
     B and m enter only through the normal-equation pieces ``BtB`` (B^T B)
     and ``Btm`` (B^T m), and through ``residual(x)`` = ||B x - m|| for the
-    discrepancy test, so a caller never has to form B.  ``LtL`` is the
-    penalty matrix from ``_penalty``, built once per reconstruction.
+    discrepancy test, so a caller never has to form B.  ``penalty`` is
+    P = LtL + ridge * I in the coordinate form of ``_penalty``, built once
+    per reconstruction.  Each weight beta copies BtB into one work buffer,
+    adds beta * P at P's positions, and solves by Cholesky factorization in
+    that buffer: BtB is positive semidefinite and P positive definite, so
+    BtB + beta * P is symmetric positive definite.  The buffer is the only
+    n x n array the solve allocates, and every beta of the discrepancy loop
+    reuses it.
 
     The relative weight ``clean_beta`` is the penalty weight over
-    ||BtB||_F / ||LtL + ridge * I||_F; the normal matrix's condition number
+    ||BtB||_F / ||P||_F; the normal matrix's condition number
     is at most about (1 + 1/clean_beta) / RIDGE = 1e6 * (1 + 1/clean_beta).
     Below ``BETA_FLOOR`` (about 1e-8) that bound exceeds ``runge.COND_WARN``
     and the solve would return a solution set by rounding order, so
@@ -100,7 +131,8 @@ def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, LtL: np.ndarr
     naming both weights, and the discrepancy grid stops there.  Above the
     floor nothing changes.  Returns the solution and the absolute weight used.
     """
-    scale = np.linalg.norm(BtB) / max(np.linalg.norm(LtL), 1e-300)
+    rows, cols, vals = penalty
+    scale = norm(BtB) / max(norm(vals), 1e-300)
     if clean_beta < BETA_FLOOR:
         warnings.warn(
             f"clean_beta {clean_beta:.3e} puts the penalized normal equations' "
@@ -108,17 +140,25 @@ def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, LtL: np.ndarr
             f"floor {BETA_FLOOR:.3e}", IllConditionedWarning)
         clean_beta = BETA_FLOOR
     floor = clean_beta * scale
+    work = np.empty(BtB.shape, order="F")
+
+    def solve(beta):
+        np.copyto(work, BtB)
+        work[rows, cols] += beta * vals
+        factor = cho_factor(work, overwrite_a=True, check_finite=False)
+        return cho_solve(factor, Btm, check_finite=False)
+
     if noise_level <= 0:
-        return np.linalg.solve(BtB + floor * LtL, Btm), floor
+        return solve(floor), floor
     # discrepancy principle, guarded below by the frozen floor: noise may only
     # raise the smoothing weight, never drop it under the clean-data policy
     # (the residual target ignores linearization error, so it can be
     # unreachable; drilling past the floor would fit noise)
     for beta in scale * np.logspace(2, np.log10(clean_beta), 25):
-        dq = np.linalg.solve(BtB + beta * LtL, Btm)
+        dq = solve(beta)
         if residual(dq) <= 1.1 * noise_level:
             return dq, beta
-    return np.linalg.solve(BtB + floor * LtL, Btm), floor
+    return solve(floor), floor
 
 
 def _linearized_normal_equations(A1: np.ndarray, A2: np.ndarray, D: np.ndarray,
@@ -138,15 +178,19 @@ def _linearized_normal_equations(A1: np.ndarray, A2: np.ndarray, D: np.ndarray,
     Phi^T BtB Phi, Phi^T Btm and the residual at Phi c.  Returns
     ``(BtB, Btm, residual)`` for ``_solve_regularized``.
     """
-    BtB = hn**2 * ((A1 @ A1.T) * (A2 @ A2.T))
-    Btm = hn**2 * np.sum(A1 * (A2 @ D), axis=1)
+    # the second Gram product is multiplied into the first's buffer
+    BtB = matmul(A1, A1.T)
+    BtB *= matmul(A2, A2.T)
+    BtB *= hn**2
+    Btm = hn**2 * np.sum(A1 * matmul(A2, D), axis=1)
 
     def residual(dq):
-        return hn * float(np.linalg.norm(A1.T @ (dq[:, None] * A2) - D.T))
+        return hn * norm(matmul(A1.T, dq[:, None] * A2) - D.T)
 
     if basis is None:
         return BtB, Btm, residual
-    return basis.T @ BtB @ basis, basis.T @ Btm, lambda c: residual(basis @ c)
+    return (matmul(matmul(basis.T, BtB), basis), matmul(basis.T, Btm),
+            lambda c: residual(matmul(basis, c)))
 
 
 def _pair(X: np.ndarray, G1: np.ndarray, G2: np.ndarray, power: int = 1) -> np.ndarray:
@@ -154,7 +198,7 @@ def _pair(X: np.ndarray, G1: np.ndarray, G2: np.ndarray, power: int = 1) -> np.n
     powers); X itself for unit pairs (G1 = G2 = None)."""
     if G1 is None:
         return X
-    return (G2**power).T @ X @ G1**power
+    return matmul(matmul((G2**power).T, X), G1**power)
 
 
 def _runge_controls(sys: DirichletSystem, window_nodes, targets: np.ndarray,
@@ -214,18 +258,17 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     dn_cur = dn_ref
     if mode not in ("linearized", "constructive"):
         raise ValueError(f"unknown mode {mode!r}")
-    L, basis = _second_difference(n_int), None
+    basis = None
     if mode == "constructive":
         if targets is None:
             spec = dirichlet_spectrum(sys_ref)
             targets = spec.eigenvectors[:, :min(n_targets, n_int)] / np.sqrt(hn)
         basis = np.asarray(targets, dtype=float).reshape(n_int, -1)
-        L = L @ basis
-    LtL = _penalty(L)
+    penalty = _penalty(_second_difference(n_int), n_int, basis)
     diagnostics = {"iterations": [], "mode": mode}
 
     # once the residual data sits at the noise floor, further sweeps only fit noise
-    noise_floor = 1.2 * meas.sigma * float(np.linalg.norm(meas.data))
+    noise_floor = 1.2 * meas.sigma * norm(meas.data)
 
     for it in range(max(1, int(iterations))):
         # residual data: measured difference minus the simulated part already
@@ -234,7 +277,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
             data_cur = meas.data
         else:
             data_cur = meas.data - (dn_cur - dn_ref)
-            if float(np.linalg.norm(data_cur)) <= noise_floor:
+            if norm(data_cur) <= noise_floor:
                 break
 
         # test-pair factors A1 = U1 G1 and A2 = U2 G2 (G None: unit pairs)
@@ -253,20 +296,21 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
 
         noise_level = meas.sigma * hn * float(np.sqrt(np.sum(
             _pair(meas.data**2, G1, G2, power=2))))
-        BtB, Btm, residual = _linearized_normal_equations(
-            A1, A2, _pair(data_cur, G1, G2), hn, basis)
-        dc, beta = _solve_regularized(BtB, Btm, residual, LtL, noise_level,
-                                      clean_beta=clean_beta)
-        dq = dc if basis is None else basis @ dc
+        # unbound, the normal matrix is freed once solved, before any trial
+        # system is assembled
+        dc, beta = _solve_regularized(
+            *_linearized_normal_equations(A1, A2, _pair(data_cur, G1, G2), hn, basis),
+            penalty, noise_level, clean_beta=clean_beta)
+        dq = dc if basis is None else matmul(basis, dc)
 
         # backtrack the update if it stops explaining the measured data, or if
         # the trial potential is non-finite or makes the system unsolvable
         def _data_misfit(q_vals):
             sys_try = assemble_system(sys_ref.op, Potential(grid, q_vals))
             dn_try = assemble_dn(sys_try, meas.source_nodes, meas.observation_nodes).matrix
-            return sys_try, dn_try, float(np.linalg.norm(meas.data - (dn_try - dn_ref)))
+            return sys_try, dn_try, norm(meas.data - (dn_try - dn_ref))
 
-        misfit_now = float(np.linalg.norm(data_cur))
+        misfit_now = norm(data_cur)
         step = dq
         for _ in range(4):
             trial = q_hat + step
@@ -291,8 +335,8 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
             "runge_residuals": runge_res,
             "test_residuals": test_res,
             "beta": float(beta),
-            "data_norm": float(np.linalg.norm(data_cur)),
-            "step_norm": float(np.sqrt(hn) * np.linalg.norm(dq)),
+            "data_norm": misfit_now,
+            "step_norm": float(np.sqrt(hn) * norm(dq)),
         })
 
     estimate = q_hat - sys_ref.potential.values
@@ -301,7 +345,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
 
 def reconstruction_error(estimate: np.ndarray, truth: np.ndarray, hn: float) -> float:
     """Relative weighted L2 error of the estimated potential difference."""
-    denom = np.sqrt(hn) * np.linalg.norm(truth)
+    denom = np.sqrt(hn) * norm(truth)
     if denom == 0:
-        return float(np.sqrt(hn) * np.linalg.norm(estimate))
-    return float(np.sqrt(hn) * np.linalg.norm(estimate - truth) / denom)
+        return float(np.sqrt(hn) * norm(estimate))
+    return float(np.sqrt(hn) * norm(estimate - truth) / denom)

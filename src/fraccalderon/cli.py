@@ -498,6 +498,9 @@ def main(argv=None) -> int:
         print(f"CONFIG_INVALID: {exc}", file=sys.stderr)
         return 2
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{args.config}: the top level of a config must be a JSON "
+                              f"object, got {type(cfg).__name__}")
         _apply_overrides(cfg, args.overrides)
         if cfg.get("pipeline") != args.pipeline:
             cfg["pipeline"] = args.pipeline

@@ -17,12 +17,14 @@ targets of constructive reconstruction; they read A through
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
 from scipy.linalg import lapack
 
+from ._kernels import matmul
 from .errors import ConfigError, DomainError, EigFailError, SingularSystemError
 from .fracop import FracOperator
 from .grid import Grid, GridFunction
@@ -85,10 +87,20 @@ def potential_from_spec(grid: Grid, spec) -> Potential:
 
 
 def potential_from_csv(grid: Grid, path: str) -> Potential:
-    """Read interior node values from CSV rows of ``index,value``; nodes not
-    listed are zero.  An index that is not an integer in [0, n_int), or that
-    repeats, raises ``ConfigError``."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read interior node values from CSV rows of ``index,value`` after one
+    header line; nodes not listed are zero.  A file that cannot be read or
+    parsed, that has no rows or not two columns, or an index that is not an
+    integer in [0, n_int) or that repeats, raises ``ConfigError``."""
+    try:
+        with warnings.catch_warnings():
+            # a file without rows is refused below, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read the potential CSV: {exc}") from exc
+    if data.shape[0] == 0 or data.shape[1] != 2:
+        raise ConfigError(f"{path}: the potential CSV needs rows of index,value after "
+                          f"its header; got {data.shape[0]} rows of {data.shape[1]} columns")
     n_int = len(grid.interior)
     index = data[:, 0]
     bad = (index != np.floor(index)) | (index < 0) | (index >= n_int)
@@ -205,7 +217,7 @@ def solve_poisson(sys: DirichletSystem, f: np.ndarray) -> GridFunction:
     f = np.asarray(f, dtype=float)
     if f.shape != (len(grid.ext_support),):
         raise ValueError("f must be given on the exterior-support nodes")
-    u_int = linalg.lu_solve(sys.lu(), -sys.op.block(grid.interior, grid.ext_support) @ f)
+    u_int = linalg.lu_solve(sys.lu(), -matmul(sys.op.block(grid.interior, grid.ext_support), f))
     full = np.zeros(grid.n_nodes)
     full[grid.interior] = u_int
     full[grid.ext_support] = f

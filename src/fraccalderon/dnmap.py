@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import matmul
 from .dirichlet import DirichletSystem, solve_poisson, solve_window
 from .errors import GridMismatchError
 from .fracop import FracOperator
@@ -48,7 +49,7 @@ def assemble_dn(sys: DirichletSystem, W1, W2) -> DNMap:
     U_int = solve_window(sys, src)                       # interior x |W1|
     op = sys.op
     # exterior rows of A u; the q-term E0(q u_I) vanishes on exterior rows
-    readout = op.block(obs, grid.interior) @ U_int + op.block(obs, src)
+    readout = matmul(op.block(obs, grid.interior), U_int) + op.block(obs, src)
     return DNMap(source_nodes=src, observation_nodes=obs, matrix=readout,
                  fingerprint=_potential_fingerprint(sys))
 
@@ -58,8 +59,8 @@ def dn_pointwise(sys: DirichletSystem, f: np.ndarray) -> np.ndarray:
     grid = sys.grid
     u = solve_poisson(sys, f)
     es, interior = grid.ext_support, grid.interior
-    return (sys.op.block(es, interior) @ u.values[interior]
-            + sys.op.block(es, es) @ u.values[es])
+    return (matmul(sys.op.block(es, interior), u.values[interior])
+            + matmul(sys.op.block(es, es), u.values[es]))
 
 
 def ns_weight(op: FracOperator) -> np.ndarray:
@@ -79,7 +80,7 @@ def apply_ns(op: FracOperator, u: GridFunction) -> np.ndarray:
     m = ns_weight(op)
     u_es = u.values[grid.ext_support]
     u_int = u.values[grid.interior]
-    return m * u_es + op.block(grid.ext_support, grid.interior) @ u_int
+    return m * u_es + matmul(op.block(grid.ext_support, grid.interior), u_int)
 
 
 def dn_decomposition_check(sys: DirichletSystem, f: np.ndarray) -> float:
@@ -94,7 +95,7 @@ def dn_decomposition_check(sys: DirichletSystem, f: np.ndarray) -> float:
     u_f = solve_poisson(sys, f)
     m = ns_weight(op)
     ns_val = apply_ns(op, u_f)
-    ext_term = op.block(grid.ext_support, grid.ext_support) @ np.asarray(f, dtype=float)
+    ext_term = matmul(op.block(grid.ext_support, grid.ext_support), f)
     rhs = ns_val - m * np.asarray(f, dtype=float) + ext_term
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -111,7 +112,7 @@ def integral_identity(sys1: DirichletSystem, sys2: DirichletSystem,
     hn = grid.h ** grid.dim
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
-    lhs = hn * float(f2 @ (dn_pointwise(sys1, f1) - dn_pointwise(sys2, f1)))
+    lhs = hn * float(matmul(f2, dn_pointwise(sys1, f1) - dn_pointwise(sys2, f1)))
     u1 = solve_poisson(sys1, f1).values[grid.interior]
     u2 = solve_poisson(sys2, f2).values[grid.interior]
     dq = sys1.potential.values - sys2.potential.values

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import svd
 
+from ._kernels import matmul, norm
 from .dirichlet import DirichletSystem, solve_source, solve_window
 from .errors import IllConditionedWarning
 
@@ -69,7 +70,7 @@ def adjoint_apply(sys: DirichletSystem, v: np.ndarray, window) -> np.ndarray:
     grid = sys.grid
     nodes, _ = grid.exterior_window(window)
     phi = solve_source(sys, np.asarray(v, dtype=float))
-    return -(sys.op.block(nodes, grid.interior) @ phi.values[grid.interior])
+    return -matmul(sys.op.block(nodes, grid.interior), phi.values[grid.interior])
 
 
 def _window_svd(sys: DirichletSystem, window):
@@ -89,20 +90,20 @@ def _ridge_controls(K: np.ndarray, factors, p: ControlProblem) -> RungeResult:
         warnings.warn(
             f"normal equations condition number {cond:.2e}; the exterior "
             "control problem is severely ill-posed", IllConditionedWarning)
-    beta = U.T @ p.target
+    beta = matmul(U.T, p.target)
     if p.alpha == 0.0:
         filt = np.where(sig > sig[0] * 1e-13, 1.0 / np.where(sig > 0, sig, 1.0), 0.0)
     else:
         filt = sig / (sig**2 + p.alpha)
-    g = Vt.T @ (filt * beta.T).T
-    achieved = K @ g
+    g = matmul(Vt.T, (filt * beta.T).T)
+    achieved = matmul(K, g)
 
     # weighted L2 norms, one per target column
     root_hn = np.sqrt(p.sys.grid.h ** p.sys.grid.dim)
-    norm = (lambda x: float(root_hn * np.linalg.norm(x))) if p.target.ndim == 1 else (
+    wnorm = (lambda x: float(root_hn * norm(x))) if p.target.ndim == 1 else (
         lambda x: root_hn * np.linalg.norm(x, axis=0))
-    return RungeResult(control=g, achieved=achieved, residual=norm(achieved - p.target),
-                       control_norm=norm(g), alpha=p.alpha, singular_values=sig,
+    return RungeResult(control=g, achieved=achieved, residual=wnorm(achieved - p.target),
+                       control_norm=wnorm(g), alpha=p.alpha, singular_values=sig,
                        condition=cond)
 
 

@@ -1,0 +1,123 @@
+"""One BLAS library on the solve path (see ``fraccalderon._kernels``).
+
+``dirichlet``, ``dnmap``, ``runge`` and ``calderon`` make every BLAS call
+through scipy, so numpy's OpenBLAS thread pool never competes with scipy's.
+The guard reads their source; the helpers must equal numpy's products and
+norms up to rounding, without copying their operands.
+"""
+
+import ast
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fraccalderon import _kernels
+from fraccalderon._kernels import matmul, norm
+
+SOLVE_PATH = ("dirichlet.py", "dnmap.py", "runge.py", "calderon.py")
+PACKAGE = Path(_kernels.__file__).resolve().parent
+# numpy functions that run numpy's BLAS
+NUMPY_BLAS = ("dot", "vdot", "inner", "matmul", "tensordot", "einsum")
+
+
+def numpy_blas_uses(source: str) -> list:
+    """(line, construct) for each construct in ``source`` that calls numpy's
+    BLAS: ``@``, a ``.dot(`` call, a numpy product function, any
+    ``numpy.linalg`` routine but ``norm``, and ``norm`` with neither ``ord``
+    nor ``axis`` (a whole-array norm is a BLAS dot product)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found += [(node.lineno, f"from {node.module} import {a.name}") for a in node.names]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = ast.unparse(node.func).replace("numpy.", "np.", 1)
+            if node.func.attr == "dot" or name in [f"np.{f}" for f in NUMPY_BLAS]:
+                found.append((node.lineno, name))
+            elif name.startswith("np.linalg."):
+                whole_array = len(node.args) < 2 and not any(
+                    k.arg in ("ord", "axis") for k in node.keywords)
+                if node.func.attr != "norm" or whole_array:
+                    found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("module", SOLVE_PATH)
+def test_solve_path_calls_no_numpy_blas(module):
+    assert numpy_blas_uses((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("snippet,banned", [
+    ("c = a @ b", True),
+    ("a @= b", True),
+    ("c = np.dot(a, b)", True),
+    ("c = a.dot(b)", True),
+    ("c = np.matmul(a, b)", True),
+    ("c = numpy.einsum('ij,jk', a, b)", True),
+    ("x = np.linalg.solve(a, b)", True),
+    ("x = np.linalg.inv(a)", True),
+    ("x = np.linalg.lstsq(a, b)", True),
+    ("x = np.linalg.cholesky(a)", True),
+    ("w = np.linalg.eigh(a)", True),
+    ("s = np.linalg.svd(a)", True),
+    ("r = np.linalg.norm(a)", True),
+    ("from numpy.linalg import solve", True),
+    ("r = np.linalg.norm(a, 1)", False),
+    ("r = np.linalg.norm(a, ord=np.inf)", False),
+    ("r = np.linalg.norm(a, axis=0)", False),
+    ("c = matmul(a, b)", False),
+    ("r = norm(a)", False),
+    ("c = a * b", False),
+    ("ok = isinstance(err, np.linalg.LinAlgError)", False),
+])
+def test_guard_flags_each_numpy_blas_construct(snippet, banned):
+    assert bool(numpy_blas_uses(snippet)) is banned
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((7, 5), (5, 3)), ((7, 5), (5,)),
+                                             ((5,), (5, 3)), ((5,), (5,))])
+@pytest.mark.parametrize("a_order,b_order", [("C", "C"), ("C", "F"), ("F", "C"), ("F", "F")])
+def test_matmul_equals_numpy(a_shape, b_shape, a_order, b_order):
+    rng = np.random.default_rng(0)
+    a = np.asarray(rng.standard_normal(a_shape), order=a_order)
+    b = np.asarray(rng.standard_normal(b_shape), order=b_order)
+    got, want = matmul(a, b), a @ b
+    assert np.shape(got) == np.shape(want)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_matmul_strided_empty_and_misaligned():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((8, 6))
+    assert np.allclose(matmul(a[::2], a[1:7, ::2]), a[::2] @ a[1:7, ::2])
+    assert matmul(np.zeros((0, 3)), np.ones(3)).shape == (0,)
+    assert np.array_equal(matmul(np.zeros((2, 0)), np.zeros((0, 4))), np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="do not align"):
+        matmul(np.ones((2, 3)), np.ones((2, 3)))
+
+
+def test_norm_equals_numpy():
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((9, 4))
+    for x in (a, np.asfortranarray(a), a[::2], a[:, 0], np.zeros(0)):
+        assert norm(x) == pytest.approx(np.linalg.norm(x), rel=1e-14, abs=0.0)
+    assert isinstance(norm(a), float)
+
+
+def test_matmul_copies_no_operand():
+    # C- and Fortran-ordered operands go to BLAS as views: the product is the
+    # only array allocated
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((400, 300))
+    b = np.asfortranarray(rng.standard_normal((300, 20)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        c = matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < c.nbytes + b.nbytes

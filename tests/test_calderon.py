@@ -1,9 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from fraccalderon import assemble_quadrature, build_grid, calderon
+from fraccalderon import assemble_quadrature, build_grid, calderon, dirichlet, dnmap, runge
 from fraccalderon.calderon import (BETA_FLOOR, reconstruct_potential,
                                    reconstruction_error, simulate_measurements)
 from fraccalderon.dirichlet import assemble_system, dirichlet_spectrum, potential_from_spec
@@ -354,3 +355,126 @@ def test_identity_consistency_of_pipeline(desk_setup):
     u2 = solve_poisson(sys_ref, window_vector(grid, "W2", g0)).values[grid.interior]
     m_direct = grid.h * float(np.sum(q_true.values * u1 * u2))
     assert m_meas == pytest.approx(m_direct, rel=1e-9)
+
+
+def _dense_second_difference(n):
+    """The second difference as the dense matrix it was before the stencil."""
+    L = np.zeros((max(n - 2, 0), n))
+    for i in range(n - 2):
+        L[i, i:i + 3] = (1.0, -2.0, 1.0)
+    return L
+
+
+def _dense_penalty(stencil, n, basis=None):
+    """Reference penalty LtL + RIDGE * ||LtL||_F * I from the dense L."""
+    L = _dense_second_difference(n)
+    if basis is not None:
+        L = L @ basis
+    LtL = L.T @ L
+    return LtL + calderon.RIDGE * np.linalg.norm(LtL) * np.eye(LtL.shape[0])
+
+
+def _lu_solve_regularized(BtB, Btm, residual, P, noise_level, clean_beta=1e-3):
+    """Reference penalized solve: the dense penalty P and an LU solve of the
+    penalized normal equations for each weight."""
+    scale = np.linalg.norm(BtB) / max(np.linalg.norm(P), 1e-300)
+    clean_beta = max(clean_beta, BETA_FLOOR)
+    floor = clean_beta * scale
+    if noise_level <= 0:
+        return np.linalg.solve(BtB + floor * P, Btm), floor
+    for beta in scale * np.logspace(2, np.log10(clean_beta), 25):
+        dq = np.linalg.solve(BtB + beta * P, Btm)
+        if residual(dq) <= 1.1 * noise_level:
+            return dq, beta
+    return np.linalg.solve(BtB + floor * P, Btm), floor
+
+
+def _use_numpy_reference(monkeypatch):
+    """Run the reconstruction on numpy's products and norms, the dense
+    penalty and LU solves: the arithmetic of the solve path before it moved
+    to scipy's BLAS, stencil penalty and Cholesky solve."""
+    for module in (calderon, dirichlet, dnmap, runge):
+        if hasattr(module, "matmul"):
+            monkeypatch.setattr(module, "matmul", np.matmul)
+        if hasattr(module, "norm"):
+            monkeypatch.setattr(module, "norm", np.linalg.norm)
+    monkeypatch.setattr(calderon, "_penalty", _dense_penalty)
+    monkeypatch.setattr(calderon, "_solve_regularized", _lu_solve_regularized)
+
+
+@pytest.mark.parametrize("n,k", [(3, None), (4, None), (40, None), (40, 4)])
+def test_penalty_equals_dense_formula(n, k):
+    # the coordinate-form penalty, densified, is the dense formula bit for
+    # bit; k columns are a constructive-mode basis, here of small integers
+    # so that L Phi is exact in any summation order
+    basis = None if k is None else (
+        np.random.default_rng(n).integers(-3, 4, (n, k)).astype(float))
+    rows, cols, vals = calderon._penalty(calderon._second_difference(n), n, basis)
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+    size = n if k is None else k
+    P = np.zeros((size, size))
+    P[rows, cols] = vals
+    assert np.array_equal(P, _dense_penalty(None, n, basis))
+
+
+@pytest.fixture(scope="module")
+def disc_h02():
+    """The 2D disc of ``setup_2d`` at h = 0.2."""
+    def disc(x, y, r):
+        return {"type": "disc", "center": [x, y], "radius": r}
+    grid = build_grid(2, 0.2, 3.0, disc(0, 0, 1.0), disc(0, 0, 2.0),
+                      {"W1": disc(1.5, 0, 0.35), "W2": disc(-1.5, 0, 0.35)})
+    op = assemble_quadrature(grid, 0.5)
+    q_true = potential_from_spec(
+        grid, {"type": "gaussian", "amplitude": 0.5, "center": [0.0, 0.0], "width": 0.5})
+    return (grid, assemble_system(op, potential_from_spec(grid, 0.0)),
+            assemble_system(op, q_true), q_true)
+
+
+# relative max-norm distance of the estimate from the numpy reference; the
+# solve path reorders rounding only (measured: 6.5e-12 desk, 4.3e-11 2D,
+# 1.3e-12 desk noisy, 1.5e-8 constructive, whose 4 x 4 penalized system
+# sits at the condition bound 1e14 of the resolvable floor)
+@pytest.mark.parametrize("case,sigma,kwargs,tol", [
+    ("desk_setup", 0.0, dict(iterations=2, mode="linearized", clean_beta=0.1), 1e-8),
+    ("disc_h02", 0.0, dict(iterations=1, mode="linearized", clean_beta=0.1), 1e-8),
+    ("desk_setup", 1e-3, dict(iterations=4, mode="linearized", clean_beta=0.1), 1e-8),
+    ("desk_setup", 0.0, dict(iterations=2, mode="constructive", alpha=1e-12, n_targets=4,
+                             runge_gate=0.95, clean_beta=1e-12), 1e-7),
+])
+def test_estimate_matches_numpy_reference(case, sigma, kwargs, tol, request, monkeypatch):
+    grid, sys_ref, sys_true, _ = request.getfixturevalue(case)
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2", sigma=sigma, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        got = reconstruct_potential(meas, sys_ref, **kwargs)
+        with monkeypatch.context() as patch:
+            _use_numpy_reference(patch)
+            want = reconstruct_potential(meas, sys_ref, **kwargs)
+    assert [d["beta"] for d in got["diagnostics"]["iterations"]] == pytest.approx(
+        [d["beta"] for d in want["diagnostics"]["iterations"]], rel=1e-12)
+    drift = np.max(np.abs(got["q_diff"] - want["q_diff"])) / np.max(np.abs(want["q_diff"]))
+    assert drift <= tol
+
+
+def test_reconstruction_peak_n_int_squared_arrays(setup_2d):
+    # peak traced memory of a 2-sweep linearized 2D reconstruction (n_int =
+    # 316), in n_int x n_int float arrays.  Measured 4.84, reached while a
+    # sweep-2 trial system is assembled: the current system's LU, the trial's
+    # gathered matrix, its absolute values for the 1-norm, and the gather's
+    # int32 offset temporaries (1.5 at this size, capped at 16 MB each).  The
+    # normal matrix and the penalized-solve buffer are freed by then; with
+    # the dense penalty and a copying solve the peak was 7.79.
+    grid, sys_ref, sys_true, _ = setup_2d
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
+    n2_bytes = 8 * len(grid.interior) ** 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = reconstruct_potential(meas, sys_ref, iterations=2, mode="linearized",
+                                    clean_beta=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out["diagnostics"]["iterations"]) == 2
+    assert (peak - base) / n2_bytes <= 5.0

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -218,3 +221,50 @@ def test_config_error_messages(edit, message):
     with pytest.raises(ConfigError) as exc:
         validate_config(cfg)
     assert str(exc.value) == message
+
+
+def _main_on(cfg, tmp_path, capsys):
+    """Exit code and stderr of ``fraccalderon invert`` on a config object."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["invert", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+def test_config_not_an_object_exits_2(tmp_path, capsys):
+    code, err = _main_on([1, 2], tmp_path, capsys)
+    assert code == 2
+    assert "CONFIG_INVALID" in err and "must be a JSON object" in err
+
+
+def test_missing_potential_csv_exits_2(tmp_path, capsys):
+    cfg = small_invert_config()
+    cfg["potential_true"] = {"type": "csv", "path": str(tmp_path / "absent.csv")}
+    code, err = _main_on(cfg, tmp_path, capsys)
+    assert code == 2
+    assert "CONFIG_INVALID" in err and "absent.csv" in err
+
+
+@pytest.mark.parametrize("text", ["index\n0\n3\n", "index,value\n"],
+                         ids=["one-column", "header-only"])
+def test_potential_csv_without_index_value_rows_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "q.csv"
+    path.write_text(text)
+    cfg = small_invert_config()
+    cfg["potential_true"] = {"type": "csv", "path": str(path)}
+    code, err = _main_on(cfg, tmp_path, capsys)
+    assert code == 2
+    assert "CONFIG_INVALID" in err and "index,value" in err
+
+
+def test_invert_run_imports_no_scipy_sparse(tmp_path):
+    # the penalty is plain numpy coordinate arrays; scipy.sparse would add
+    # its import time to every CLI process
+    code = ("import sys; from fraccalderon.cli import main; "
+            f"rc = main(['invert', '--config', {str(CONFIG_DIR / 'invert_desk1d.json')!r}, "
+            f"'--output-dir', {str(tmp_path)!r}]); "
+            "print(rc, 'scipy.sparse' in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]
