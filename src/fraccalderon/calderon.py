@@ -9,7 +9,10 @@ family of control pairs P and seeks the update in one unknown basis Phi:
 unit pairs and Phi = I (linearized mode), or Runge pairs g_c g_k^T, whose
 solution products approximate interior targets, and Phi = the targets
 (constructive mode).  An optional Newton loop repeats the step around the
-updated potential, reusing the same measured data.
+updated potential, reusing the same measured data.  The identity is exact
+between any two systems, so the loop never assembles a DN map: a trial's
+residual data follows from the current residual and the two systems'
+window solutions.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from .dnmap import assemble_dn
 from .errors import (GridMismatchError, IllConditionedWarning, RungeFailError,
                      SingularSystemError)
 from .grid import Grid
-from .runge import (COND_WARN, ControlProblem, control_to_interior_matrix,
-                    runge_approximate)
+from .runge import COND_WARN, ControlProblem, control_to_interior_matrix, ridge_controls
 
 DEFAULT_RUNGE_GATE = 0.05
 
@@ -201,11 +203,11 @@ def _pair(X: np.ndarray, G1: np.ndarray, G2: np.ndarray, power: int = 1) -> np.n
     return matmul(matmul((G2**power).T, X), G1**power)
 
 
-def _runge_controls(sys: DirichletSystem, window_nodes, targets: np.ndarray,
-                    alpha: float, gate: float, hn: float, label: str):
-    """Runge controls for every target column from one window solve; gate on
-    each column's relative residual."""
-    res = runge_approximate(ControlProblem(sys, window_nodes, targets, alpha=alpha))
+def _runge_controls(sys: DirichletSystem, window_nodes, K: np.ndarray,
+                    targets: np.ndarray, alpha: float, gate: float, hn: float, label: str):
+    """Runge controls for every target column from the window's solved
+    control-to-interior matrix K; gate on each column's relative residual."""
+    res = ridge_controls(K, ControlProblem(sys, window_nodes, targets, alpha=alpha))
     tgt_norms = np.sqrt(hn) * np.linalg.norm(targets, axis=0)
     for k, (resid, tgt_norm) in enumerate(zip(res.residual, tgt_norms)):
         if resid > gate * tgt_norm:
@@ -232,9 +234,9 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     constant one on the observation window, and Phi = targets, since each
     pairing is a moment against one target.  A control whose relative
     residual exceeds ``runge_gate`` raises ``RungeFailError``.  Each window's
-    controls come from one window solve and SVD.  Tolerance: the estimate
-    equals that of the explicit moment rows hn (U1 g_k) o (U2 g_c) up to
-    rounding order, within 1e-8 relative max-norm on the 1D desk case.
+    controls are filter factors on one SVD of U1 or U2.  Tolerance: the
+    estimate equals that of the explicit moment rows hn (U1 g_k) o (U2 g_c)
+    up to rounding order, within 1e-8 relative max-norm on the 1D desk case.
 
     Both modes solve one Gram-form penalized system
     (``_linearized_normal_equations``) at the noise level
@@ -243,19 +245,23 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     penalty weight (see ``_solve_regularized``); below ``BETA_FLOOR`` (about
     1e-8) it is raised to the floor with an ``IllConditionedWarning``, and
     each iteration's diagnostics record the absolute weight as ``beta``.
+
+    No DN map is assembled.  The operator is exactly symmetric, so for a
+    trial system T and the current system C the integral identity is the
+    matrix identity DN(T) - DN(C) = U2_C^T diag(q_T - q_C) U1_T, and the
+    trial's residual data is the current residual minus that product.
+    Each system's source window is solved once (the reference's before
+    the first sweep, each trial's when it is tried, and the accepted
+    trial's U1 is the next sweep's), and each sweep solves its observation
+    window once.  The reference system is only the linearization point.
     """
     grid = sys_ref.grid
     if meas.grid is not grid:
         raise GridMismatchError("measurements and reference system on different grids")
     hn = grid.h ** grid.dim
     n_int = len(grid.interior)
+    src, obs = meas.source_nodes, meas.observation_nodes
 
-    q_hat = sys_ref.potential.values.copy()
-    sys_cur = sys_ref
-    # the reference DN is fixed for the whole call; the current one is carried
-    # over from the accepted trial, which is the next iteration's system
-    dn_ref = assemble_dn(sys_ref, meas.source_nodes, meas.observation_nodes).matrix
-    dn_cur = dn_ref
     if mode not in ("linearized", "constructive"):
         raise ValueError(f"unknown mode {mode!r}")
     basis = None
@@ -270,27 +276,26 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     # once the residual data sits at the noise floor, further sweeps only fit noise
     noise_floor = 1.2 * meas.sigma * norm(meas.data)
 
+    # the current system, its source-window solutions U1 and its residual data
+    # (measured difference minus the part the current estimate explains)
+    q_hat = sys_ref.potential.values.copy()
+    current = (sys_ref, control_to_interior_matrix(sys_ref, src), meas.data)
+
     for it in range(max(1, int(iterations))):
-        # residual data: measured difference minus the simulated part already
-        # explained by the current estimate
-        if it == 0:
-            data_cur = meas.data
-        else:
-            data_cur = meas.data - (dn_cur - dn_ref)
-            if norm(data_cur) <= noise_floor:
-                break
+        sys_cur, U1, data_cur = current
+        misfit_now = norm(data_cur)
+        if it > 0 and misfit_now <= noise_floor:
+            break
+        U2 = control_to_interior_matrix(sys_cur, obs)
 
         # test-pair factors A1 = U1 G1 and A2 = U2 G2 (G None: unit pairs)
         if basis is None:
-            A1 = control_to_interior_matrix(sys_cur, meas.source_nodes)
-            A2 = control_to_interior_matrix(sys_cur, meas.observation_nodes)
-            G1 = G2 = None
+            A1, A2, G1, G2 = U1, U2, None, None
             runge_res, test_res = [], []
         else:
-            r1 = _runge_controls(sys_cur, meas.source_nodes, basis, alpha,
-                                 runge_gate, hn, "target")
-            r2 = _runge_controls(sys_cur, meas.observation_nodes, np.ones((n_int, 1)),
-                                 alpha, runge_gate, hn, "constant")
+            r1 = _runge_controls(sys_cur, src, U1, basis, alpha, runge_gate, hn, "target")
+            r2 = _runge_controls(sys_cur, obs, U2, np.ones((n_int, 1)), alpha,
+                                 runge_gate, hn, "constant")
             A1, A2, G1, G2 = r1.achieved, r2.achieved, r1.control, r2.control
             runge_res, test_res = r1.residual.tolist(), r2.residual.tolist()
 
@@ -305,12 +310,12 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
 
         # backtrack the update if it stops explaining the measured data, or if
         # the trial potential is non-finite or makes the system unsolvable
-        def _data_misfit(q_vals):
+        def _try(q_vals):
             sys_try = assemble_system(sys_ref.op, Potential(grid, q_vals))
-            dn_try = assemble_dn(sys_try, meas.source_nodes, meas.observation_nodes).matrix
-            return sys_try, dn_try, norm(meas.data - (dn_try - dn_ref))
+            U1_try = control_to_interior_matrix(sys_try, src)
+            # DN(trial) - DN(current) = U2^T diag(q_trial - q_current) U1_trial
+            return sys_try, U1_try, data_cur - matmul(U2.T, (q_vals - q_hat)[:, None] * U1_try)
 
-        misfit_now = norm(data_cur)
         step = dq
         for _ in range(4):
             trial = q_hat + step
@@ -318,19 +323,18 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
                 step = step / 2.0
                 continue
             try:
-                sys_next, dn_next, misfit_next = _data_misfit(trial)
+                tried = _try(trial)
             except (SingularSystemError, np.linalg.LinAlgError):
                 step = step / 2.0
                 continue
-            if misfit_next <= misfit_now or it == 0:
+            if norm(tried[2]) <= misfit_now or it == 0:
+                current = tried
                 break
             step = step / 2.0
         else:
             # every trial failed: stay at the current system
-            sys_next, dn_next = sys_cur, dn_cur
             step = np.zeros_like(dq)
         q_hat = q_hat + step
-        sys_cur, dn_cur = sys_next, dn_next
         diagnostics["iterations"].append({
             "runge_residuals": runge_res,
             "test_residuals": test_res,

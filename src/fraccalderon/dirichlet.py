@@ -62,14 +62,9 @@ def potential_from_spec(grid: Grid, spec) -> Potential:
     kind = spec["type"]
     if kind == "constant":
         return Potential(grid, np.full(len(x), float(spec["value"])))
-    if kind == "gaussian":
-        c = np.atleast_1d(np.asarray(spec.get("center", 0.0), dtype=float))
-        w = float(spec["width"])
-        r2 = np.sum((x - c[None, :]) ** 2, axis=1)
-        return Potential(grid, float(spec["amplitude"]) * np.exp(-r2 / (2.0 * w * w)))
-    if kind == "two_bump":
+    if kind in ("gaussian", "two_bump"):
         vals = np.zeros(len(x))
-        for bump in spec["bumps"]:
+        for bump in spec["bumps"] if kind == "two_bump" else [spec]:
             c = np.atleast_1d(np.asarray(bump.get("center", 0.0), dtype=float))
             w = float(bump["width"])
             r2 = np.sum((x - c[None, :]) ** 2, axis=1)

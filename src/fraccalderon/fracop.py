@@ -13,7 +13,7 @@ Two independent realizations:
   gathers each block it is asked for on demand; the dense N_nf x N_nf
   matrix is never held.  The row sums, and in 2D the FAR-cell part of the
   tail, are FFT convolutions of a table with a lattice indicator; the tail
-  outside the box is in closed form.
+  outside the box, and in 1D the whole tail, is in closed form.
 * ``apply_spectral`` applies the Fourier multiplier |xi|^(2s) on a
   zero-padded periodic embedding of the box.
 
@@ -68,7 +68,6 @@ class FracOperator:
     diag: np.ndarray          # per non-FAR node: the diagonal entry
     tail: np.ndarray          # per non-FAR node: c * integral over {u == 0}
     cns: float
-    method: str = "quadrature"
 
     @property
     def nonfar(self) -> np.ndarray:
@@ -173,10 +172,6 @@ def _unit_cell_integral_2d(s: float, corner: bool) -> float:
                             [(0.5, 1.5), other])
 
 
-def _tail_outside_box_1d(x: np.ndarray, R: float, s: float) -> np.ndarray:
-    return ((R - x) ** (-2 * s) + (R + x) ** (-2 * s)) / (2.0 * s)
-
-
 def _tail_outside_box_2d(pts: np.ndarray, R: float, s: float) -> np.ndarray:
     """Integral of |x-y|^(-2-2s) over the complement of the box, per point.
 
@@ -231,13 +226,12 @@ def assemble_quadrature(grid: Grid, s: float) -> FracOperator:
     # far-field tail: box complement plus FAR cells (u vanishes on both)
     x_nf = grid.coords[nf]
     if n == 1:
-        tail_int = _tail_outside_box_1d(x_nf[:, 0], grid.R, s)
-        far = grid.far
-        if len(far):
-            dc = np.abs(x_nf[:, 0:1] - grid.coords[far, 0][None, :])
-            a = dc - h / 2.0
-            b = dc + h / 2.0
-            tail_int += np.sum((a ** (-2 * s) - b ** (-2 * s)) / (2.0 * s), axis=1)
+        # the exact FAR-cell integrals telescope with the box complement's:
+        # together they are the integral outside [lo, hi], the span of the
+        # non-FAR cells, which in 1D (an interval support) are one run
+        x = x_nf[:, 0]
+        lo, hi = x[0] - h / 2.0, x[-1] + h / 2.0
+        tail_int = ((x - lo) ** (-2 * s) + (hi - x) ** (-2 * s)) / (2.0 * s)
     else:
         far_mask = (grid.region == Region.EXTERIOR_FAR).astype(np.float64)
         far_sum = offset_convolve(K, far_mask.reshape(K.shape)).ravel()
@@ -303,7 +297,7 @@ def export_operator(op: FracOperator, path: str, fmt: str = "npz") -> None:
     A = op.matrix
     if fmt == "npz":
         np.savez_compressed(path, matrix=A, tail=op.tail, s=op.s,
-                            cns=op.cns, nonfar=op.nonfar, method=op.method)
+                            cns=op.cns, nonfar=op.nonfar)
         return
     header = f"# fractional operator, s={op.s!r}, cns={op.cns!r}, n={A.shape[0]}"
     np.savetxt(path, A, delimiter=",", header=header, fmt="%.17g")

@@ -8,7 +8,8 @@ The ridge solution comes from the SVD of the control-to-interior matrix, and
 the optimum satisfies adjoint(achieved - target) = -alpha * control with the
 solve-based adjoint of that map.  One window solve and one SVD serve every
 target column and every alpha: each control is a set of filter factors on
-that SVD.
+that SVD.  ``ridge_controls`` takes the solved matrix, so a caller that
+already holds it (the inverse solver) solves no window again.
 """
 
 from __future__ import annotations
@@ -73,18 +74,13 @@ def adjoint_apply(sys: DirichletSystem, v: np.ndarray, window) -> np.ndarray:
     return -matmul(sys.op.block(nodes, grid.interior), phi.values[grid.interior])
 
 
-def _window_svd(sys: DirichletSystem, window):
-    """Control-to-interior matrix of a window and its thin SVD."""
-    nodes, _ = sys.grid.exterior_window(window)
-    if len(nodes) == 0:
+def ridge_controls(K: np.ndarray, p: ControlProblem, factors=None) -> RungeResult:
+    """Ridge controls for every target column of ``p`` from K, the
+    control-to-interior matrix of its window: filter factors on K's thin SVD
+    (taken here unless ``factors`` passes it in)."""
+    if K.shape[1] == 0:
         raise ValueError("window captured zero nodes")
-    K = control_to_interior_matrix(sys, nodes)
-    return K, svd(K, full_matrices=False)
-
-
-def _ridge_controls(K: np.ndarray, factors, p: ControlProblem) -> RungeResult:
-    """Ridge controls for every target column: filter factors on K's SVD."""
-    U, sig, Vt = factors
+    U, sig, Vt = svd(K, full_matrices=False) if factors is None else factors
     cond = (sig[0] ** 2 + p.alpha) / (sig[-1] ** 2 + p.alpha)
     if cond > COND_WARN:
         warnings.warn(
@@ -111,15 +107,16 @@ def runge_approximate(p: ControlProblem) -> RungeResult:
     """Minimize the weighted misfit plus ridge penalty over window controls,
     through the SVD of the control-to-interior matrix (one per window, shared
     by the columns of a target matrix)."""
-    return _ridge_controls(*_window_svd(p.sys, p.window), p)
+    return ridge_controls(control_to_interior_matrix(p.sys, p.window), p)
 
 
 def alpha_sweep(sys: DirichletSystem, window, target, alphas=DEFAULT_ALPHAS) -> list:
     """Regularization path (the discrete L-curve data), one window solve and
     SVD for every alpha."""
     problems = [ControlProblem(sys, window, target, alpha=float(a)) for a in alphas]
-    K, factors = _window_svd(sys, window)
-    return [_ridge_controls(K, factors, p) for p in problems]
+    K = control_to_interior_matrix(sys, window)
+    factors = svd(K, full_matrices=False)
+    return [ridge_controls(K, p, factors) for p in problems]
 
 
 def sweep_to_csv(results: list, path: str) -> None:

