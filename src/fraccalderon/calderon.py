@@ -60,38 +60,54 @@ def simulate_measurements(sys_true: DirichletSystem, sys_ref: DirichletSystem,
                           data=data, sigma=float(sigma))
 
 
-def _second_difference(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (n - 2) x n second difference L as its stencil: row i of L holds
-    ``weights[i]`` at columns ``cols[i]``, (L x)_i = x_i - 2 x_{i+1} + x_{i+2}."""
-    cols = np.arange(max(n - 2, 0))[:, None] + np.arange(3)
-    return cols, np.broadcast_to(np.array([1.0, -2.0, 1.0]), cols.shape)
+def _interior_laplacian(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The graph Laplacian L of the interior lattice (nearest neighbours, in
+    interior order) as its stencil: row i of L holds ``weights[i]`` at
+    columns ``cols[i]``.  Column 0 is i itself, weighted by its number of
+    interior neighbours; then one column per step +-e_k, weighted -1 at an
+    interior neighbour and 0 (at column i) where there is none."""
+    inner = grid.interior
+    pos = np.full(grid.n_nodes, -1, dtype=np.int64)
+    pos[inner] = np.arange(len(inner))
+    steps = np.concatenate([np.eye(grid.dim, dtype=np.int64),
+                            -np.eye(grid.dim, dtype=np.int64)])
+    nb = grid.idx[inner][:, None, :] + steps                 # (n, 2 dim, dim)
+    on_lattice = np.all((nb >= 0) & (nb < grid.shape[0]), axis=2)
+    # a node's number is its lattice point's flat index
+    flat = np.ravel_multi_index(tuple(np.moveaxis(nb, 2, 0)), grid.shape, mode="clip")
+    linked = on_lattice & (pos[flat] >= 0)
+    own = np.arange(len(inner))[:, None]
+    cols = np.concatenate([own, np.where(linked, pos[flat], own)], axis=1)
+    link = linked.astype(float)
+    return cols, np.concatenate([link.sum(axis=1, keepdims=True), -link], axis=1)
 
 
-# relative ridge added to the curvature penalty: the second difference leaves
-# affine drifts unpenalized, and ridge = RIDGE * ||LtL||_F closes that null
+# relative ridge added to the Laplacian penalty: the graph Laplacian leaves
+# the constants unpenalized, and ridge = RIDGE * ||LtL||_F closes that null
 # space without biasing amplitudes
 RIDGE = 1e-6
-# With beta = rel * ||BtB||_F / ||LtL + ridge * I||_F the penalized normal
-# matrix BtB + beta * (LtL + ridge * I) has condition number at most
-# (1 + 1/rel) * ||LtL + ridge * I||_F / ridge, about (1 + 1/rel) / RIDGE.
+# With beta = rel * ||BtB||_F / ||P||_F, P = LtL + ridge * I, the penalized
+# normal matrix BtB + beta * P has condition number at most
+# (1 + 1/rel) * ||P||_F / ridge <= (1 + 1/rel) * (1 + RIDGE * sqrt(n)) / RIDGE
+# for any L, about (1 + 1/rel) / RIDGE: it depends on RIDGE alone.
 # BETA_FLOOR is the smallest rel keeping that bound within runge.COND_WARN.
 BETA_FLOOR = 1.0 / (RIDGE * COND_WARN - 1.0)
 
 
-def _penalty(L: tuple[np.ndarray, np.ndarray], n: int,
-             basis: np.ndarray = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Curvature penalty P = LtL + ridge * I in coordinate form.
+def _penalty(grid: Grid, basis: np.ndarray = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Laplacian penalty P = LtL + ridge * I in coordinate form.
 
-    ``L`` is the stencil of ``_second_difference`` on n unknowns.  Returns
+    L is ``_interior_laplacian(grid)`` on the n interior unknowns.  Returns
     ``(rows, cols, vals)`` with P[rows, cols] = vals, each position once and
     every other entry zero.  Without a basis, LtL[j, k] sums the products
-    L[i, j] L[i, k] of the entries in each row i: a band of < 5 n positions
-    whose entries are small integers, so they are exact in any summation
-    order.  In an unknown basis Phi the operator is L Phi and P is the
-    dense k x k matrix (L Phi)^T (L Phi) + ridge * I.  The ridge is
+    L[i, j] L[i, k] of the entries in each row i: at most (2 dim + 1)^2 n
+    positions whose entries are small integers, so they are exact in any
+    summation order.  In an unknown basis Phi the operator is L Phi and P
+    is the dense k x k matrix (L Phi)^T (L Phi) + ridge * I.  The ridge is
     RIDGE * ||LtL||_F, added to the diagonal.
     """
-    cols, weights = L
+    cols, weights = _interior_laplacian(grid)
+    n = len(cols)
     if basis is None:
         pairs = (cols[:, :, None] * n + cols[:, None, :]).ravel()
         products = (weights[:, :, None] * weights[:, None, :]).ravel()
@@ -102,7 +118,7 @@ def _penalty(L: tuple[np.ndarray, np.ndarray], n: int,
         LtL = matmul(LPhi.T, LPhi)
         rows, cols = np.indices(LtL.shape).reshape(2, -1)
         vals = LtL.ravel()
-    # a sum of squares, not dnrm2: exact on the integer band
+    # a sum of squares, not dnrm2: exact on the integer entries
     ridge = RIDGE * np.sqrt(np.sum(vals * vals))
     return rows, cols, vals + ridge * (rows == cols)
 
@@ -270,7 +286,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
             spec = dirichlet_spectrum(sys_ref)
             targets = spec.eigenvectors[:, :min(n_targets, n_int)] / np.sqrt(hn)
         basis = np.asarray(targets, dtype=float).reshape(n_int, -1)
-    penalty = _penalty(_second_difference(n_int), n_int, basis)
+    penalty = _penalty(grid, basis)
     diagnostics = {"iterations": [], "mode": mode}
 
     # once the residual data sits at the noise floor, further sweeps only fit noise

@@ -29,8 +29,7 @@ from .extension import (cs_extend, export_field_csv, frequency_energy_fraction,
                         trace_derivative, trace_ladder, ucp_conditioning)
 from .fracop import apply_spectral, assemble_quadrature, export_operator
 from .grid import GridFunction, build_grid
-from .diffusion import (decay_series, dn_cost_check, evolve, heat_kernel_free,
-                        series_to_csv)
+from .diffusion import decay_series, dn_cost_check, evolve, series_to_csv
 from .calderon import (reconstruct_potential, reconstruction_error,
                        simulate_measurements)
 from .runge import DEFAULT_ALPHAS, alpha_sweep, sweep_to_csv
@@ -56,12 +55,15 @@ def _tagged(families: dict) -> dict:
 
 _NUMBER = {"type": "number"}
 
+_PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
+
+# the number of axes of a disc center or rect is checked against grid.dim by
+# grid.build_grid
 _GEOMETRY_SCHEMA = _tagged({
-    "interval": ({"bounds": {"type": "array", "items": _NUMBER,
-                             "minItems": 2, "maxItems": 2}}, ["bounds"]),
+    "interval": ({"bounds": _PAIR}, ["bounds"]),
     "disc": ({"center": {"type": "array", "items": _NUMBER}, "radius": _NUMBER},
              ["center", "radius"]),
-    "rect": ({"bounds": {"type": "array"}}, ["bounds"]),
+    "rect": ({"bounds": {"type": "array", "items": _PAIR}}, ["bounds"]),
 })
 
 _BUMP = {"amplitude": _NUMBER, "width": _NUMBER,
@@ -124,9 +126,7 @@ CONFIG_SCHEMA = {
                    "properties": {"ucp_window": {"type": "string"},
                                   "levels": {"type": "array"}}},
         "diffuse": {"type": "object", "additionalProperties": False,
-                    "properties": {"t_values": {"type": "array"},
-                                   "heat_t": {"type": "number"},
-                                   "pad_factor": {"type": "integer"}}},
+                    "properties": {"t_values": {"type": "array"}}},
         "operator_export": {"enum": ["none", "csv", "npz"]},
         "pad_factor": {"type": "integer", "minimum": 4},
         "tolerances": {"type": "object"},
@@ -144,7 +144,7 @@ TOLERANCE_KEYS = {
     "runge-sweep": ("runge_residual",),
     "invert": ("reconstruction_error",),
     "extend": ("trace_identity",),
-    "diffuse": ("semigroup", "richardson_band", "heat_mass"),
+    "diffuse": ("semigroup", "richardson_band"),
 }
 
 
@@ -417,17 +417,7 @@ def _pipeline_diffuse(cfg, out_dir, report):
     report.add("cost_richardson_ratio", abs(ratio - 2.0),
                tol.get("richardson_band", 0.3))
 
-    files = ["decay.csv"]
-    if grid.dim == 1 and "heat_t" in dcfg:
-        k = heat_kernel_free(grid, cfg["s"], dcfg["heat_t"],
-                             pad_factor=dcfg.get("pad_factor", 64))
-        _write_csv(out_dir / "heat_kernel.csv", "x,p",
-                   list(zip(grid.coords[:, 0], k.values)))
-        files.append("heat_kernel.csv")
-        mass = float(grid.h * np.sum(k.values))
-        report.add("heat_kernel_mass", abs(mass - 1.0),
-                   tol.get("heat_mass", 1e-3))
-    return files
+    return ["decay.csv"]
 
 
 _RUNNERS = {

@@ -62,8 +62,7 @@ def heat_kernel_free(grid: Grid, s: float, t: float, pad_factor: int = 64) -> Gr
         raise DomainError(f"s must lie in (0, 1), got {s}")
     if t <= 0:
         raise DomainError("t must be positive")
-    n_cells = int(round(2.0 * grid.R / grid.h))
-    M = int(pad_factor) * n_cells
+    M = int(pad_factor) * grid.shape[0]
     xi = 2.0 * np.pi * np.fft.fftfreq(M, d=grid.h)
     # cell centers sit at half-integer lattice offsets; evaluate the inverse
     # transform at (m + 1/2) h via a half-sample phase shift

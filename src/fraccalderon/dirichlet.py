@@ -155,11 +155,12 @@ def assemble_system(op: FracOperator, potential: Potential) -> DirichletSystem:
     if potential.grid is not op.grid:
         raise DomainError("potential and operator live on different grids")
     A = _interior_matrix(op, potential)
-    anorm = float(np.linalg.norm(A, 1))
-    # the operator is exactly symmetric, so A.T is A in Fortran order and
-    # getrf overwrites it without a copy.  LAPACK getrf as in
-    # linalg.lu_factor, minus its LinAlgWarning on an exactly zero pivot:
-    # that pivot reads rcond = 0, and the gate reports it
+    # the operator is exactly symmetric, so A.T is A in Fortran order: dlange
+    # reads ||A||_1 without an |A| temporary, and getrf overwrites it without
+    # a copy.  LAPACK getrf as in linalg.lu_factor, minus its LinAlgWarning
+    # on an exactly zero pivot: that pivot reads rcond = 0, and the gate
+    # reports it
+    anorm = float(lapack.dlange("1", A.T))
     lu, piv, _ = lapack.dgetrf(A.T, overwrite_a=True)
     rcond = float(lapack.dgecon(lu, anorm, norm="1")[0])
     return DirichletSystem(op=op, potential=potential, factors=(lu, piv),

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Every exception carries a short machine-readable ``code`` that the CLI maps
-to exit codes and gate reports.
+to exit codes and gate reports.  Grid and window faults are faults of the
+config that describes the grid, so their types derive from ``ConfigError``.
 """
 
 
@@ -9,19 +10,23 @@ class FracCalderonError(Exception):
     code = "ERROR"
 
 
-class GeometryError(FracCalderonError):
+class ConfigError(FracCalderonError):
+    code = "CONFIG_INVALID"
+
+
+class GeometryError(ConfigError):
     """Region containment requirements violated."""
 
     code = "GEOMETRY"
 
 
-class EmptyRegionError(FracCalderonError):
+class EmptyRegionError(ConfigError):
     """A region or window captured zero lattice nodes."""
 
     code = "EMPTY_REGION"
 
 
-class UnknownRegionError(FracCalderonError):
+class UnknownRegionError(ConfigError):
     code = "UNKNOWN_REGION"
 
 
@@ -66,10 +71,6 @@ class RungeFailError(FracCalderonError):
     """A Runge control residual exceeded the configured gate."""
 
     code = "RUNGE_FAIL"
-
-
-class ConfigError(FracCalderonError):
-    code = "CONFIG_INVALID"
 
 
 class IllConditionedWarning(UserWarning):

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from ._kernels import gather_offsets
 from .errors import DomainError, LadderError
-from .fracop import FracOperator, extension_trace_constant
+from .fracop import FracOperator, extension_trace_constant, squared_frequencies
 from .grid import Grid, GridFunction
 
 
@@ -43,12 +44,14 @@ def kernel_cdf(t: np.ndarray, y: float, s: float) -> np.ndarray:
 def poisson_kernel_weights(grid: Grid, s: float, y: float) -> tuple[np.ndarray, np.ndarray]:
     """Cell-integral kernel weights K[i, j] (target i, source cell j) and the
     per-source mass escaping the box; in-box column sums plus the escape add
-    to one identically."""
+    to one identically.  The kernel is even, so K[i, j] depends only on the
+    lattice offset |i - j| and is evaluated once per offset."""
     if grid.dim != 1:
         raise DomainError("extension requires a 1D base grid")
+    d = np.arange(grid.shape[0]) * grid.h
+    table = kernel_cdf(d + grid.h / 2.0, y, s) - kernel_cdf(d - grid.h / 2.0, y, s)
+    K = gather_offsets(table, grid.idx, grid.idx)
     x = grid.coords[:, 0]
-    d = x[:, None] - x[None, :]
-    K = kernel_cdf(d + grid.h / 2.0, y, s) - kernel_cdf(d - grid.h / 2.0, y, s)
     lo = -grid.R - x
     hi = grid.R - x
     escape = 1.0 - (kernel_cdf(hi, y, s) - kernel_cdf(lo, y, s))
@@ -124,14 +127,8 @@ def frequency_energy_fraction(grid: Grid, values_nonfar: np.ndarray, cutoff: flo
     on the non-FAR nodes (embedded by zero into the box lattice)."""
     full = np.zeros(grid.n_nodes)
     full[grid.nonfar] = values_nonfar
-    n_cells = int(round(2.0 * grid.R / grid.h))
-    if grid.dim == 1:
-        spec = np.fft.fft(full)
-        xi = np.abs(2.0 * np.pi * np.fft.fftfreq(n_cells, d=grid.h))
-    else:
-        spec = np.fft.fft2(full.reshape(n_cells, n_cells)).ravel()
-        f1 = 2.0 * np.pi * np.fft.fftfreq(n_cells, d=grid.h)
-        xi = np.sqrt(f1[:, None] ** 2 + f1[None, :] ** 2).ravel()
+    spec = np.fft.fftn(full.reshape(grid.shape)).ravel()
+    xi = np.sqrt(squared_frequencies(grid.shape, grid.h)).ravel()
     power = np.abs(spec) ** 2
     total = power.sum()
     if total == 0:

@@ -196,11 +196,10 @@ def _cell_weights(grid: Grid, s: float) -> np.ndarray:
     """Integral of |z|^(-dim-2s) over the cell at lattice offset d >= 0, per d.
 
     Midpoint rule beyond Chebyshev distance 1, exact cell integrals at
-    distance 1, zero for the own cell; shape (n_cells,) * dim.
+    distance 1, zero for the own cell; shape ``grid.shape``.
     """
     n, h = grid.dim, grid.h
-    n_cells = int(round(2.0 * grid.R / h))
-    K = offset_table((n_cells,) * n, h, n + 2.0 * s) * h**n
+    K = offset_table(grid.shape, h, n + 2.0 * s) * h**n
     if n == 1:
         K[1] = _adjacent_weight_1d(h, s)
     else:
@@ -272,20 +271,17 @@ def apply_spectral(u: GridFunction, s: float, pad_factor: int = 8) -> GridFuncti
         raise DomainError("pad_factor must be >= 4")
     u.check_far_zero()
     g = u.grid
-    n_cells = int(round(2.0 * g.R / g.h))
-    M = int(pad_factor) * n_cells
-    if g.dim == 1:
-        buf = np.zeros(M)
-        buf[:n_cells] = u.values
-        xi = 2.0 * np.pi * np.fft.fftfreq(M, d=g.h)
-        out = np.fft.ifft(np.abs(xi) ** (2 * s) * np.fft.fft(buf)).real[:n_cells]
-        return GridFunction(g, out)
-    buf = np.zeros((M, M))
-    buf[:n_cells, :n_cells] = u.values.reshape(n_cells, n_cells)
-    xi = 2.0 * np.pi * np.fft.fftfreq(M, d=g.h)
-    mult = (xi[:, None] ** 2 + xi[None, :] ** 2) ** s
-    out = np.fft.ifft2(mult * np.fft.fft2(buf)).real[:n_cells, :n_cells]
-    return GridFunction(g, out.ravel())
+    padded = tuple(int(pad_factor) * n for n in g.shape)
+    # fftn zero-pads each axis to its padded length
+    spec = np.fft.fftn(u.values.reshape(g.shape), padded, range(g.dim))
+    out = np.fft.ifftn(squared_frequencies(padded, g.h) ** s * spec).real
+    return GridFunction(g, out[tuple(slice(0, n) for n in g.shape)].ravel())
+
+
+def squared_frequencies(shape: tuple, h: float) -> np.ndarray:
+    """|xi|^2 on the DFT lattice of spacing-h samples of the given shape: the
+    squared angular frequencies of the axes, summed."""
+    return sum(np.ix_(*[(2.0 * np.pi * np.fft.fftfreq(m, d=h)) ** 2 for m in shape]))
 
 
 def export_operator(op: FracOperator, path: str, fmt: str = "npz") -> None:

@@ -6,8 +6,10 @@ omega), EXTERIOR_SUPPORT (inside the support box omega1 but outside omega)
 and EXTERIOR_FAR (the rest of the box).  Grid functions model compactly
 supported functions: they vanish identically on EXTERIOR_FAR nodes.
 
-Membership is decided by the cell center; interval and rectangle specs are
-half-open per axis ([a, b)) so boundary ties resolve deterministically.
+Every geometry is read in the grid's dimension: an interval is the one-axis
+box, a rect a box with one [lo, hi] pair per axis, a disc a ball.
+Membership is decided by the cell center; boxes are half-open per axis
+([a, b)) so boundary ties resolve deterministically.
 """
 
 from __future__ import annotations
@@ -27,48 +29,41 @@ class Region(IntEnum):
     EXTERIOR_FAR = 2
 
 
-def _contains_point(spec: dict, pts: np.ndarray) -> np.ndarray:
-    """Vectorized membership of points (n, dim) in a geometry spec."""
+def _shape(spec: dict, dim: int) -> tuple:
+    """A geometry spec as ("box", lo, hi) or ("ball", center, radius): an
+    interval is the one-axis box, a rect's bounds are one [lo, hi] pair per
+    axis, a disc is a ball.  A spec whose number of axes is not dim raises
+    ``GeometryError``."""
     kind = spec["type"]
-    if kind == "interval":
-        a, b = spec["bounds"]
-        x = pts[:, 0]
-        return (x >= a) & (x < b)
-    if kind == "rect":
-        (ax, bx), (ay, by) = spec["bounds"]
-        return (pts[:, 0] >= ax) & (pts[:, 0] < bx) & (pts[:, 1] >= ay) & (pts[:, 1] < by)
     if kind == "disc":
-        c = np.asarray(spec["center"], dtype=float)
-        r = spec["radius"]
-        return np.sum((pts - c) ** 2, axis=1) < r * r
-    raise GeometryError(f"unknown geometry type {kind!r}")
+        shape = ("ball", np.asarray(spec["center"], dtype=float), float(spec["radius"]))
+    elif kind in ("interval", "rect"):
+        bounds = np.asarray(spec["bounds"], dtype=float).reshape(-1, 2)
+        shape = ("box", bounds[:, 0], bounds[:, 1])
+    else:
+        raise GeometryError(f"unknown geometry type {kind!r}")
+    if shape[1].shape != (dim,):
+        raise GeometryError(f"{kind} {spec} has {shape[1].size} axes, the grid has {dim}")
+    return shape
 
 
-def _bounding_box(spec: dict) -> tuple[np.ndarray, np.ndarray]:
-    kind = spec["type"]
-    if kind == "interval":
-        a, b = spec["bounds"]
-        return np.array([a]), np.array([b])
-    if kind == "rect":
-        bounds = np.asarray(spec["bounds"], dtype=float)
-        return bounds[:, 0], bounds[:, 1]
-    if kind == "disc":
-        c = np.asarray(spec["center"], dtype=float)
-        r = spec["radius"]
-        return c - r, c + r
-    raise GeometryError(f"unknown geometry type {kind!r}")
+def _contains_point(shape: tuple, pts: np.ndarray) -> np.ndarray:
+    """Vectorized membership of points (n, dim) in a box or ball."""
+    kind, a, b = shape
+    if kind == "box":
+        return np.all((pts >= a) & (pts < b), axis=1)
+    return np.sum((pts - a) ** 2, axis=1) < b * b
 
 
-def _strictly_inside(inner: dict, outer: dict) -> bool:
+def _strictly_inside(inner: tuple, outer: tuple) -> bool:
     """Conservative check that inner's bounding box sits strictly inside outer."""
-    lo_i, hi_i = _bounding_box(inner)
-    if outer["type"] == "disc":
-        c = np.asarray(outer["center"], dtype=float)
-        r = outer["radius"]
-        corners = np.stack(np.meshgrid(*zip(lo_i, hi_i), indexing="ij"), axis=-1).reshape(-1, len(lo_i))
-        return bool(np.all(np.linalg.norm(corners - c, axis=1) < r))
-    lo_o, hi_o = _bounding_box(outer)
-    return bool(np.all(lo_i > lo_o) and np.all(hi_i < hi_o))
+    kind, a, b = inner
+    lo, hi = (a, b) if kind == "box" else (a - b, a + b)
+    kind, a, b = outer
+    if kind == "box":
+        return bool(np.all(lo > a) and np.all(hi < b))
+    corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1).reshape(-1, len(lo))
+    return bool(np.all(np.linalg.norm(corners - a, axis=1) < b))
 
 
 @dataclass
@@ -80,6 +75,11 @@ class Grid:
     idx: np.ndarray             # (N, dim) integer lattice indices
     region: np.ndarray          # (N,) Region codes
     windows: dict = field(default_factory=dict)   # name -> node positions
+
+    @property
+    def shape(self) -> tuple:
+        """The lattice, (n_cells,) * dim; node k sits at its flat index k."""
+        return (int(round(2.0 * self.R / self.h)),) * self.dim
 
     @property
     def n_nodes(self) -> int:
@@ -157,29 +157,22 @@ def build_grid(dim, h, R, omega_spec, support_spec, window_specs=None) -> Grid:
     if h <= 0 or R <= 0:
         raise GeometryError("h and R must be positive")
 
-    box = {"type": "interval", "bounds": [-R, R]} if dim == 1 else \
-          {"type": "rect", "bounds": [[-R, R], [-R, R]]}
-    if not _strictly_inside(omega_spec, support_spec):
+    omega, support = _shape(omega_spec, dim), _shape(support_spec, dim)
+    if not _strictly_inside(omega, support):
         raise GeometryError("omega must lie strictly inside the support region")
-    if not _strictly_inside(support_spec, box):
+    if not _strictly_inside(support, _shape({"type": "rect", "bounds": [[-R, R]] * dim}, dim)):
         raise GeometryError("support region must lie strictly inside the box")
 
     n_cells = int(round(2.0 * R / h))
     if abs(n_cells * h - 2.0 * R) > 1e-9 * R:
         raise GeometryError(f"cell width {h} does not tile the box [-{R}, {R}]")
-    axis = -R + (np.arange(n_cells) + 0.5) * h
-    if dim == 1:
-        coords = axis[:, None]
-        idx = np.arange(n_cells, dtype=np.int64)[:, None]
-    else:
-        ix, iy = np.meshgrid(np.arange(n_cells), np.arange(n_cells), indexing="ij")
-        idx = np.stack([ix.ravel(), iy.ravel()], axis=1).astype(np.int64)
-        coords = np.stack([axis[idx[:, 0]], axis[idx[:, 1]]], axis=1)
+    idx = np.indices((n_cells,) * dim, dtype=np.int64).reshape(dim, -1).T
+    coords = -R + (idx + 0.5) * h
 
     region = np.full(coords.shape[0], Region.EXTERIOR_FAR, dtype=np.int8)
-    in_support = _contains_point(support_spec, coords)
+    in_support = _contains_point(support, coords)
     region[in_support] = Region.EXTERIOR_SUPPORT
-    in_omega = _contains_point(omega_spec, coords)
+    in_omega = _contains_point(omega, coords)
     region[in_omega] = Region.INTERIOR
     if np.any(in_omega & ~in_support):
         raise GeometryError("omega nodes found outside the support region")
@@ -192,7 +185,7 @@ def build_grid(dim, h, R, omega_spec, support_spec, window_specs=None) -> Grid:
 
     windows = {}
     for name, spec in (window_specs or {}).items():
-        inside = np.flatnonzero(_contains_point(spec, coords))
+        inside = np.flatnonzero(_contains_point(_shape(spec, dim), coords))
         if len(inside) == 0:
             raise EmptyRegionError(f"window {name!r} captured zero nodes")
         if np.any(region[inside] != Region.EXTERIOR_SUPPORT):

@@ -404,17 +404,18 @@ def test_identity_consistency_of_pipeline(desk_setup):
     assert m_meas == pytest.approx(m_direct, rel=1e-9)
 
 
-def _dense_second_difference(n):
-    """The second difference as the dense matrix it was before the stencil."""
-    L = np.zeros((max(n - 2, 0), n))
-    for i in range(n - 2):
-        L[i, i:i + 3] = (1.0, -2.0, 1.0)
-    return L
+def _dense_laplacian(grid):
+    """The interior lattice's graph Laplacian as a dense matrix, from the
+    pairwise lattice distances: interior nodes at |idx_i - idx_j|_1 = 1 are
+    neighbours."""
+    idx = grid.idx[grid.interior]
+    adjacent = (np.abs(idx[:, None, :] - idx[None, :, :]).sum(axis=2) == 1).astype(float)
+    return np.diag(adjacent.sum(axis=1)) - adjacent
 
 
-def _dense_penalty(stencil, n, basis=None):
+def _dense_penalty(grid, basis=None):
     """Reference penalty LtL + RIDGE * ||LtL||_F * I from the dense L."""
-    L = _dense_second_difference(n)
+    L = _dense_laplacian(grid)
     if basis is not None:
         L = L @ basis
     LtL = L.T @ L
@@ -449,28 +450,36 @@ def _use_numpy_reference(monkeypatch):
     monkeypatch.setattr(calderon, "_solve_regularized", _lu_solve_regularized)
 
 
-@pytest.mark.parametrize("n,k", [(3, None), (4, None), (40, None), (40, 4)])
+def _disc_grid(h):
+    """The 2D disc of ``setup_2d`` at spacing h."""
+    def disc(x, y, r):
+        return {"type": "disc", "center": [x, y], "radius": r}
+    return build_grid(2, h, 3.0, disc(0, 0, 1.0), disc(0, 0, 2.0),
+                      {"W1": disc(1.5, 0, 0.35), "W2": disc(-1.5, 0, 0.35)})
+
+
+@pytest.mark.parametrize("n,k", [(3, None), (4, None), (40, None), (40, 4),
+                                 ("disc", None), ("disc", 4)])
 def test_penalty_equals_dense_formula(n, k):
     # the coordinate-form penalty, densified, is the dense formula bit for
-    # bit; k columns are a constructive-mode basis, here of small integers
-    # so that L Phi is exact in any summation order
+    # bit, on a 1D grid with n interior nodes and on the 2D disc at h = 0.2
+    # (80 interior nodes); k columns are a constructive-mode basis, here of
+    # small integers so that L Phi is exact in any summation order
+    grid = _disc_grid(0.2) if n == "disc" else make_grid_1d(2.0 / n, windows={})
+    size = len(grid.interior)
     basis = None if k is None else (
-        np.random.default_rng(n).integers(-3, 4, (n, k)).astype(float))
-    rows, cols, vals = calderon._penalty(calderon._second_difference(n), n, basis)
+        np.random.default_rng(size).integers(-3, 4, (size, k)).astype(float))
+    rows, cols, vals = calderon._penalty(grid, basis)
     assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
-    size = n if k is None else k
-    P = np.zeros((size, size))
+    P = np.zeros((size, size) if k is None else (k, k))
     P[rows, cols] = vals
-    assert np.array_equal(P, _dense_penalty(None, n, basis))
+    assert np.array_equal(P, _dense_penalty(grid, basis))
 
 
 @pytest.fixture(scope="module")
 def disc_h02():
     """The 2D disc of ``setup_2d`` at h = 0.2."""
-    def disc(x, y, r):
-        return {"type": "disc", "center": [x, y], "radius": r}
-    grid = build_grid(2, 0.2, 3.0, disc(0, 0, 1.0), disc(0, 0, 2.0),
-                      {"W1": disc(1.5, 0, 0.35), "W2": disc(-1.5, 0, 0.35)})
+    grid = _disc_grid(0.2)
     op = assemble_quadrature(grid, 0.5)
     q_true = potential_from_spec(
         grid, {"type": "gaussian", "amplitude": 0.5, "center": [0.0, 0.0], "width": 0.5})
@@ -506,14 +515,14 @@ def test_estimate_matches_numpy_reference(case, sigma, kwargs, tol, request, mon
 
 def test_reconstruction_peak_n_int_squared_arrays(setup_2d):
     # peak traced memory of a 2-sweep linearized 2D reconstruction (n_int =
-    # 316), in n_int x n_int float arrays.  Measured 4.82, reached inside the
+    # 316), in n_int x n_int float arrays.  Measured 4.88, reached inside the
     # gather of a sweep-2 trial system's matrix: the current system's LU
     # (1.0), the window solutions and residual data (0.3), the gathered
-    # matrix (1.0) and the gather's integer offset temporaries (2.5 at this
-    # size, capped at 16 MB each).  The |A| temporary of the 1-norm comes
-    # after those are freed, and the normal matrix and the penalized-solve
-    # buffer before; with the dense penalty and a copying solve the peak
-    # was 7.79.
+    # matrix (1.0), the gather's integer offset temporaries (2.5 at this
+    # size, capped at 16 MB each) and the penalty's coordinate arrays (0.1,
+    # growing like n_int).  The normal matrix and the penalized-solve
+    # buffer are freed before; with the dense penalty and a copying solve
+    # the peak was 7.79.
     grid, sys_ref, sys_true, _ = setup_2d
     meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
     n2_bytes = 8 * len(grid.interior) ** 2

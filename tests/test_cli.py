@@ -96,7 +96,7 @@ def test_main_set_override_changes_hash(tmp_path):
 def test_main_invalid_config_exit_2(tmp_path, capsys):
     # an out-of-range s; potential specs with a misspelt key, a missing key
     # or a node list of the wrong length; a disc key on an interval geometry;
-    # --set through a non-object.  Where given, the message names the key.
+    # --set through a non-object.  Where given, the message names the fault.
     cases = [
         (lambda cfg: cfg.update(s=2.0), [], None),
         (lambda cfg: cfg["potential_true"].update(centre=cfg["potential_true"].pop("center")),
@@ -107,6 +107,15 @@ def test_main_invalid_config_exit_2(tmp_path, capsys):
         (lambda cfg: cfg["grid"]["omega"].update(radius=1.0), [], "('radius' was unexpected)"),
         (lambda cfg: None, ["--set", "potential_true.centre=0.1"], "('centre' was unexpected)"),
         (lambda cfg: None, ["--set", "s.x=1"], "'s' is not an object"),
+        # grid and window faults: a 2-D disc center and a 2-axis rect on the
+        # 1D grid, a window that captures no node, a misspelt window name
+        (lambda cfg: cfg["grid"]["windows"].update(
+            W1={"type": "disc", "center": [1.5, 0.0], "radius": 0.3}), [], "has 2 axes"),
+        (lambda cfg: cfg["grid"].update(omega={"type": "rect", "bounds": [[-1, 1], [-1, 1]]}),
+         [], "has 2 axes"),
+        (lambda cfg: cfg["grid"]["windows"].update(
+            W1={"type": "interval", "bounds": [1.501, 1.502]}), [], "captured zero nodes"),
+        (lambda cfg: cfg.update(source_window="W9"), [], "unknown region or window 'W9'"),
     ]
     for k, (edit, sets, message) in enumerate(cases):
         cfg = small_invert_config()

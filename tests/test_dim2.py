@@ -43,4 +43,7 @@ def test_2d_reconstruction_smoke(setup_2d):
     out = reconstruct_potential(meas, sys_ref, iterations=1, mode="linearized",
                                 clean_beta=0.1)
     err = reconstruction_error(out["q_diff"], q_true.values, grid.h**2)
-    assert err <= 0.50
+    # measured 0.309 with the interior-lattice Laplacian penalty (0.374 with
+    # the 1D second difference over lexicographic order); the bound leaves
+    # a 7% margin
+    assert err <= 0.33

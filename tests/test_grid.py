@@ -103,3 +103,52 @@ def test_h_must_tile_box():
         build_grid(1, 0.03, 4.0,
                    {"type": "interval", "bounds": [-1, 1]},
                    {"type": "interval", "bounds": [-2, 2]})
+
+
+def _disc(center, r):
+    return {"type": "disc", "center": center, "radius": r}
+
+
+@pytest.mark.parametrize("dim,omega,support,windows", [
+    # a 2-D disc center, a 2-axis rect or window on the 1D grid
+    (1, _disc([0.0, 0.0], 1.0), {"type": "interval", "bounds": [-2, 2]}, {}),
+    (1, {"type": "rect", "bounds": [[-1, 1], [-1, 1]]},
+     {"type": "interval", "bounds": [-2, 2]}, {}),
+    (1, {"type": "interval", "bounds": [-1, 1]}, {"type": "interval", "bounds": [-2, 2]},
+     {"W1": _disc([1.5, 0.0], 0.3)}),
+    # an interval, a 1-D disc center or a 1-axis rect on the 2D grid
+    (2, {"type": "interval", "bounds": [-1, 1]}, _disc([0.0, 0.0], 2.0), {}),
+    (2, _disc([0.0], 1.0), _disc([0.0, 0.0], 2.0), {}),
+    (2, _disc([0.0, 0.0], 1.0), _disc([0.0, 0.0], 2.0),
+     {"W1": {"type": "rect", "bounds": [[1.2, 1.8]]}}),
+], ids=["1d-disc2", "1d-rect2", "1d-window-disc2", "2d-interval", "2d-disc1",
+        "2d-window-rect1"])
+def test_spec_axes_must_match_dim(dim, omega, support, windows):
+    with pytest.raises(GeometryError, match="axes|axis"):
+        build_grid(dim, 0.1, 3.0, omega, support, windows)
+
+
+def test_geometries_are_boxes_and_balls_in_any_dimension():
+    # an interval is the one-axis rect, a disc of one axis the interval of
+    # its diameter, and in 2D a rect is the product of its axis intervals
+    interval = make_grid_1d(0.05)
+    rect = build_grid(1, 0.05, 4.0,
+                      {"type": "rect", "bounds": [[-1.0, 1.0]]},
+                      {"type": "rect", "bounds": [[-2.0, 2.0]]},
+                      {"W1": {"type": "rect", "bounds": [[1.2, 1.8]]},
+                       "W2": {"type": "rect", "bounds": [[-1.8, -1.2]]}})
+    assert np.array_equal(rect.region, interval.region)
+    for name in ("W1", "W2"):
+        assert np.array_equal(rect.windows[name], interval.windows[name])
+    ball = build_grid(1, 0.05, 4.0, _disc([0.0], 0.6), _disc([0.0], 2.0))
+    box = build_grid(1, 0.05, 4.0, {"type": "interval", "bounds": [-0.6, 0.6]},
+                     {"type": "interval", "bounds": [-2.0, 2.0]})
+    assert np.array_equal(ball.interior, box.interior)
+    g = build_grid(2, 0.1, 3.0, {"type": "rect", "bounds": [[-1.0, 0.5], [-0.3, 0.8]]},
+                   _disc([0.0, 0.0], 2.0))
+    x, y = g.coords[:, 0], g.coords[:, 1]
+    want = (x >= -1.0) & (x < 0.5) & (y >= -0.3) & (y < 0.8)
+    assert np.array_equal(g.interior, np.flatnonzero(want))
+    # lexicographic lattice order: node k is the lattice point of flat index k
+    assert g.shape == (60, 60)
+    assert np.array_equal(g.idx, np.argwhere(np.ones(g.shape)))
