@@ -7,6 +7,13 @@ table, and ``offset_convolve`` sums a table against a lattice indicator by
 zero-padded FFT.  A gathered entry depends only on |idx_i - idx_j|, so the
 blocks are exactly symmetric and do not depend on evaluation order.
 
+Along a lattice line (row nodes stepping by one along the last axis) a
+block is Toeplitz, so ``gather_offsets`` copies each column of a line as
+one contiguous window of the table, made two-sided along that axis, from
+one integer base per column.  Its index work is O(lines * n_cols), not
+O(n_rows * n_cols), and it builds no n_rows x n_cols index array; its one
+large allocation is the output.
+
 One BLAS library on the solve path.  numpy and scipy each link their own
 OpenBLAS, and each keeps its own thread pool.  After a numpy product, solve
 or whole-array norm, numpy's workers spin for a while waiting for more
@@ -22,10 +29,16 @@ their source for these.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas
 
 __all__ = ["backend_name", "gather_offsets", "matmul", "norm", "offset_convolve",
            "offset_table"]
+
+
+# rows of a lattice run copied at once by ``gather_offsets``: bounds its
+# transposed window copy at 64 * n_cols doubles
+_RUN_ROWS = 64
 
 
 def backend_name() -> str:
@@ -87,24 +100,49 @@ def offset_table(shape, h: float, power: float) -> np.ndarray:
 
 def gather_offsets(tab: np.ndarray, idx_rows: np.ndarray, idx_cols: np.ndarray) -> np.ndarray:
     """Dense block M[i, j] = tab[|idx_rows_i - idx_cols_j|] for lattice
-    indices of shape (n_rows, dim) and (n_cols, dim)."""
-    # flat table positions fit in 32 bits for any table that fits in memory
-    itype = np.int32 if tab.size < 2**31 else np.int64
-    rows = np.asarray(idx_rows, dtype=itype)
-    cols = np.asarray(idx_cols, dtype=itype)
+    indices of shape (n_rows, dim) and (n_cols, dim).
+
+    The rows are split into runs: consecutive rows that share their leading
+    coordinates and step by one along the last axis.  Within a run, column
+    j reads consecutive entries of U, the table made two-sided along its
+    last axis (U[..., L - 1 + k] = tab[..., |k|] with L = tab.shape[-1]),
+    so the run is one window of U.ravel() per column, copied from one
+    sliding-window view at one integer base per column.  The index work is
+    O(runs * n_cols * dim), no n_rows x n_cols index array is made, and the
+    only large allocation is the output; a run is copied in pieces of at
+    most ``_RUN_ROWS`` rows, so the transposed copy stays small.
+    Lattice-ordered rows (every node set of a ``Grid``) make one run per
+    lattice line; rows in any other order or with repeats are gathered
+    exactly too, at one run per row, so O(n_rows * n_cols) index work.
+    Offsets beyond the table raise ``ValueError``.
+    """
+    rows = np.asarray(idx_rows, dtype=np.int64)
+    cols = np.asarray(idx_cols, dtype=np.int64)
     n, dim = rows.shape
     m = len(cols)
-    strides = [itype(np.prod(tab.shape[k + 1:])) for k in range(dim)]
-    flat = tab.ravel()
     out = np.empty((n, m))
-    # cap the integer offset temporaries at ~16 MB
-    block = max(1, (1 << 22) // max(m, 1))
-    for r0 in range(0, n, block):
-        r1 = min(n, r0 + block)
-        pos = np.abs(rows[r0:r1, None, 0] - cols[None, :, 0]) * strides[0]
-        for k in range(1, dim):
-            pos += np.abs(rows[r0:r1, None, k] - cols[None, :, k]) * strides[k]
-        np.take(flat, pos, out=out[r0:r1])
+    if n == 0 or m == 0:
+        return out
+    span = np.maximum(rows.max(axis=0) - cols.min(axis=0), cols.max(axis=0) - rows.min(axis=0))
+    if any(d >= size for d, size in zip(span.tolist(), tab.shape)):
+        raise ValueError(f"gather_offsets: offsets up to {span.tolist()} exceed the "
+                         f"table shape {tab.shape}")
+    step = rows[1:] - rows[:-1]
+    step[:, -1] -= 1
+    brk = (np.flatnonzero(step.any(axis=1)) + 1).tolist()
+    pieces = [(r0, min(end, r0 + _RUN_ROWS)) for start, end in zip([0] + brk, brk + [n])
+              for r0 in range(start, end, _RUN_ROWS)]
+    p = max(r1 - r0 for r0, r1 in pieces)
+    last = tab.shape[-1] - 1
+    two_sided = np.concatenate([tab[..., :0:-1], tab], axis=-1)
+    # p - 1 trailing zeros give every base a whole window of p entries
+    window = sliding_window_view(np.concatenate([two_sided.ravel(), np.zeros(p - 1)]), p)
+    strides = [int(np.prod(two_sided.shape[k + 1:])) for k in range(dim - 1)]
+    for r0, r1 in pieces:
+        base = last + rows[r0, -1] - cols[:, -1]
+        for k in range(dim - 1):
+            base += np.abs(rows[r0, k] - cols[:, k]) * strides[k]
+        out[r0:r1] = window[base, :r1 - r0].T
     return out
 
 

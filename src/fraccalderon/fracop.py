@@ -90,7 +90,11 @@ class FracOperator:
     def block(self, row_nodes, col_nodes) -> np.ndarray:
         """The matrix block coupling two node arrays (each without repeats),
         gathered from the offset table, with the diagonal entry wherever a
-        row node is also a column node."""
+        row node is also a column node.  The gather copies one lattice line
+        of row nodes at a time (``_kernels.gather_offsets``): node arrays in
+        grid order, as every region of a ``Grid`` is, cost O(lines * cols)
+        index work besides the n x m copy; nodes in any other order give
+        the same block at one line per row node."""
         r, c = self.rows(row_nodes), self.rows(col_nodes)
         if len(np.unique(r)) < len(r) or len(np.unique(c)) < len(c):
             raise DomainError("operator blocks take node arrays without repeats")

@@ -411,6 +411,96 @@ def test_block_equals_matrix_slices(desk_op):
         desk_op.block(nf[[3, 4, 3]], nf[:5])
 
 
+def _gather_reference(tab, rows, cols):
+    # brute force: one |offset| per pair, read off the table entry by entry
+    d = np.abs(rows[:, None, :] - cols[None, :, :])
+    return tab[tuple(np.moveaxis(d, -1, 0))]
+
+
+@pytest.mark.parametrize("grid", [make_grid_1d(0.01), _disc_grid_2d(0.2)], ids=["1d", "2d"])
+def test_gather_offsets_matches_brute_force(grid):
+    # a random table, so that any wrong offset reads a different value; the
+    # 1D non-FAR set is one run of 400 rows, longer than one copied piece
+    tab = np.random.default_rng(0).random(grid.shape)
+    nf = grid.nonfar
+    perm = np.random.default_rng(3).permutation(nf)
+    cases = {
+        "empty rows": (nf[:0], nf),
+        "empty cols": (nf, nf[:0]),
+        "both empty": (nf[:0], nf[:0]),
+        "single-node runs": (nf[::2], nf[1::3]),
+        "one node": (nf[[7]], nf),
+        "permuted": (perm, perm[::-1]),
+        "repeated": (nf[[5, 5, 6, 7, 7, 7, 2, 3]], nf[[4, 4, 9]]),
+        "interior x exterior support": (grid.interior, grid.ext_support),
+        "exterior support x interior": (grid.ext_support, grid.interior),
+        "non-FAR x non-FAR": (nf, nf),
+    }
+    for name, (rows, cols) in cases.items():
+        ir, ic = grid.idx[rows], grid.idx[cols]
+        got = gather_offsets(tab, ir, ic)
+        assert got.shape == (len(rows), len(cols)), name
+        assert np.array_equal(got, _gather_reference(tab, ir, ic)), name
+
+
+def test_gather_offsets_table_axes_of_different_lengths():
+    rng = np.random.default_rng(1)
+    tab = rng.random((5, 13))
+    # all lattice points of a 5 x 13 box, in lattice order, shuffled, and a
+    # strip with runs of 3 broken by every change of the leading axis; a
+    # whole line followed by the far corner node, whose one-row run reads
+    # the table's last entry
+    box = np.indices((5, 13)).reshape(2, -1).T
+    strip = box[(box[:, 1] >= 4) & (box[:, 1] < 7)]
+    shuffled = box[rng.permutation(len(box))]
+    line_and_corner = np.vstack([box[:13], box[-1:]])
+    for rows, cols in [(box, box), (strip, box), (box, strip), (shuffled, strip),
+                       (strip, shuffled[:17]), (line_and_corner, box)]:
+        assert np.array_equal(gather_offsets(tab, rows, cols),
+                              _gather_reference(tab, rows, cols))
+    with pytest.raises(ValueError):
+        gather_offsets(tab[:, :12], box, box)
+
+
+@pytest.mark.parametrize("which", ["desk", "disc"])
+def test_block_transpose_is_exact(which, desk_op, op_2d):
+    op = desk_op if which == "desk" else op_2d
+    g = op.grid
+    nf = g.nonfar
+    perm = np.random.default_rng(7).permutation(nf)
+    for a, b in [(g.interior, g.ext_support), (g.interior, g.interior),
+                 (nf[10:60], nf[40:100]), (perm[:50], perm[25:90]), (nf, nf)]:
+        assert np.array_equal(op.block(a, b), op.block(b, a).T)
+
+
+@pytest.mark.parametrize("case,margin_kb", [("disc A_II", 320), ("1d non-FAR", 640)])
+def test_block_gather_allocates_only_its_output(case, margin_kb, op_2d):
+    # traced bytes of one block gather above its output, measured:
+    # * A_II on the 2D disc at h = 0.1 (316 interior nodes, 780 KB output):
+    #   218 KB, the two-sided table and its zero-padded copy (57 KB each),
+    #   one lattice line's transposed window copy (at most 20 x 316
+    #   doubles, 51 KB) and the node-index arrays of ``block``;
+    # * the whole 1D desk operator at h = 0.005 (800 non-FAR nodes in one
+    #   lattice line, 4.9 MB output): 507 KB, of which 400 KB is the
+    #   transposed copy of one 64-row piece; copying the line whole would
+    #   add 4.9 MB.
+    if case == "disc A_II":
+        op = op_2d
+        rows = cols = op.grid.interior
+    else:
+        op = assemble_quadrature(make_grid_1d(0.005), 0.5)
+        rows = cols = op.grid.nonfar
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        A = op.block(rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.shape == (len(rows), len(cols))
+    assert peak - base <= A.nbytes + margin_kb * 1024
+
+
 def test_operator_and_system_memory_2d():
     # the 2D disc at h = 0.05 has 5024 non-FAR nodes, so the dense matrix
     # would hold 193 MB; the operator and one system stay far below that
