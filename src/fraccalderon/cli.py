@@ -343,8 +343,11 @@ def _pipeline_invert(cfg, out_dir, report):
     truth = q_true.values - q_ref.values
     est = out["q_diff"]
     x = grid.coords[grid.interior]
-    rows = [(float(x[i, 0]), truth[i], est[i]) for i in range(len(est))]
-    _write_csv(out_dir / "q_estimate.csv", "x,q_diff_true,q_diff_estimate", rows)
+    # the axes after the first follow the values, which readers take from
+    # the second and third columns
+    header = ",".join(["x", "q_diff_true", "q_diff_estimate", *"yz"[:grid.dim - 1]])
+    rows = [(x[i, 0], truth[i], est[i], *x[i, 1:]) for i in range(len(est))]
+    _write_csv(out_dir / "q_estimate.csv", header, rows)
     diag_rows = []
     for j, d in enumerate(out["diagnostics"]["iterations"]):
         for k, r in enumerate(d["runge_residuals"]):
@@ -354,6 +357,14 @@ def _pipeline_invert(cfg, out_dir, report):
     err = reconstruction_error(est, truth, grid.h ** grid.dim)
     report.add("reconstruction_error", err, tol.get("reconstruction_error", 0.15))
     return ["q_estimate.csv", "residuals.csv"]
+
+
+# floor of the smooth double-vanishing constraints' sigma_min.  Measured on
+# configs/extend_desk1d.json (h = 0.02, s = 1/2): 1.16e-8, a factor 11.6
+# above the floor (6.0e-9 at s = 1/4), while sigma_min over all candidates
+# sits at rounding (1e-15).  Finer grids admit more smooth candidates and
+# read lower (7e-14 at h = 0.01), so the floor holds down to h = 0.02.
+UCP_SMOOTH_FLOOR = 1e-9
 
 
 def _pipeline_extend(cfg, out_dir, report):
@@ -378,6 +389,8 @@ def _pipeline_extend(cfg, out_dir, report):
     report.add("ucp_sigma_positive", -ucp["sigma_min"], 0.0,
                ok=(ucp["sigma_min"] > 0.0))
     report.add("ucp_minimizer_highfreq", -frac, -0.5, ok=(frac > 0.5))
+    report.add("ucp_smooth_sigma_min", -ucp["smooth_sigma_min"], -UCP_SMOOTH_FLOOR,
+               ok=(ucp["smooth_sigma_min"] > UCP_SMOOTH_FLOOR))
     _write_csv(out_dir / "ucp_singular_values.csv", "index,sigma",
                list(enumerate(ucp["singular_values"])))
     return ["extension_field.csv", "ucp_singular_values.csv"]

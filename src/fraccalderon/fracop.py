@@ -21,7 +21,9 @@ The singular self-cell is handled by a curvature correction: the second
 order Taylor term of the principal value over the own cell is redistributed
 onto nearest-neighbor springs, which preserves symmetry, the sign structure
 and the row-sum identity.  A spring depends only on the offset (one
-lattice step), so it is part of the offset table.
+lattice step), so it is part of the offset table.  Its coefficient, the
+defect kappa(s), is in closed form through the lattice sums 2 zeta(2s - 1)
+on Z and 4 zeta(s) beta(s) on Z^2: exact to rounding for every s in (0, 1).
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ from .grid import Grid, GridFunction, Region
 # the 32- and 64-point Gauss-Legendre rules of a smooth cell integral must
 # agree to this relative tolerance
 _GAUSS_AGREE_TOL = 1e-13
+
+# terms of the accelerated series of ``_dirichlet_beta``: error below 1e-22
+_CVZ_TERMS = 30
 
 
 def cns_constant(n: int, s: float) -> float:
@@ -111,25 +116,6 @@ def _adjacent_weight_1d(h: float, s: float) -> float:
     return ((h / 2.0) ** (-2 * s) - (3.0 * h / 2.0) ** (-2 * s)) / (2.0 * s)
 
 
-_KAPPA_CACHE: dict = {}
-
-
-def _kappa_1d(s: float) -> float:
-    """Quadratic defect of the 1D near-singular quadrature, in units c*h^(2-2s).
-
-    Defined as the difference between the principal-value action on z^2/2
-    over the window |z| <= (m+1/2)h and the discrete sum (exact adjacent
-    weight, midpoint beyond), extrapolated in the window size m.
-    """
-    def partial(m: int) -> float:
-        w1 = (0.5 ** (-2 * s) - 1.5 ** (-2 * s)) / (2.0 * s)
-        j = np.arange(2, m + 1, dtype=float)
-        return (m + 0.5) ** (2 - 2 * s) / (2.0 - 2.0 * s) - (w1 + np.sum(j ** (1 - 2 * s)))
-
-    k1, k2 = partial(200_000), partial(400_000)
-    return k2 + (k2 - k1) / (2.0 ** (2 * s) - 1.0)
-
-
 def _gauss_legendre(f, bounds, n: int) -> float:
     """Tensor Gauss-Legendre rule with n points per axis over a box."""
     t, w = np.polynomial.legendre.leggauss(n)
@@ -145,35 +131,6 @@ def _smooth_integral(f, bounds) -> float:
     if abs(fine - coarse) > _GAUSS_AGREE_TOL * abs(fine):
         raise QuadratureError(f"Gauss-Legendre rules disagree: {coarse!r} vs {fine!r}")
     return fine
-
-
-def _kappa_2d(s: float, w_edge_unit: float, w_corner_unit: float) -> float:
-    """Laplacian defect of the 2D near-singular quadrature, units c*h^(2-2s)."""
-    g_val = _smooth_integral(lambda t: (1.0 + t * t) ** (-s), [(0.0, 1.0)])
-
-    def partial(m: int) -> float:
-        exact = 8.0 * g_val * (m + 0.5) ** (2 - 2 * s) / (2.0 - 2.0 * s)
-        r = np.arange(-m, m + 1)
-        j1, j2 = r[:, None], r[None, :]
-        cheb = np.maximum(np.abs(j1), np.abs(j2))
-        d2 = (j1 * j1 + j2 * j2).astype(float)
-        with np.errstate(divide="ignore"):
-            w = d2 ** (-(1.0 + s))
-        w = np.where(cheb >= 2, w, 0.0)
-        w = np.where(cheb == 1, np.where(np.abs(j1) + np.abs(j2) == 2, w_corner_unit, w_edge_unit), w)
-        lattice = np.sum(j1 * j1 * w)
-        return exact / 4.0 - lattice / 2.0
-
-    k1, k2 = partial(256), partial(512)
-    return k2 + (k2 - k1) / (2.0 ** (2 * s) - 1.0)
-
-
-def _unit_cell_integral_2d(s: float, corner: bool) -> float:
-    """Integral of |w|^(-2-2s) over the unit cell adjacent to the origin
-    across a face (centre (1, 0)) or a corner (centre (1, 1))."""
-    other = (0.5, 1.5) if corner else (-0.5, 0.5)
-    return _smooth_integral(lambda w1, w2: (w1 * w1 + w2 * w2) ** (-1.0 - s),
-                            [(0.5, 1.5), other])
 
 
 def _tail_outside_box_2d(pts: np.ndarray, R: float, s: float) -> np.ndarray:
@@ -196,19 +153,62 @@ def _tail_outside_box_2d(pts: np.ndarray, R: float, s: float) -> np.ndarray:
     return out / (2.0 * s)
 
 
-def _cell_weights(grid: Grid, s: float) -> np.ndarray:
+def _unit_weights(n: int, s: float) -> np.ndarray:
+    """Exact integrals w_d of |z|^(-n-2s) over the unit cells (h = 1) at
+    Chebyshev distance 1, indexed by |d| in {0, 1}^n; zero for the own cell.
+    In 2D the cells centred at (1, 0) and (1, 1) take Gauss-Legendre rules."""
+    if n == 1:
+        return np.array([0.0, _adjacent_weight_1d(1.0, s)])
+    f = lambda w1, w2: (w1 * w1 + w2 * w2) ** (-1.0 - s)
+    edge, corner = (_smooth_integral(f, [(0.5, 1.5), other]) for other in ((-0.5, 0.5), (0.5, 1.5)))
+    return np.array([[0.0, edge], [edge, corner]])
+
+
+def _dirichlet_beta(s: float) -> float:
+    """Dirichlet beta(s) = sum_k (-1)^k (2k+1)^(-s), s > 0, by the Cohen-Rodriguez
+    Villegas-Zagier acceleration (Exp. Math. 9, 2000, Algorithm 1): (2k+1)^(-s) is
+    a moment sequence, so m = ``_CVZ_TERMS`` terms err by under 2 (3 + sqrt 8)^(-m)."""
+    m = _CVZ_TERMS
+    d = (3.0 + math.sqrt(8.0)) ** m
+    d = 0.5 * (d + 1.0 / d)
+    b, c, total = -1.0, -d, 0.0
+    for k in range(m):
+        c = b - c
+        total += c * (2.0 * k + 1.0) ** (-s)
+        b *= (k + m) * (k - m) / ((k + 0.5) * (k + 1.0))
+    return total / d
+
+
+def _kappa(n: int, s: float, unit: np.ndarray) -> float:
+    """Curvature defect in units c*h^(2-2s), from the weights w of ``_unit_weights``.
+
+    On z_1^2/2 the principal value over |z|_inf <= m + 1/2 exceeds the
+    discrete sum (w at Chebyshev distance 1, midpoint beyond) as m grows by
+    kappa = 1/2 sum_{d in {-1,0,1}^n, d != 0} d_1^2 (|d|^(-n-2s) - w_d) - Z_n(s)/(2n),
+    Z_n the analytic continuation in s of the sum of |d|^(2-n-2s) over the
+    nonzero d in Z^n: Z_1 = 2 zeta(2s-1), Z_2 = 4 zeta(s) beta(s) (Borwein et
+    al., Lattice Sums Then and Now, 2013).  scipy defines ``zetac`` = zeta - 1
+    below 1, where its ``zeta`` may not be.
+    """
+    if n == 1:
+        return -unit[1] - special.zetac(2.0 * s - 1.0)
+    return (1.0 + 2.0 ** -s - unit[0, 1] - 2.0 * unit[1, 1]
+            - (1.0 + special.zetac(s)) * _dirichlet_beta(s))
+
+
+def _cell_weights(grid: Grid, s: float, unit: np.ndarray) -> np.ndarray:
     """Integral of |z|^(-dim-2s) over the cell at lattice offset d >= 0, per d.
 
     Midpoint rule beyond Chebyshev distance 1, exact cell integrals at
-    distance 1, zero for the own cell; shape ``grid.shape``.
+    distance 1 (in 2D the unit weights ``unit`` scaled by h^(-2s), in 1D
+    the closed form at h), zero for the own cell; shape ``grid.shape``.
     """
     n, h = grid.dim, grid.h
     K = offset_table(grid.shape, h, n + 2.0 * s) * h**n
     if n == 1:
         K[1] = _adjacent_weight_1d(h, s)
     else:
-        K[0, 1] = K[1, 0] = h ** (-2 * s) * _unit_cell_integral_2d(s, corner=False)
-        K[1, 1] = h ** (-2 * s) * _unit_cell_integral_2d(s, corner=True)
+        K[:2, :2] = h ** (-2 * s) * unit
     return K
 
 
@@ -223,7 +223,8 @@ def assemble_quadrature(grid: Grid, s: float) -> FracOperator:
 
     # K[d] ~ integral over the cell at offset d of |z|^(-n-2s); the
     # off-diagonal entry at offset d is -c K[d]
-    K = _cell_weights(grid, s)
+    unit = _unit_weights(n, s)
+    K = _cell_weights(grid, s, unit)
     table = np.multiply(K, -c)
 
     # far-field tail: box complement plus FAR cells (u vanishes on both)
@@ -243,17 +244,9 @@ def assemble_quadrature(grid: Grid, s: float) -> FracOperator:
     # the near-singular zone mistreats the quadratic Taylor term of u by
     # -c h^(2-2s) kappa(s) u''; redistribute that defect onto nearest
     # neighbor springs (keeps symmetry, signs and row sums)
-    key = (n, round(s, 12))
-    if key not in _KAPPA_CACHE:
-        if n == 1:
-            _KAPPA_CACHE[key] = _kappa_1d(s)
-        else:
-            _KAPPA_CACHE[key] = _kappa_2d(s, _unit_cell_integral_2d(s, corner=False),
-                                          _unit_cell_integral_2d(s, corner=True))
-    spring = c * _KAPPA_CACHE[key] * h ** (-2.0 * s)
+    spring = c * _kappa(n, s, unit) * h ** (-2.0 * s)
     for k in range(n):
-        unit = tuple(int(j == k) for j in range(n))
-        table[unit] += -spring
+        table[tuple(int(j == k) for j in range(n))] += -spring
 
     # row-sum identity: the diagonal is the tail minus the off-diagonal row
     # sum, the table (zero at d = 0) convolved with the non-FAR indicator

@@ -10,7 +10,7 @@ import pytest
 from jsonschema.validators import validator_for
 
 from fraccalderon import build_grid
-from fraccalderon.cli import CONFIG_SCHEMA, main, run, validate_config
+from fraccalderon.cli import CONFIG_SCHEMA, UCP_SMOOTH_FLOOR, main, run, validate_config
 from fraccalderon.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -62,6 +62,52 @@ def test_bit_reproducibility(tmp_path):
     man1.pop("wall_time_s")
     man2.pop("wall_time_s")
     assert man1 == man2
+
+
+def _disc(x, r):
+    return {"type": "disc", "center": [x, 0.0], "radius": r}
+
+
+def test_q_estimate_names_every_axis(tmp_path):
+    # the disc of the 2D benchmark at h = 0.2; the estimate keeps columns 2
+    # and 3, and in 2D the second axis follows as y
+    grid_cfg = {"dim": 2, "h": 0.2, "R": 3.0, "omega": _disc(0.0, 1.0),
+                "support": _disc(0.0, 2.0),
+                "windows": {"W1": _disc(1.5, 0.35), "W2": _disc(-1.5, 0.35)}}
+    cfg = {"schema_version": 1, "pipeline": "invert", "grid": grid_cfg, "s": 0.5,
+           "potential_ref": {"type": "constant", "value": 0.0},
+           "potential_true": {"type": "gaussian", "amplitude": 0.5, "center": [0.0, 0.0],
+                              "width": 0.5},
+           "source_window": "W1", "observation_window": "W2",
+           "invert": {"mode": "linearized", "iterations": 2, "clean_beta": 0.1},
+           "tolerances": {"reconstruction_error": 1.0}}
+    grid = build_grid(*(grid_cfg[k] for k in ("dim", "h", "R", "omega", "support", "windows")))
+    for name, cfg, header, coords in [
+            ("2d", cfg, "x,q_diff_true,q_diff_estimate,y", grid.coords[grid.interior]),
+            ("1d", small_invert_config(), "x,q_diff_true,q_diff_estimate", None)]:
+        code, manifest = run(cfg, output_dir=str(tmp_path / name))
+        assert code == 0
+        path = tmp_path / name / "q_estimate.csv"
+        assert path.read_text().splitlines()[0] == header
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert data.shape[1] == len(header.split(","))
+        if coords is not None:
+            assert np.array_equal(data[:, [0, 3]], coords)
+
+
+def test_extend_smooth_ucp_gate(tmp_path):
+    # on the committed config sigma_min over all candidates reads 1.6e-15,
+    # the smooth candidates' 1.16e-8; at h = 0.01 the smooth candidates
+    # double and their sigma_min falls to 7e-14, which the floor rejects
+    cfg = load_config("extend_desk1d.json")
+    for h, code_want in ((0.02, 0), (0.01, 1)):
+        cfg["grid"]["h"] = h
+        code, manifest = run(cfg, output_dir=str(tmp_path / str(h)))
+        gates = manifest["gates"]
+        assert code == code_want
+        assert gates["ucp_smooth_sigma_min"]["pass"] == (code_want == 0)
+        assert gates["ucp_smooth_sigma_min"]["threshold"] == -UCP_SMOOTH_FLOOR
+    assert -gates["ucp_smooth_sigma_min"]["value"] < 1e-12
 
 
 def test_gate_failure_exit_code(tmp_path):
