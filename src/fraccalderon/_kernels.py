@@ -147,7 +147,7 @@ def gather_offsets(tab: np.ndarray, idx_rows: np.ndarray, idx_cols: np.ndarray) 
 
 
 def offset_convolve(tab: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """out[i] = sum_j mask[j] * tab[|i - j|] on a 1D or 2D lattice, by FFT.
+    """out[i] = sum_j mask[j] * tab[|i - j|] on a lattice of any dimension, by FFT.
 
     ``tab`` covers at least the offsets of ``mask``'s shape.  The signed
     kernel has shape (2 n_k - 1) per axis; both are zero-padded to a power

@@ -3,9 +3,9 @@
 One pipeline per invocation: ``fraccalderon <pipeline> --config cfg.json
 [--set key=value]...``.  Configs are JSON (schema-validated, unknown keys
 rejected); scalar fields can be overridden from the command line.  Every run
-writes a manifest recording the config hash, seeds, versions, wall time and
-produced files, and exits 0 only if all configured tolerance gates pass
-(1: gate failure, 2: invalid config, 4: numeric error).
+writes a manifest recording the config hash, seeds, versions, BLAS thread
+settings, wall time and produced files, and exits 0 only if all configured
+tolerance gates pass (1: gate failure, 2: invalid config, 4: numeric error).
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .dirichlet import (assemble_system, check_condition, dirichlet_spectrum,
@@ -93,7 +95,7 @@ CONFIG_SCHEMA = {
             "type": "object", "additionalProperties": False,
             "required": ["dim", "h", "R", "omega", "support"],
             "properties": {
-                "dim": {"enum": [1, 2]},
+                "dim": {"type": "integer", "minimum": 1},
                 "h": {"type": "number", "exclusiveMinimum": 0},
                 "R": {"type": "number", "exclusiveMinimum": 0},
                 "omega": _GEOMETRY_SCHEMA,
@@ -461,6 +463,8 @@ def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
         "gates": report.gates,
         "files": sorted(files),
         "wall_time_s": time.time() - t0,
+        "numpy_version": np.__version__, "scipy_version": scipy.__version__,
+        **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)

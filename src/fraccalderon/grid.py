@@ -152,8 +152,8 @@ class GridFunction:
 
 def build_grid(dim, h, R, omega_spec, support_spec, window_specs=None) -> Grid:
     """Build the lattice and classify nodes; deterministic lexicographic order."""
-    if dim not in (1, 2):
-        raise GeometryError(f"dim must be 1 or 2, got {dim}")
+    if dim < 1:
+        raise GeometryError(f"dim must be at least 1, got {dim}")
     if h <= 0 or R <= 0:
         raise GeometryError("h and R must be positive")
 

@@ -1,8 +1,10 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,9 @@ from scipy import integrate, special
 from fraccalderon import GridFunction, apply_spectral, assemble_quadrature, build_grid, cns_constant
 from fraccalderon._kernels import gather_offsets, offset_convolve, offset_table
 from fraccalderon.dirichlet import assemble_system, potential_from_spec
-from fraccalderon.fracop import (_cell_weights, _dirichlet_beta, _kappa, _tail_outside_box_2d,
-                                 _unit_weights, export_operator)
-from fraccalderon.errors import DomainError
+from fraccalderon.fracop import (_cell_weights, _kappa, _lattice_sum, _smooth_integral,
+                                 _tail_outside_box, _unit_weights, export_operator)
+from fraccalderon.errors import DomainError, QuadratureError
 from fraccalderon.grid import Region
 
 from conftest import make_grid_1d, smooth_bump
@@ -36,7 +38,7 @@ def test_cns_positive_and_domain():
     with pytest.raises(DomainError):
         cns_constant(1, 1.5)
     with pytest.raises(DomainError):
-        cns_constant(3, 0.5)
+        cns_constant(0, 0.5)
 
 
 def test_cns_classical_limit():
@@ -241,40 +243,76 @@ def test_offset_table_weights_match_broadcast(grid, s):
     assert np.array_equal(gathered, _midpoint_weights_broadcast(idx, grid.h, power))
 
 
-def _tail_outside_box_2d_adaptive(pts, R, s):
-    # reference: two half-planes |y1| > R in closed form plus the two strips
-    # |y1| <= R, |y2| > R by adaptive quadrature over y1 (split at the kink
-    # y1 = x1) of the exact half-line integral in y2
-    def half_line(a, b):
-        # integral_b^inf (a^2 + t^2)^(-1-s) dt
-        if a == 0.0:
-            return b ** (-1.0 - 2.0 * s) / (1.0 + 2.0 * s)
-        z = b * b / (a * a + b * b)
-        return a ** (-1.0 - 2.0 * s) * 0.5 * special.beta(0.5, s + 0.5) \
-            * special.betaincc(0.5, s + 0.5, z)
+def _ball_grid(n, h, R, inner, outer):
+    ball = lambda r: {"type": "disc", "center": [0.0] * n, "radius": r}
+    return build_grid(n, h, R, ball(inner), ball(outer))
 
-    x1, x2 = pts[:, 0], pts[:, 1]
-    out = special.beta(0.5, s + 0.5) * ((R - x1) ** (-2 * s) + (R + x1) ** (-2 * s)) / (2.0 * s)
-    for i in range(len(pts)):
-        for b in (R - x2[i], R + x2[i]):
-            for lo, hi in ((-R, x1[i]), (x1[i], R)):
-                val, err = integrate.quad(lambda y1: half_line(abs(y1 - x1[i]), b), lo, hi,
-                                          epsabs=0.0, epsrel=1e-10, limit=200)
-                assert err <= 1e-8 * abs(val)
-                out[i] += val
-    return out
+
+def _nonfar_box(grid):
+    x = grid.coords[grid.nonfar]
+    return x.min(axis=0) - grid.h / 2.0, x.max(axis=0) + grid.h / 2.0
+
+
+def _tail_outside_box_adaptive(p, lo, hi, s):
+    # reference: (1/2s) sum over the faces of d * integral over the face of
+    # |p - y|^(-n-2s), each face split at the foot of p into 2^(n-1) boxes
+    # with the peak at a corner, each box by adaptive quadrature (quad in 2D,
+    # nested quad as dblquad does in 3D)
+    n = len(p)
+    out = 0.0
+    for axis in range(n):
+        along = [j for j in range(n) if j != axis]
+        for d in (p[axis] - lo[axis], hi[axis] - p[axis]):
+            f = lambda *y: d * (d * d + sum((t - p[j]) ** 2 for t, j in zip(y, along))) \
+                ** (-0.5 * n - s)
+            for box in itertools.product(*[((lo[j], p[j]), (p[j], hi[j])) for j in along]):
+                val, err = integrate.nquad(f, box, opts={"epsabs": 0.0, "epsrel": 1e-12,
+                                                         "limit": 200})
+                assert err <= 1e-10 * abs(val)
+                out += val
+    return out / (2.0 * s)
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_box_tail_closed_form_matches_quadrature(s):
+    # the box is the bounding box of the non-FAR cells.  Points: a random
+    # sample of non-FAR nodes, the node nearest a face (h/2 from it) and the
+    # corner cell's centre (h/2 from n faces).  Measured agreement 2.5e-15
+    # at worst, in 2D and in 3D
+    for g, count in ((_disc_grid_2d(0.1), 24), (_ball_grid(3, 0.25, 1.5, 0.5, 1.0), 6)):
+        lo, hi = _nonfar_box(g)
+        pts = g.coords[g.nonfar]
+        pick = np.random.default_rng(3).choice(len(pts), count, replace=False)
+        pts = np.vstack([pts[pick], pts[np.argmax(pts[:, 0])], lo + g.h / 2.0])
+        closed = _tail_outside_box(pts, lo, hi, s)
+        ref = np.array([_tail_outside_box_adaptive(p, lo, hi, s) for p in pts])
+        assert np.max(np.abs(closed - ref) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0.25, 0.75])
+def test_box_tail_difference_is_the_frame_integral(s):
+    # the tail outside the non-FAR bounding box less the tail outside
+    # [-R, R]^2 is the integral over the frame between the two boxes, the
+    # FAR cells whose part of the tail is exact instead of midpoint;
+    # measured agreement 8.9e-16 at worst
     g = _disc_grid_2d(0.1)
+    lo, hi = _nonfar_box(g)
+    R = g.R
     pts = g.coords[g.nonfar]
-    # a random sample plus the nodes nearest to a side and to a corner of the box
-    pick = np.random.default_rng(3).choice(len(pts), 24, replace=False)
-    pts = pts[np.concatenate([pick, [np.argmax(pts[:, 0]), np.argmax(pts.sum(axis=1))]])]
-    closed = _tail_outside_box_2d(pts, g.R, s)
-    ref = _tail_outside_box_2d_adaptive(pts, g.R, s)
-    assert np.max(np.abs(closed - ref) / ref) <= 1e-10
+    pts = np.vstack([pts[np.random.default_rng(4).choice(len(pts), 6, replace=False)],
+                     pts[np.argmax(pts[:, 1])]])
+    frame = [((-R, lo[0]), (-R, R)), ((hi[0], R), (-R, R)),
+             ((lo[0], hi[0]), (-R, lo[1])), ((lo[0], hi[0]), (hi[1], R))]
+    diff = _tail_outside_box(pts, lo, hi, s) - _tail_outside_box(pts, [-R, -R], [R, R], s)
+    for p, got in zip(pts, diff):
+        ref = 0.0
+        for (a0, b0), (a1, b1) in frame:
+            val, err = integrate.dblquad(
+                lambda y2, y1: ((y1 - p[0]) ** 2 + (y2 - p[1]) ** 2) ** (-1.0 - s),
+                a0, b0, a1, b1, epsabs=0.0, epsrel=1e-12)
+            assert err <= 1e-10 * val
+            ref += val
+        assert abs(got / ref - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("s", [0.25, 0.75])
@@ -335,6 +373,17 @@ def test_gauss_legendre_cell_integrals_match_adaptive(s):
         assert abs(got - ref) <= 1e-13 * ref
 
 
+def test_gauss_legendre_disagreement_raises():
+    # a peak of width 1e-2 defeats the 32-point rule; for one box per point,
+    # one such box is enough
+    with pytest.raises(QuadratureError, match="disagree by"):
+        _smooth_integral(lambda x: 1.0 / (x * x + 1e-4), [(-1.0, 1.0)])
+    smooth = _smooth_integral(lambda x: np.exp(x), [(np.zeros(2), np.ones(2))])
+    assert np.allclose(smooth, math.e - 1.0, rtol=1e-14, atol=0.0)
+    with pytest.raises(QuadratureError):
+        _smooth_integral(lambda x: 1.0 / (x * x + 1e-4), [(np.array([0.5, -1.0]), np.ones(2))])
+
+
 # kappa_1 = 1 - w_1 - zeta(2s - 1) and kappa_2 = 1 + 2^(-s) - w_edge
 # - 2 w_corner - zeta(s) beta(s), evaluated offline with mpmath 1.3 at 40
 # digits (mp.zeta, mp.dirichlet(s, [0, 1, 0, -1]) for beta, and the
@@ -357,45 +406,53 @@ def test_kappa_matches_40_digit_reference(n, s):
 
 
 def test_kappa_closed_form_values():
-    # kappa_1(1/2) = 1 - 4/3 - zeta(0) = 1/6; beta(1/2) and the square
-    # lattice sum 4 zeta(1/2) beta(1/2) to 20 digits (mpmath, 40 digits)
+    # kappa_1(1/2) = 1 - 4/3 - zeta(0) = 1/6
     assert abs(_kappa(1, 0.5, _unit_weights(1, 0.5)) - 1.0 / 6.0) <= 1e-15
-    beta = _dirichlet_beta(0.5)
-    assert abs(beta / 0.66769145718960917667 - 1.0) <= 1e-15
-    lattice = 4.0 * (1.0 + special.zetac(0.5)) * beta
-    assert abs(lattice / -3.9002649200019558828 - 1.0) <= 1e-15
+    # the theta split against the known lattice sums: Z_1 = 2 zeta(2s - 1)
+    # (measured 6.7e-16 at worst); the square lattice's 4 zeta(1/2)
+    # beta(1/2) to 20 digits (mpmath, 40 digits); the cubic lattice's
+    # continued sum of |d|^-2 (Borwein et al., Lattice Sums Then and Now)
+    for s in (0.05, 0.25, 0.5, 0.75, 0.99):
+        want = 2.0 * (1.0 + special.zetac(2.0 * s - 1.0))
+        assert abs(_lattice_sum(1, s) / want - 1.0) <= 2e-15
+    assert abs(_lattice_sum(2, 0.5) / -3.9002649200019558828 - 1.0) <= 1e-15
+    assert abs(_lattice_sum(3, 0.5) / -8.91363291758515 - 1.0) <= 1e-14
 
 
-def _kappa_2d_window_extrapolation(s, unit, m):
+def _kappa_window_extrapolation(n, s, unit, m):
     # reference: the principal value of z_1^2/2 over the window
-    # |z|_inf <= m + 1/2, 2 g (m + 1/2)^(2-2s) / (2-2s) with g the integral
-    # of (1 + t^2)^(-s) over [0, 1], minus the discrete sum over the window,
-    # at windows m and 2m, Richardson-extrapolated in the window size
-    g, err = integrate.quad(lambda t: (1.0 + t * t) ** (-s), 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
-    assert err <= 1e-13 * g
+    # |z|_inf <= L = m + 1/2, L^(2-2s) G / (2-2s) with G the integral of
+    # (1 + |t|^2)^(1-n/2-s) over the face [-1, 1]^(n-1), minus the discrete
+    # sum over the window, at windows m and 2m, Richardson-extrapolated in
+    # the window size
+    G, err = integrate.nquad(lambda *t: (1.0 + sum(x * x for x in t)) ** (1.0 - 0.5 * n - s),
+                             [(0.0, 1.0)] * (n - 1), opts={"epsabs": 0.0, "epsrel": 1e-13})
+    assert err <= 1e-13 * G
+    G *= 2.0 ** (n - 1)
 
     def partial(m):
-        r = np.arange(-m, m + 1)
-        j1, j2 = r[:, None], r[None, :]
+        j = np.ix_(*[np.arange(-m, m + 1)] * n)
         with np.errstate(divide="ignore"):
-            w = (j1 * j1 + j2 * j2).astype(float) ** (-(1.0 + s))
-        near = np.maximum(np.abs(j1), np.abs(j2)) <= 1
-        w = np.where(near, unit[np.minimum(np.abs(j1), 1), np.minimum(np.abs(j2), 1)], w)
-        return 2.0 * g * (m + 0.5) ** (2 - 2 * s) / (2.0 - 2.0 * s) - np.sum(j1 * j1 * w) / 2.0
+            w = sum(x * x for x in j).astype(float) ** (-0.5 * n - s)
+        near = reduce(np.maximum, [np.abs(x) for x in j]) <= 1
+        w = np.where(near, unit[tuple(np.minimum(np.abs(x), 1) for x in j)], w)
+        return (m + 0.5) ** (2 - 2 * s) * G / (2.0 - 2.0 * s) - np.sum(j[0] ** 2 * w) / 2.0
 
     k1, k2 = partial(m), partial(2 * m)
     return k2 + (k2 - k1) / (2.0 ** (2 * s) - 1.0)
 
 
 def test_kappa_2d_window_extrapolation_converges_to_closed_form():
-    # measured relative gaps 2.55e-6 at windows (128, 256) and 6.38e-7 at
-    # (256, 512): the gap falls 4x per doubling at s = 1/2
+    # measured relative gaps at s = 1/2, falling 4x per doubling:
+    # * Z^2: 2.55e-6 at windows (128, 256) and 6.38e-7 at (256, 512);
+    # * Z^3: 9.30e-4 at (8, 16), 2.40e-4 at (16, 32) and 6.08e-5 at (32, 64)
     s = 0.5
-    unit = _unit_weights(2, s)
-    exact = _kappa(2, s, unit)
-    gap = [abs(_kappa_2d_window_extrapolation(s, unit, m) / exact - 1.0) for m in (128, 256)]
-    assert gap[0] >= 3.0 * gap[1]
-    assert gap[1] <= 1e-6
+    for n, windows, bound in ((2, (128, 256), 1e-6), (3, (8, 16), 3e-4)):
+        unit = _unit_weights(n, s)
+        exact = _kappa(n, s, unit)
+        gap = [abs(_kappa_window_extrapolation(n, s, unit, m) / exact - 1.0) for m in windows]
+        assert gap[0] >= 3.0 * gap[1]
+        assert gap[1] <= bound
 
 
 def test_cli_import_leaves_out_scipy_integrate():
