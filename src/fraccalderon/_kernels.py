@@ -3,9 +3,10 @@
 On a uniform lattice the midpoint kernel weight |x_i - x_j|^(-power) depends
 only on the integer offset |idx_i - idx_j|.  ``offset_table`` evaluates it
 once per offset, ``gather_offsets`` reads a dense pairwise block from the
-table, and ``offset_convolve`` sums a table against a lattice indicator by
-zero-padded FFT.  A gathered entry depends only on |idx_i - idx_j|, so the
-blocks are exactly symmetric and do not depend on evaluation order.
+table, and ``offset_convolve`` sums a table against a lattice function by
+zero-padded FFT, so operator-vector products (``FracOperator.apply``) use
+no BLAS.  A gathered entry depends only on |idx_i - idx_j|, so the blocks
+are exactly symmetric and do not depend on evaluation order.
 
 Along a lattice line (row nodes stepping by one along the last axis) a
 block is Toeplitz, so ``gather_offsets`` copies each column of a line as

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .dirichlet import DirichletSystem, dirichlet_spectrum, ensure_solvable, solve_poisson
-from .dnmap import dn_pointwise
 from .errors import DomainError, ModeMismatchError
 from .grid import Grid, GridFunction
 
@@ -106,7 +105,7 @@ def dn_cost_check(sys: DirichletSystem, f: np.ndarray, dt: float = None) -> dict
     if dt is None:
         dt = 1e-3 / float(evals[-1])
     coeff = evecs.T @ u_f.values[grid.nonfar]
-    dn = dn_pointwise(sys, f)
+    dn = op.apply(u_f.values, grid.ext_support)      # DN f from the one solve
     scale = float(np.max(np.abs(dn))) if np.max(np.abs(dn)) > 0 else 1.0
 
     def readout_at(tau):

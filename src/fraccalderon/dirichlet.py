@@ -24,7 +24,6 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import lapack
 
-from ._kernels import matmul
 from .errors import ConfigError, DomainError, EigFailError, SingularSystemError
 from .fracop import FracOperator
 from .grid import Grid, GridFunction
@@ -213,10 +212,9 @@ def solve_poisson(sys: DirichletSystem, f: np.ndarray) -> GridFunction:
     f = np.asarray(f, dtype=float)
     if f.shape != (len(grid.ext_support),):
         raise ValueError("f must be given on the exterior-support nodes")
-    u_int = linalg.lu_solve(sys.lu(), -matmul(sys.op.block(grid.interior, grid.ext_support), f))
     full = np.zeros(grid.n_nodes)
-    full[grid.interior] = u_int
     full[grid.ext_support] = f
+    full[grid.interior] = linalg.lu_solve(sys.lu(), -sys.op.apply(full, grid.interior))
     return GridFunction(grid, full)
 
 

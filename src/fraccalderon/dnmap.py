@@ -21,7 +21,7 @@ from ._kernels import matmul
 from .dirichlet import DirichletSystem, solve_poisson, solve_window
 from .errors import GridMismatchError
 from .fracop import FracOperator
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, Region
 
 __all__ = ["DNMap", "assemble_dn", "dn_pointwise", "ns_weight", "apply_ns",
            "dn_decomposition_check", "integral_identity", "export_dn_csv"]
@@ -56,19 +56,14 @@ def assemble_dn(sys: DirichletSystem, W1, W2) -> DNMap:
 
 def dn_pointwise(sys: DirichletSystem, f: np.ndarray) -> np.ndarray:
     """(A u_f) restricted to the exterior-support nodes."""
-    grid = sys.grid
-    u = solve_poisson(sys, f)
-    es, interior = grid.ext_support, grid.interior
-    return (matmul(sys.op.block(es, interior), u.values[interior])
-            + matmul(sys.op.block(es, es), u.values[es]))
+    return sys.op.apply(solve_poisson(sys, f).values, sys.grid.ext_support)
 
 
 def ns_weight(op: FracOperator) -> np.ndarray:
     """Weight m(x) = c * (interior kernel quadrature) on exterior-support
     nodes, with the operator's own cell weights so the two-term formula for
     the nonlocal Neumann value is an exact rearrangement."""
-    grid = op.grid
-    return -op.block(grid.ext_support, grid.interior).sum(axis=1)
+    return -op.apply(op.grid.region == Region.INTERIOR, op.grid.ext_support)
 
 
 def apply_ns(op: FracOperator, u: GridFunction) -> np.ndarray:
@@ -77,46 +72,38 @@ def apply_ns(op: FracOperator, u: GridFunction) -> np.ndarray:
     grid = op.grid
     if u.grid is not grid:
         raise GridMismatchError("function and operator live on different grids")
-    m = ns_weight(op)
-    u_es = u.values[grid.ext_support]
-    u_int = u.values[grid.interior]
-    return m * u_es + matmul(op.block(grid.ext_support, grid.interior), u_int)
+    u_int = np.where(grid.region == Region.INTERIOR, u.values, 0.0)
+    return ns_weight(op) * u.values[grid.ext_support] + op.apply(u_int, grid.ext_support)
 
 
-def dn_decomposition_check(sys: DirichletSystem, f: np.ndarray) -> float:
-    """Max residual of: DN f = N_s u_f - m f + (A E0 f) on exterior support.
-
-    Both sides are rearrangements of the same matrix action, so the residual
-    is solver round-off.
-    """
-    grid = sys.grid
-    op = sys.op
-    lhs = dn_pointwise(sys, f)
-    u_f = solve_poisson(sys, f)
-    m = ns_weight(op)
-    ns_val = apply_ns(op, u_f)
-    ext_term = matmul(op.block(grid.ext_support, grid.ext_support), f)
-    rhs = ns_val - m * np.asarray(f, dtype=float) + ext_term
-    return float(np.max(np.abs(lhs - rhs)))
+def dn_decomposition_check(op: FracOperator, u: GridFunction) -> float:
+    """Max residual of: DN f = N_s u - m f + (A E0 f) on exterior support,
+    for u = ``solve_poisson(sys, f)`` of a system on ``op`` (so DN f = A u
+    there and f = u there).  Both sides rearrange the same operator action,
+    so the residual is rounding."""
+    es = op.grid.ext_support
+    e0f = np.where(op.grid.region == Region.EXTERIOR_SUPPORT, u.values, 0.0)
+    rhs = apply_ns(op, u) - ns_weight(op) * u.values[es] + op.apply(e0f, es)
+    return float(np.max(np.abs(op.apply(u.values, es) - rhs)))
 
 
 def integral_identity(sys1: DirichletSystem, sys2: DirichletSystem,
-                      f1: np.ndarray, f2: np.ndarray) -> dict:
+                      u1: GridFunction, u2: GridFunction) -> dict:
     """Pairing of (DN_1 - DN_2) f1 with f2 versus the interior quadrature of
-    (q1 - q2) u1 u2; exact algebra for symmetric assembly."""
-    if sys1.grid is not sys2.grid:
-        raise GridMismatchError("systems must share one grid")
+    (q1 - q2) u1 u2, for u_k = ``solve_poisson(sys_k, f_k)``; exact algebra
+    for symmetric assembly.  One solve, DN_2 f1: u1 and u2 are the caller's."""
+    if not (sys1.grid is sys2.grid is u1.grid is u2.grid):
+        raise GridMismatchError("systems and solutions must share one grid")
     if sys1.op.s != sys2.op.s:
         raise GridMismatchError("systems must share the operator order s")
     grid = sys1.grid
     hn = grid.h ** grid.dim
-    f1 = np.asarray(f1, dtype=float)
-    f2 = np.asarray(f2, dtype=float)
-    lhs = hn * float(matmul(f2, dn_pointwise(sys1, f1) - dn_pointwise(sys2, f1)))
-    u1 = solve_poisson(sys1, f1).values[grid.interior]
-    u2 = solve_poisson(sys2, f2).values[grid.interior]
+    es, interior = grid.ext_support, grid.interior
+    # (DN_1 - DN_2) f1 is A of u1 minus sys2's solution for f1, zero outside
+    diff = u1.values - solve_poisson(sys2, u1.values[es]).values
+    lhs = hn * float(matmul(u2.values[es], sys1.op.apply(diff, es)))
     dq = sys1.potential.values - sys2.potential.values
-    rhs = hn * float(np.sum(dq * u1 * u2))
+    rhs = hn * float(np.sum(dq * u1.values[interior] * u2.values[interior]))
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
 
 

@@ -9,11 +9,11 @@ Two independent realizations:
   off-diagonal row sum plus the exact far-field tail, so rows sum to the
   tail coefficient and the matrix keeps the sign structure of the kernel.
   Every off-diagonal entry depends only on the lattice offset, so the
-  operator stores one table of entries per offset and one diagonal, and
-  gathers each block it is asked for on demand; the dense N_nf x N_nf
-  matrix is never held.  The tail is exact outside the non-FAR cells'
-  bounding box; the FAR cells inside it and the row sums are FFT
-  convolutions of a table with a lattice indicator, in any dimension.
+  operator stores one table of entries per offset and one diagonal, acts
+  on a vector by FFT convolution and gathers a block only where a matrix
+  is needed; the dense N_nf x N_nf matrix is never held.  The tail is exact
+  outside the non-FAR cells' bounding box; the FAR cells inside it and the
+  row sums are FFT convolutions of a table with a lattice indicator.
 * ``apply_spectral`` applies the Fourier multiplier |xi|^(2s) on a
   zero-padded periodic embedding of the box.
 
@@ -73,15 +73,23 @@ class FracOperator:
     cns: float
 
     @property
-    def nonfar(self) -> np.ndarray:
-        return self.grid.nonfar
-
-    @property
     def matrix(self) -> np.ndarray:
         """The whole symmetric non-FAR matrix, gathered anew on each access
-        (N_nf^2 doubles: 193 MB on the 2D disc at h = 0.05).  Bind it once;
-        the solvers read only the blocks they need."""
-        return self.block(self.nonfar, self.nonfar)
+        (N_nf^2 doubles: 193 MB on the 2D disc at h = 0.05), for a dense
+        eigendecomposition or an export; products with a vector use ``apply``."""
+        return self.block(self.grid.nonfar, self.grid.nonfar)
+
+    def apply(self, u, nodes) -> np.ndarray:
+        """(A u) at the given non-FAR nodes, for u one value per grid node that
+        vanishes on FAR nodes: diag * u plus the table convolved with u by one
+        padded FFT (``offset_convolve``; Minden & Ying, SISC 2020), no block
+        gathered.  A FAR node, or u nonzero on one, raises ``DomainError``."""
+        rows, nodes = self.rows(nodes), np.asarray(nodes, dtype=np.int64)
+        u = np.asarray(u, dtype=np.float64).reshape(self.grid.n_nodes)
+        if np.any(u[self.grid.nonfar_row < 0]):
+            raise DomainError("the operator acts on functions that vanish on FAR nodes")
+        conv = offset_convolve(self.table, u.reshape(self.grid.shape)).ravel()
+        return self.diag[rows] * u[nodes] + conv[nodes]
 
     def rows(self, nodes) -> np.ndarray:
         """Matrix rows (equally, columns) of the given nodes."""
@@ -286,7 +294,7 @@ def export_operator(op: FracOperator, path: str, fmt: str = "npz") -> None:
     A = op.matrix
     if fmt == "npz":
         np.savez_compressed(path, matrix=A, tail=op.tail, s=op.s,
-                            cns=op.cns, nonfar=op.nonfar)
+                            cns=op.cns, nonfar=op.grid.nonfar)
         return
     header = f"# fractional operator, s={op.s!r}, cns={op.cns!r}, n={A.shape[0]}"
     np.savetxt(path, A, delimiter=",", header=header, fmt="%.17g")

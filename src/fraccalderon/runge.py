@@ -68,10 +68,8 @@ def adjoint_apply(sys: DirichletSystem, v: np.ndarray, window) -> np.ndarray:
     pairings: solve the source problem for v and read the negated operator
     action on the window (window basis vectors vanish on the domain, so the
     potential term drops)."""
-    grid = sys.grid
-    nodes, _ = grid.exterior_window(window)
-    phi = solve_source(sys, np.asarray(v, dtype=float))
-    return -matmul(sys.op.block(nodes, grid.interior), phi.values[grid.interior])
+    nodes, _ = sys.grid.exterior_window(window)
+    return -sys.op.apply(solve_source(sys, np.asarray(v, dtype=float)).values, nodes)
 
 
 def ridge_controls(K: np.ndarray, p: ControlProblem, factors=None) -> RungeResult:

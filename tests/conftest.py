@@ -5,6 +5,7 @@ import pytest
 
 from fraccalderon import assemble_quadrature, build_grid
 from fraccalderon.dirichlet import assemble_system, potential_from_spec
+from fraccalderon.errors import DomainError
 from fraccalderon.fracop import FracOperator
 
 DESK_WINDOWS = {
@@ -107,7 +108,8 @@ def window_vector(grid, window, values):
 
 
 class DenseOperator(FracOperator):
-    """An operator whose blocks read a given dense (symmetric) matrix."""
+    """An operator whose blocks and products read a given dense (symmetric)
+    matrix, so that no caller acts with the offset table instead."""
 
     def __init__(self, op, dense):
         super().__init__(**{f.name: getattr(op, f.name) for f in dataclasses.fields(op)})
@@ -115,3 +117,9 @@ class DenseOperator(FracOperator):
 
     def block(self, row_nodes, col_nodes):
         return self.dense[np.ix_(self.rows(row_nodes), self.rows(col_nodes))]
+
+    def apply(self, u, nodes):
+        u = np.asarray(u, dtype=float)
+        if np.any(u[self.grid.nonfar_row < 0]):
+            raise DomainError("the operator acts on functions that vanish on FAR nodes")
+        return self.dense[self.rows(nodes)] @ u[self.grid.nonfar]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -278,6 +279,58 @@ def test_tolerance_of_another_pipeline_rejected():
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
 def test_committed_configs_valid(path):
     validate_config(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_committed_config_runs_through_main(path, tmp_path):
+    # every committed config runs end to end and passes every gate
+    pipeline = json.loads(path.read_text())["pipeline"]
+    out = tmp_path / "out"
+    assert main([pipeline, "--config", str(path), "--output-dir", str(out)]) == 0
+    gates = json.loads((out / "manifest.json").read_text())["gates"]
+    assert gates and [name for name, g in gates.items() if not g["pass"]] == []
+
+
+def test_dnmap_solves_each_pair_once(tmp_path, monkeypatch):
+    # the dnmap gates share their solutions: one Poisson solve per distinct
+    # (system, exterior data) pair, three in all
+    import fraccalderon.cli as cli
+    import fraccalderon.dnmap as dnmap
+    solves = []
+    real = dnmap.solve_poisson
+
+    def spy(sys, f):
+        solves.append((id(sys), np.asarray(f).tobytes()))
+        return real(sys, f)
+
+    monkeypatch.setattr(cli, "solve_poisson", spy)
+    monkeypatch.setattr(dnmap, "solve_poisson", spy)
+    code, _ = run(load_config("dnmap_desk1d.json"), output_dir=str(tmp_path))
+    assert code == 0
+    assert len(solves) == 3 and len(set(solves)) == 3
+
+
+def test_validate_op_holds_no_nonfar_squared_array(tmp_path):
+    # the checks apply the operator and read its table: the traced peak of a
+    # 2D validate-op run (disc, h = 0.1, 1264 non-FAR nodes) stays below one
+    # N_nf^2 array (12.2 MB).  Measured 6.8 MB here, 39.8 MB when the
+    # checks gathered the matrix.  pad_factor 4 keeps the spectral route's
+    # lattice (pad^2 times the box) below that size as well; at the
+    # default 16 it alone takes 57 MB
+    grid_cfg = {"dim": 2, "h": 0.1, "R": 3.0,
+                "omega": {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
+                "support": {"type": "disc", "center": [0.0, 0.0], "radius": 2.0}}
+    cfg = {"schema_version": 1, "pipeline": "validate-op", "grid": grid_cfg, "s": 0.5,
+           "pad_factor": 4}
+    n_nf = len(build_grid(2, 0.1, 3.0, grid_cfg["omega"], grid_cfg["support"]).nonfar)
+    tracemalloc.start()
+    try:
+        code, _ = run(cfg, output_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < n_nf**2 * 8
 
 
 @pytest.mark.parametrize("window", ["W1", "W2"])
