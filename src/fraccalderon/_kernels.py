@@ -18,15 +18,16 @@ large allocation is the output.
 One BLAS library on the solve path.  numpy and scipy each link their own
 OpenBLAS, and each keeps its own thread pool.  After a numpy product, solve
 or whole-array norm, numpy's workers spin for a while waiting for more
-work, and scipy's LU factorizations and solves, which run next, compete
-with them for the cores: on 2 cores one LU of 1264 unknowns takes 0.03 s
-alone and 0.05-0.12 s right after one numpy product.  So ``dirichlet``,
-``dnmap``, ``runge`` and ``calderon`` make every BLAS and LAPACK call
-through scipy: products through ``matmul``, whole-array 2-norms through
-``norm``, factorizations through ``scipy.linalg``.  They never use the
-``@`` operator, ``np.dot``, ``np.matmul``, ``np.linalg.norm`` without
-``ord`` or ``axis``, or any other ``np.linalg`` routine; a test checks
-their source for these.
+work, and scipy's Cholesky and LU factorizations and solves, which run
+next, compete with them for the cores: on 2 cores one LU of 1264 unknowns
+took 0.03 s alone and 0.05-0.12 s right after one numpy product.  So
+``dirichlet``, ``dnmap``, ``runge``, ``calderon`` and ``extension`` make
+every BLAS and LAPACK call through scipy: products through ``matmul`` (and
+the symmetric Gram product through ``syrk``), whole-array 2-norms through
+``norm``, factorizations and decompositions through ``scipy.linalg``.  They
+never use the ``@`` operator, ``np.dot``, ``np.matmul``, ``np.linalg.norm``
+without ``ord`` or ``axis``, or any other ``np.linalg`` routine; a test
+checks their source for these.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas
 
 __all__ = ["backend_name", "gather_offsets", "matmul", "norm", "offset_convolve",
-           "offset_table"]
+           "offset_table", "syrk"]
 
 
 # rows of a lattice run copied at once by ``gather_offsets``: bounds its
@@ -76,6 +77,16 @@ def matmul(a, b) -> np.ndarray:
     fa, ta = _fortran(a)
     fb, tb = _fortran(b)
     return blas.dgemm(1.0, fa, fb, trans_a=ta, trans_b=tb)
+
+
+def syrk(a, alpha: float, out: np.ndarray) -> np.ndarray:
+    """The upper triangle of ``alpha * a @ a.T`` through scipy's dsyrk, for a
+    2D float ``a``, at half the flops of the full product, written into
+    ``out`` (square, Fortran-ordered) and returned; the strict lower
+    triangle of ``out`` is left as it was.  ``a`` is passed as a view with a
+    transpose flag, never copied."""
+    f, t = _fortran(np.asarray(a, dtype=np.float64))
+    return blas.dsyrk(alpha, f, beta=0.0, c=out, trans=t, overwrite_c=1)
 
 
 def norm(x) -> float:

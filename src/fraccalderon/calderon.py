@@ -21,10 +21,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, blas, lapack
 
-from ._kernels import matmul, norm
-from .dirichlet import DirichletSystem, Potential, assemble_system, dirichlet_spectrum
+from ._kernels import matmul, norm, syrk
+from .dirichlet import (DirichletSystem, Potential, assemble_system, dirichlet_spectrum,
+                        system_facts)
 from .dnmap import assemble_dn
 from .errors import (GridMismatchError, IllConditionedWarning, RungeFailError,
                      SingularSystemError)
@@ -123,22 +124,36 @@ def _penalty(grid: Grid, basis: np.ndarray = None) -> tuple[np.ndarray, np.ndarr
     return rows, cols, vals + ridge * (rows == cols)
 
 
-def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, penalty: tuple,
+# columns of the Gram buffer handled at once: the temporaries of
+# ``_linearized_normal_equations`` and ``_solve_regularized`` stay at
+# n x GRAM_BLOCK doubles
+GRAM_BLOCK = 64
+
+
+def _column_blocks(n: int) -> list:
+    return [(j0, min(j0 + GRAM_BLOCK, n)) for j0 in range(0, n, GRAM_BLOCK)]
+
+
+def _solve_regularized(gram: tuple, Btm: np.ndarray, residual, penalty: tuple,
                        noise_level: float, clean_beta: float = 1e-3) -> tuple[np.ndarray, float]:
     """Penalized least squares min ||B x - m||^2 + beta * ||L x||^2 (plus a
     ridge), with the weight picked by discrepancy against the noise estimate
     (fixed relative weight for clean data).
 
-    B and m enter only through the normal-equation pieces ``BtB`` (B^T B)
+    B and m enter only through the normal-equation pieces ``gram`` (B^T B)
     and ``Btm`` (B^T m), and through ``residual(x)`` = ||B x - m|| for the
-    discrepancy test, so a caller never has to form B.  ``penalty`` is
-    P = LtL + ridge * I in the coordinate form of ``_penalty``, built once
-    per reconstruction.  Each weight beta copies BtB into one work buffer,
-    adds beta * P at P's positions, and solves by Cholesky factorization in
-    that buffer: BtB is positive semidefinite and P positive definite, so
-    BtB + beta * P is symmetric positive definite.  The buffer is the only
-    n x n array the solve allocates, and every beta of the discrepancy loop
-    reuses it.
+    discrepancy test, so a caller never has to form B.  ``gram`` is the
+    pair (G, diag) of ``_linearized_normal_equations``: B^T B is G's strict
+    upper triangle, mirrored, with ``diag`` on its diagonal; G's diagonal
+    and lower triangle are work space.  ``penalty`` is P = LtL + ridge * I
+    in the coordinate form of ``_penalty``, built once per reconstruction.
+    Each weight beta mirrors the upper triangle into the lower by column
+    blocks, puts back the diagonal, adds beta * P at P's lower-triangle
+    positions, and factors and solves by Cholesky in place (potrf and potrs
+    on the lower triangle): BtB is positive semidefinite and P positive
+    definite, so BtB + beta * P is symmetric positive definite.  The upper
+    triangle survives, so every beta of the discrepancy loop reuses G, and
+    the solve allocates no n x n array.
 
     The relative weight ``clean_beta`` is the penalty weight over
     ||BtB||_F / ||P||_F; the normal matrix's condition number
@@ -149,8 +164,16 @@ def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, penalty: tupl
     naming both weights, and the discrepancy grid stops there.  Above the
     floor nothing changes.  Returns the solution and the absolute weight used.
     """
+    G, diag = gram
+    n = len(diag)
+    blocks = _column_blocks(n)
     rows, cols, vals = penalty
-    scale = norm(BtB) / max(norm(vals), 1e-300)
+    lower = rows >= cols
+    p_rows, p_cols, p_vals = rows[lower], cols[lower], vals[lower]
+    # ||BtB||_F: the strict upper triangle counts twice
+    upper_sq = sum(norm(G[:j0, j0:j1]) ** 2 + norm(np.triu(G[j0:j1, j0:j1], 1)) ** 2
+                   for j0, j1 in blocks)
+    scale = np.sqrt(2.0 * upper_sq + norm(diag) ** 2) / max(norm(vals), 1e-300)
     if clean_beta < BETA_FLOOR:
         warnings.warn(
             f"clean_beta {clean_beta:.3e} puts the penalized normal equations' "
@@ -158,13 +181,21 @@ def _solve_regularized(BtB: np.ndarray, Btm: np.ndarray, residual, penalty: tupl
             f"floor {BETA_FLOOR:.3e}", IllConditionedWarning)
         clean_beta = BETA_FLOOR
     floor = clean_beta * scale
-    work = np.empty(BtB.shape, order="F")
+    below = np.tri(GRAM_BLOCK, k=-1, dtype=bool)
+    # a writable view of G's diagonal: G is Fortran-contiguous
+    on_diagonal = G.reshape(-1, order="F")[::n + 1]
 
     def solve(beta):
-        np.copyto(work, BtB)
-        work[rows, cols] += beta * vals
-        factor = cho_factor(work, overwrite_a=True, check_finite=False)
-        return cho_solve(factor, Btm, check_finite=False)
+        for j0, j1 in blocks:
+            square = G[j0:j1, j0:j1]
+            square[...] = np.where(below[:j1 - j0, :j1 - j0], square.T, square)
+            G[j1:, j0:j1] = G[j0:j1, j1:].T
+        on_diagonal[...] = diag
+        G[p_rows, p_cols] += beta * p_vals
+        factor, info = lapack.dpotrf(G, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise LinAlgError(f"penalized normal matrix not positive definite (potrf {info})")
+        return lapack.dpotrs(factor, Btm, lower=1)[0]
 
     if noise_level <= 0:
         return solve(floor), floor
@@ -192,22 +223,31 @@ def _linearized_normal_equations(A1: np.ndarray, A2: np.ndarray, D: np.ndarray,
         Btm = hn^2 * rowsum(A1 o (A2 D))
         ||B dq - m|| = hn * ||A1^T diag(dq) A2 - D^T||_F
 
-    In an unknown basis Phi (dq = Phi c; None is the identity) they become
-    Phi^T BtB Phi, Phi^T Btm and the residual at Phi c.  Returns
-    ``(BtB, Btm, residual)`` for ``_solve_regularized``.
+    BtB is symmetric, so only its upper triangle is formed, in one Fortran
+    buffer G: hn^2 A1 A1^T by syrk, then A2 A2^T multiplied in by column
+    blocks of ``GRAM_BLOCK``, one n_int x GRAM_BLOCK product at a time.  G
+    is the only n_int x n_int array allocated.  In an unknown basis Phi
+    (dq = Phi c; None is the identity) they become Phi^T BtB Phi (a symm
+    product from the upper triangle), Phi^T Btm and the residual at Phi c.
+    Returns ``((G, diag), Btm, residual)`` for ``_solve_regularized``, with
+    BtB's diagonal copied into ``diag``.
     """
-    # the second Gram product is multiplied into the first's buffer
-    BtB = matmul(A1, A1.T)
-    BtB *= matmul(A2, A2.T)
-    BtB *= hn**2
+    n = A1.shape[0]
+    G = syrk(A1, hn**2, out=np.zeros((n, n), order="F"))
+    # rows of A2 contiguous, so each block product reads views of them
+    rows2 = np.ascontiguousarray(A2)
+    for j0, j1 in _column_blocks(n):
+        G[:j1, j0:j1] *= matmul(rows2[:j1], rows2[j0:j1].T)
+    del rows2
     Btm = hn**2 * np.sum(A1 * matmul(A2, D), axis=1)
 
     def residual(dq):
         return hn * norm(matmul(A1.T, dq[:, None] * A2) - D.T)
 
     if basis is None:
-        return BtB, Btm, residual
-    return (matmul(matmul(basis.T, BtB), basis), matmul(basis.T, Btm),
+        return (G, G.diagonal().copy()), Btm, residual
+    small = np.asfortranarray(matmul(basis.T, blas.dsymm(1.0, G, basis)))
+    return ((small, small.diagonal().copy()), matmul(basis.T, Btm),
             lambda c: residual(matmul(basis, c)))
 
 
@@ -260,7 +300,10 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     sigma * hn * ||data|| for unit pairs.  ``clean_beta`` is the relative
     penalty weight (see ``_solve_regularized``); below ``BETA_FLOOR`` (about
     1e-8) it is raised to the floor with an ``IllConditionedWarning``, and
-    each iteration's diagnostics record the absolute weight as ``beta``.
+    each iteration's diagnostics record the absolute weight as ``beta``,
+    the residual data norm before the step as ``data_norm``, the update's
+    weighted norm as ``step_norm``, and ``system_facts`` of each trial
+    system the backtracking assembled, in order, as ``trials``.
 
     No DN map is assembled.  The operator is exactly symmetric, so for a
     trial system T and the current system C the integral identity is the
@@ -326,8 +369,11 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
 
         # backtrack the update if it stops explaining the measured data, or if
         # the trial potential is non-finite or makes the system unsolvable
+        trials = []
+
         def _try(q_vals):
             sys_try = assemble_system(sys_ref.op, Potential(grid, q_vals))
+            trials.append(system_facts(sys_try))
             U1_try = control_to_interior_matrix(sys_try, src)
             # DN(trial) - DN(current) = U2^T diag(q_trial - q_current) U1_trial
             return sys_try, U1_try, data_cur - matmul(U2.T, (q_vals - q_hat)[:, None] * U1_try)
@@ -357,6 +403,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
             "beta": float(beta),
             "data_norm": misfit_now,
             "step_norm": float(np.sqrt(hn) * norm(dq)),
+            "trials": trials,
         })
 
     estimate = q_hat - sys_ref.potential.values

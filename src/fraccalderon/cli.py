@@ -6,6 +6,9 @@ rejected); scalar fields can be overridden from the command line.  Every run
 writes a manifest recording the config hash, seeds, versions, BLAS thread
 settings, wall time and produced files, and exits 0 only if all configured
 tolerance gates pass (1: gate failure, 2: invalid config, 4: numeric error).
+An ``invert`` manifest also records how each assembled system was factored
+and its rcond (``systems``; the trial systems per iteration), and each
+Newton iteration's penalty weight, data norm and step norm (``iterations``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import scipy
 
 from . import __version__
 from .dirichlet import (assemble_system, check_condition, dirichlet_spectrum,
-                        potential_from_spec, solve_poisson)
+                        potential_from_spec, solve_poisson, system_facts)
 from .dnmap import assemble_dn, dn_decomposition_check, export_dn_csv, integral_identity
 from .errors import ConfigError, FracCalderonError
 from .extension import (cs_extend, export_field_csv, frequency_energy_fraction,
@@ -194,6 +197,7 @@ def _smooth_bumps(grid, seed, count=10):
 class GateReport:
     def __init__(self):
         self.gates = {}
+        self.records = {}           # pipeline facts copied into the manifest
 
     def add(self, name, value, threshold, ok=None):
         if ok is None:
@@ -264,7 +268,7 @@ def _pipeline_spectrum(cfg, out_dir, report):
     spec = dirichlet_spectrum(sys)
     _write_csv(out_dir / "spectrum.csv", "index,eigenvalue",
                list(enumerate(spec.eigenvalues)))
-    A = sys.interior_matrix             # gathered anew: the system holds its LU only
+    A = sys.interior_matrix             # gathered anew: the system holds its factors only
     resid = float(np.max(np.abs(A @ spec.eigenvectors
                                 - spec.eigenvectors * spec.eigenvalues)))
     scale = float(np.max(np.abs(spec.eigenvalues)))
@@ -341,16 +345,23 @@ def _pipeline_invert(cfg, out_dir, report):
     q_ref = potential_from_spec(grid, cfg.get("potential_ref", 0.0))
     q_true = potential_from_spec(grid, cfg["potential_true"])
     sys_ref = assemble_system(op, q_ref)
+    sys_true = assemble_system(op, q_true)
+    report.records["systems"] = {"reference": system_facts(sys_ref),
+                                 "true": system_facts(sys_true)}
     noise = cfg.get("noise", {})
-    # the true system serves only the measurements, so it is freed before
-    # the reconstruction
-    meas = simulate_measurements(assemble_system(op, q_true), sys_ref,
+    meas = simulate_measurements(sys_true, sys_ref,
                                  cfg.get("source_window", "W1"),
                                  cfg.get("observation_window", "W2"),
                                  sigma=noise.get("sigma", 0.0),
                                  seed=noise.get("seed", cfg.get("seed", 0)))
+    # the true system serves only the measurements, so it is freed before
+    # the reconstruction
+    del sys_true
     # the schema's invert keys are reconstruct_potential's keywords and defaults
     out = reconstruct_potential(meas, sys_ref, **cfg.get("invert", {}))
+    report.records["iterations"] = [
+        {key: d[key] for key in ("beta", "data_norm", "step_norm", "trials")}
+        for d in out["diagnostics"]["iterations"]]
     truth = q_true.values - q_ref.values
     est = out["q_diff"]
     x = grid.coords[grid.interior]
@@ -470,6 +481,7 @@ def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
         "pipeline": cfg["pipeline"],
         "seed": cfg.get("seed", 0),
         "gates": report.gates,
+        **report.records,
         "files": sorted(files),
         "wall_time_s": time.time() - t0,
         "numpy_version": np.__version__, "scipy_version": scipy.__version__,

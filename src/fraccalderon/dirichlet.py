@@ -3,16 +3,19 @@
 The interior block of the operator matrix plus diag(q), A = A_II + diag(q),
 governs solvability: its spectrum is the discrete Dirichlet spectrum, and
 solves are refused when zero is an eigenvalue within tolerance (the forward
-problem would not be uniquely solvable).  A system is the LU factorization
-of A, built once at assembly in the buffer A was gathered into; no copy of
-A is kept.  The verdict comes from that same LU: LAPACK's 1-norm
-reciprocal-condition estimate rcond must exceed ``CONDITION_TOL``.  For the
-symmetric A, rcond agrees with the eigenvalue ratio min|lambda|/max|lambda|
-to within a factor n_int, so solving needs no eigendecomposition.  The full
-spectrum (``dirichlet_spectrum``) is computed only by its users: the
-``spectrum`` pipeline, the eigen-expansion of ``diffusion`` and the default
-targets of constructive reconstruction; they read A through
-``DirichletSystem.interior_matrix``, which gathers it anew.
+problem would not be uniquely solvable).  A system is one factorization of
+A, built once at assembly in the buffer A was gathered into; no copy of A
+is kept.  A is symmetric, and positive definite whenever q > -lambda_1, so
+it is factored by Cholesky (half the flops of an LU); only where Cholesky
+finds A indefinite, as a potential below -lambda_1 may make it, is A
+gathered again and factored by LU.  The verdict comes from the same
+factors: LAPACK's 1-norm reciprocal-condition estimate rcond must exceed
+``CONDITION_TOL``.  For the symmetric A, rcond agrees with the eigenvalue
+ratio min|lambda|/max|lambda| to within a factor n_int, so solving needs no
+eigendecomposition.  The full spectrum (``dirichlet_spectrum``) is computed
+only by its users: the ``spectrum`` pipeline, the eigen-expansion of
+``diffusion`` and the default targets of constructive reconstruction; they
+read A through ``DirichletSystem.interior_matrix``, which gathers it anew.
 """
 
 from __future__ import annotations
@@ -116,12 +119,14 @@ class Spectrum:
 
 @dataclass
 class DirichletSystem:
-    """The Dirichlet problem of one potential, held as the LU factors of
-    A = A_II + diag(q); build it with ``assemble_system``."""
+    """The Dirichlet problem of one potential, held as one factorization of
+    A = A_II + diag(q): Cholesky where A is positive definite, LU otherwise;
+    build it with ``assemble_system``."""
     op: FracOperator
     potential: Potential
-    factors: tuple = field(repr=False)      # (lu, piv) from LAPACK getrf of A
-    rcond: float                            # dgecon's 1-norm rcond estimate of A
+    factorization: str                      # "cholesky" or "lu"
+    factors: tuple = field(repr=False)      # (c,) from potrf(lower) or (lu, piv) from getrf
+    rcond: float                            # pocon's or gecon's 1-norm rcond estimate of A
     anorm: float                            # ||A||_1
     _spectrum: Spectrum = field(default=None, repr=False)
 
@@ -132,13 +137,13 @@ class DirichletSystem:
     @property
     def interior_matrix(self) -> np.ndarray:
         """A = A_II + diag(q), gathered anew from the operator on each access
-        (n_int^2 doubles); the system keeps only its LU.  Bind it once."""
+        (n_int^2 doubles); the system keeps only its factors.  Bind it once."""
         return _interior_matrix(self.op, self.potential)
 
     def lu(self):
-        """LU factors of A (the only factorization a solve uses), the same
-        tuple on every call; raises ``SingularSystemError`` when
-        ``ensure_solvable`` does."""
+        """The factors of A that every solve uses, whichever the system holds
+        (see ``factorization``), the same tuple on every call; raises
+        ``SingularSystemError`` when ``ensure_solvable`` does."""
         ensure_solvable(self)
         return self.factors
 
@@ -150,20 +155,45 @@ def _interior_matrix(op: FracOperator, potential: Potential) -> np.ndarray:
 
 
 def assemble_system(op: FracOperator, potential: Potential) -> DirichletSystem:
-    """Gather A = A_II + diag(q), read ||A||_1, and factor A in its own buffer."""
+    """Gather A = A_II + diag(q), read ||A||_1, and factor A in its own buffer:
+    by Cholesky, or by LU where Cholesky finds A not positive definite."""
     if potential.grid is not op.grid:
         raise DomainError("potential and operator live on different grids")
     A = _interior_matrix(op, potential)
     # the operator is exactly symmetric, so A.T is A in Fortran order: dlange
-    # reads ||A||_1 without an |A| temporary, and getrf overwrites it without
-    # a copy.  LAPACK getrf as in linalg.lu_factor, minus its LinAlgWarning
-    # on an exactly zero pivot: that pivot reads rcond = 0, and the gate
-    # reports it
+    # reads ||A||_1 without an |A| temporary, and potrf overwrites its lower
+    # triangle without a copy
     anorm = float(lapack.dlange("1", A.T))
+    c, info = lapack.dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        rcond = float(lapack.dpocon(c, anorm, uplo="L")[0])
+        return DirichletSystem(op=op, potential=potential, factorization="cholesky",
+                               factors=(c,), rcond=rcond, anorm=anorm)
+    # A is indefinite (or singular): potrf stopped part way through the
+    # buffer, so A is gathered again.  LAPACK getrf as in linalg.lu_factor,
+    # minus its LinAlgWarning on an exactly zero pivot: that pivot reads
+    # rcond = 0, and the gate reports it
+    del A, c
+    A = _interior_matrix(op, potential)
     lu, piv, _ = lapack.dgetrf(A.T, overwrite_a=True)
     rcond = float(lapack.dgecon(lu, anorm, norm="1")[0])
-    return DirichletSystem(op=op, potential=potential, factors=(lu, piv),
-                           rcond=rcond, anorm=anorm)
+    return DirichletSystem(op=op, potential=potential, factorization="lu",
+                           factors=(lu, piv), rcond=rcond, anorm=anorm)
+
+
+def system_facts(sys: DirichletSystem) -> dict:
+    """How the system was factored and how well conditioned it is, for a
+    run's record: ``factorization`` and ``rcond``."""
+    return {"factorization": sys.factorization, "rcond": sys.rcond}
+
+
+def _solve(sys: DirichletSystem, b: np.ndarray) -> np.ndarray:
+    """A^-1 b for an n_int vector or n_int x m array b, through the system's
+    factors: potrs on a Cholesky factor, getrs on an LU."""
+    factors = sys.lu()
+    if sys.factorization == "cholesky":
+        return lapack.dpotrs(*factors, b, lower=1)[0]
+    return lapack.dgetrs(*factors, b)[0]
 
 
 def dirichlet_spectrum(sys: DirichletSystem) -> Spectrum:
@@ -180,21 +210,22 @@ def dirichlet_spectrum(sys: DirichletSystem) -> Spectrum:
 
 
 def check_condition(sys: DirichletSystem) -> dict:
-    """Is zero eigenvalue-free within tolerance?  Read from the system's LU.
+    """Is zero eigenvalue-free within tolerance?  Read from the system's factors.
 
-    ok = rcond > ``CONDITION_TOL``, with rcond LAPACK dgecon's estimate of
-    the 1-norm reciprocal condition number 1 / (||A||_1 ||A^-1||_1) of
-    A = A_II + diag(q); margin = rcond ||A||_1 estimates 1 / ||A^-1||_1.
-    For symmetric A the exact 1-norm quantities lie between 1/n_int and 1
-    times the eigenvalue ratio min|lambda|/max|lambda| (the 2-norm
-    reciprocal condition number), and between 1/sqrt(n_int) and 1 times
-    min|lambda|; the estimate can only read larger than the exact value.
+    ok = rcond > ``CONDITION_TOL``, with rcond LAPACK's estimate (dpocon on
+    a Cholesky factor, dgecon on an LU) of the 1-norm reciprocal condition
+    number 1 / (||A||_1 ||A^-1||_1) of A = A_II + diag(q); margin =
+    rcond ||A||_1 estimates 1 / ||A^-1||_1.  For symmetric A the exact
+    1-norm quantities lie between 1/n_int and 1 times the eigenvalue ratio
+    min|lambda|/max|lambda| (the 2-norm reciprocal condition number), and
+    between 1/sqrt(n_int) and 1 times min|lambda|; the estimate can only
+    read larger than the exact value.
     """
     return {"ok": sys.rcond > CONDITION_TOL, "margin": sys.rcond * sys.anorm}
 
 
 def ensure_solvable(sys: DirichletSystem) -> None:
-    """Raise ``SingularSystemError`` unless the LU's 1-norm rcond estimate
+    """Raise ``SingularSystemError`` unless the factors' 1-norm rcond estimate
     exceeds ``CONDITION_TOL`` (``check_condition``)."""
     chk = check_condition(sys)
     if not chk["ok"]:
@@ -214,14 +245,14 @@ def solve_poisson(sys: DirichletSystem, f: np.ndarray) -> GridFunction:
         raise ValueError("f must be given on the exterior-support nodes")
     full = np.zeros(grid.n_nodes)
     full[grid.ext_support] = f
-    full[grid.interior] = linalg.lu_solve(sys.lu(), -sys.op.apply(full, grid.interior))
+    full[grid.interior] = _solve(sys, -sys.op.apply(full, grid.interior))
     return GridFunction(grid, full)
 
 
 def solve_window(sys: DirichletSystem, nodes: np.ndarray) -> np.ndarray:
     """Interior values of the solutions driven by the unit exterior vectors
     of the given exterior-support nodes, one column per node."""
-    return linalg.lu_solve(sys.lu(), -sys.op.block(sys.grid.interior, nodes))
+    return _solve(sys, -sys.op.block(sys.grid.interior, nodes))
 
 
 def solve_source(sys: DirichletSystem, F: np.ndarray) -> GridFunction:
@@ -230,7 +261,7 @@ def solve_source(sys: DirichletSystem, F: np.ndarray) -> GridFunction:
     F = np.asarray(F, dtype=float)
     if F.shape != (len(grid.interior),):
         raise ValueError("F must be given on the interior nodes")
-    u_int = linalg.lu_solve(sys.lu(), F)
+    u_int = _solve(sys, F)
     full = np.zeros(grid.n_nodes)
     full[grid.interior] = u_int
     return GridFunction(grid, full)

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import linalg, special
 
-from ._kernels import gather_offsets
+from ._kernels import matmul, offset_convolve
 from .errors import DomainError, LadderError
 from .fracop import FracOperator, extension_trace_constant, squared_frequencies
 from .grid import Grid, GridFunction
@@ -42,25 +42,28 @@ def kernel_cdf(t: np.ndarray, y: float, s: float) -> np.ndarray:
 
 
 def poisson_kernel_weights(grid: Grid, s: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-integral kernel weights K[i, j] (target i, source cell j) and the
-    per-source mass escaping the box; in-box column sums plus the escape add
-    to one identically.  The kernel is even, so K[i, j] depends only on the
-    lattice offset |i - j| and is evaluated once per offset."""
+    """Cell-integral kernel weights and the per-source mass escaping the box.
+
+    The kernel is even, so the weight K[i, j] of source cell j at target i
+    depends only on the lattice offset |i - j|: it is returned as the table
+    ``table[d]`` = K[i, j] for |i - j| = d, evaluated once per offset.  The
+    in-box column sums of K plus the escape add to one identically."""
     if grid.dim != 1:
         raise DomainError("extension requires a 1D base grid")
     d = np.arange(grid.shape[0]) * grid.h
     table = kernel_cdf(d + grid.h / 2.0, y, s) - kernel_cdf(d - grid.h / 2.0, y, s)
-    K = gather_offsets(table, grid.idx, grid.idx)
     x = grid.coords[:, 0]
     lo = -grid.R - x
     hi = grid.R - x
     escape = 1.0 - (kernel_cdf(hi, y, s) - kernel_cdf(lo, y, s))
-    return K, escape
+    return table, escape
 
 
 def cs_extend(u: GridFunction, s: float, y_levels) -> ExtensionField:
     """Extend a compactly supported grid function to positive levels by
-    discrete convolution with the exactly-normalized kernel."""
+    discrete convolution with the exactly-normalized kernel: per level, one
+    FFT convolution of the kernel's offset table with u
+    (``_kernels.offset_convolve``), no n_nodes x n_nodes matrix."""
     if not 0.0 < s < 1.0:
         raise DomainError(f"s must lie in (0, 1), got {s}")
     grid = u.grid
@@ -73,8 +76,8 @@ def cs_extend(u: GridFunction, s: float, y_levels) -> ExtensionField:
         raise DomainError("y_levels must be strictly increasing and positive")
     vals = np.empty((grid.n_nodes, len(y_levels)))
     for m, y in enumerate(y_levels):
-        K, _ = poisson_kernel_weights(grid, s, float(y))
-        vals[:, m] = K @ u.values
+        table, _ = poisson_kernel_weights(grid, s, float(y))
+        vals[:, m] = offset_convolve(table, u.values)
     return ExtensionField(grid=grid, s=s, y_levels=y_levels, base=u.values.copy(),
                           values=vals)
 
@@ -114,9 +117,10 @@ def trace_derivative(field: ExtensionField, s: float) -> GridFunction:
     G = (field.values[:, :n_use] - field.base[:, None] - classical) / y[None, :] ** (2 * s)
     n_terms = 3 if n_use >= 4 else 2
     basis = np.stack([y**e for e in (0.0, 2.0, 4.0)[:n_terms]], axis=1)
-    if np.linalg.cond(basis) > 1e12:
+    sv_basis = linalg.svdvals(basis)          # condition number sv[0] / sv[-1]
+    if sv_basis[0] > 1e12 * sv_basis[-1]:
         raise LadderError("level ladder too degenerate for extrapolation")
-    coef, *_ = np.linalg.lstsq(basis, G.T, rcond=None)
+    coef = linalg.lstsq(basis, G.T)[0]
     a = coef[0]
     d_s = extension_trace_constant(s)
     return GridFunction(field.grid, -d_s * 2.0 * s * a)
@@ -159,7 +163,7 @@ def ucp_conditioning(op: FracOperator, W) -> dict:
     sel[np.arange(len(w_pos)), w_pos] = 1.0
     C = np.vstack([sel, op.block(w_nodes, nf)])
 
-    _, sv, Vt = np.linalg.svd(C, full_matrices=True)
+    _, sv, Vt = linalg.svd(C, full_matrices=True)
     minimizer = Vt[-1]
     if C.shape[0] >= C.shape[1]:
         sigma_min = float(sv[C.shape[1] - 1])
@@ -171,11 +175,11 @@ def ucp_conditioning(op: FracOperator, W) -> dict:
         sigma_rows = float(sv[C.shape[0] - 1])
 
     norm_cap = (np.pi / (4.0 * grid.h)) ** (2.0 * op.s)
-    evals, evecs = np.linalg.eigh(op.matrix)
+    evals, evecs = linalg.eigh(op.matrix)
     keep = evals <= norm_cap
     if np.any(keep):
         V = evecs[:, keep]
-        sv_smooth = np.linalg.svd(C @ V, compute_uv=False)
+        sv_smooth = linalg.svdvals(matmul(C, V))
         smooth_sigma_min = float(sv_smooth[-1]) if V.shape[1] <= C.shape[0] else 0.0
         smooth_dim = int(V.shape[1])
     else:

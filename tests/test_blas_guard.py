@@ -1,9 +1,10 @@
 """One BLAS library on the solve path (see ``fraccalderon._kernels``).
 
-``dirichlet``, ``dnmap``, ``runge`` and ``calderon`` make every BLAS call
-through scipy, so numpy's OpenBLAS thread pool never competes with scipy's.
-The guard reads their source; the helpers must equal numpy's products and
-norms up to rounding, without copying their operands.
+``dirichlet``, ``dnmap``, ``runge``, ``calderon`` and ``extension`` make
+every BLAS call through scipy, so numpy's OpenBLAS thread pool never
+competes with scipy's.  The guard reads their source; the helpers must
+equal numpy's products and norms up to rounding, without copying their
+operands.
 """
 
 import ast
@@ -14,9 +15,9 @@ import numpy as np
 import pytest
 
 from fraccalderon import _kernels
-from fraccalderon._kernels import matmul, norm
+from fraccalderon._kernels import matmul, norm, syrk
 
-SOLVE_PATH = ("dirichlet.py", "dnmap.py", "runge.py", "calderon.py")
+SOLVE_PATH = ("dirichlet.py", "dnmap.py", "runge.py", "calderon.py", "extension.py")
 PACKAGE = Path(_kernels.__file__).resolve().parent
 # numpy functions that run numpy's BLAS
 NUMPY_BLAS = ("dot", "vdot", "inner", "matmul", "tensordot", "einsum")
@@ -97,6 +98,26 @@ def test_matmul_strided_empty_and_misaligned():
     assert np.array_equal(matmul(np.zeros((2, 0)), np.zeros((0, 4))), np.zeros((2, 4)))
     with pytest.raises(ValueError, match="do not align"):
         matmul(np.ones((2, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_syrk_writes_the_upper_triangle(order):
+    # the upper triangle of alpha a a^T, into the given buffer, with its
+    # strict lower triangle untouched and the operand not copied
+    rng = np.random.default_rng(4)
+    a = np.asarray(rng.standard_normal((300, 40)), order=order)
+    out = np.full((300, 300), 7.0, order="F")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = syrk(a, 0.5, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is out and peak - base < a.nbytes
+    upper = np.triu_indices(300)
+    assert np.allclose(out[upper], (0.5 * a @ a.T)[upper], rtol=1e-13, atol=1e-13)
+    assert np.all(out[np.tril_indices(300, -1)] == 7.0)
 
 
 def test_norm_equals_numpy():

@@ -155,9 +155,9 @@ def test_constructive_is_galerkin_on_control_pairs(desk_setup, monkeypatch):
     seen = {}
     real = calderon._solve_regularized
 
-    def spy(BtB, Btm, residual, L, noise_level, **kwargs):
-        seen.update(BtB=BtB, Btm=Btm, residual=residual, noise=noise_level)
-        return real(BtB, Btm, residual, L, noise_level, **kwargs)
+    def spy(gram, Btm, residual, L, noise_level, **kwargs):
+        seen.update(BtB=_symmetric(gram), Btm=Btm, residual=residual, noise=noise_level)
+        return real(gram, Btm, residual, L, noise_level, **kwargs)
 
     monkeypatch.setattr(calderon, "_solve_regularized", spy)
     alpha, hn = 1e-8, grid.h
@@ -217,7 +217,7 @@ def test_backtracking_halves_nonfinite_step(desk_setup, monkeypatch):
     grid, sys_ref, sys_true, _ = desk_setup
     meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
     monkeypatch.setattr(calderon, "_solve_regularized",
-                        lambda B, *a, **k: (np.full(B.shape[1], np.inf), 1.0))
+                        lambda gram, *a, **k: (np.full(len(gram[1]), np.inf), 1.0))
     out = reconstruct_potential(meas, sys_ref, iterations=1, mode="linearized")
     assert np.array_equal(out["q_diff"], np.zeros(len(grid.interior)))
 
@@ -237,6 +237,14 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def _symmetric(gram):
+    """BtB from the Gram pair (G, diag) that ``_solve_regularized`` takes:
+    G's strict upper triangle, mirrored, with diag on the diagonal."""
+    G, diag = gram
+    upper = np.triu(G, 1)
+    return upper + upper.T + np.diag(diag)
+
+
 @pytest.mark.parametrize("case", ["desk_setup", "setup_2d"])
 def test_gram_normal_equations_match_explicit_galerkin(case, request, monkeypatch):
     # the Gram-form BtB, Btm, residual and noise level that the linearized
@@ -246,9 +254,9 @@ def test_gram_normal_equations_match_explicit_galerkin(case, request, monkeypatc
     seen = {}
     real = calderon._solve_regularized
 
-    def spy(BtB, Btm, residual, L, noise_level, **kwargs):
-        seen.update(BtB=BtB, Btm=Btm, residual=residual, noise=noise_level)
-        seen["dq"], beta = real(BtB, Btm, residual, L, noise_level, **kwargs)
+    def spy(gram, Btm, residual, L, noise_level, **kwargs):
+        seen.update(BtB=_symmetric(gram), Btm=Btm, residual=residual, noise=noise_level)
+        seen["dq"], beta = real(gram, Btm, residual, L, noise_level, **kwargs)
         return seen["dq"], beta
 
     monkeypatch.setattr(calderon, "_solve_regularized", spy)
@@ -321,14 +329,32 @@ def test_no_dn_assembly_one_window_solve_per_system(mode, desk_setup, monkeypatc
     assert len(observation) == sweeps and observation[0] is sys_ref
 
 
+def _dn_extended(sys, meas):
+    """The DN map of ``sys`` between the measurement windows in extended
+    precision (numpy's longdouble): the window solutions refined twice with
+    residuals in longdouble, then read out in longdouble."""
+    ext = np.longdouble
+    src, obs, interior = meas.source_nodes, meas.observation_nodes, sys.grid.interior
+    A = sys.interior_matrix
+    B = -sys.op.block(interior, src).astype(ext)
+    U = np.linalg.solve(A, B.astype(float)).astype(ext)
+    for _ in range(2):
+        U += np.linalg.solve(A, (B - A.astype(ext) @ U).astype(float))
+    return sys.op.block(obs, interior).astype(ext) @ U + sys.op.block(obs, src)
+
+
 @pytest.mark.parametrize("mode", ["linearized", "constructive"])
 @pytest.mark.parametrize("case", ["desk_setup", "disc_h02"])
 def test_trial_residual_is_dn_difference(case, mode, request, monkeypatch):
     # the residual data a sweep tests, carried from the trial that the sweep
     # before accepted, is what the DN maps give:
-    # meas.data - (DN(current) - DN(reference)).  Measured: at most 2.4e-14
-    # relative in sweep 2 and 4.8e-13 in sweep 3 (2D linearized), where the
-    # residual is smaller and the DN difference loses more to cancellation
+    # meas.data - (DN(current) - DN(reference)).  In sweep 3 (2D
+    # linearized) that residual is 2e-4 of the DN maps, so a float64 DN
+    # difference alone is off by about 1e-12 relative; the DN maps are
+    # therefore taken in extended precision (``_dn_extended``).  Measured:
+    # at most 1.1e-14 relative in sweep 2 and 1.5e-13 in sweep 3 (1D
+    # constructive); 6.2e-14 in sweep 3 (2D linearized), where a 40-digit
+    # DN difference reads 6.4e-14
     grid, sys_ref, sys_true, _ = request.getfixturevalue(case)
     meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
     kwargs = (dict(clean_beta=0.1) if mode == "linearized" else
@@ -345,9 +371,9 @@ def test_trial_residual_is_dn_difference(case, mode, request, monkeypatch):
     current = [sys for (sys, window), _, _ in solves if window is meas.observation_nodes]
     assert data[0] is meas.data and current[0] is sys_ref
     assert len({id(sys) for sys in current}) == 3      # each sweep accepted a trial
-    dn_ref = dnmap.assemble_dn(sys_ref, "W1", "W2").matrix
+    dn_ref = _dn_extended(sys_ref, meas)
     for sweep in (1, 2):
-        want = meas.data - (dnmap.assemble_dn(current[sweep], "W1", "W2").matrix - dn_ref)
+        want = (meas.data - (_dn_extended(current[sweep], meas) - dn_ref)).astype(float)
         assert _rel(data[sweep], want) <= 1e-12
 
 
@@ -422,9 +448,10 @@ def _dense_penalty(grid, basis=None):
     return LtL + calderon.RIDGE * np.linalg.norm(LtL) * np.eye(LtL.shape[0])
 
 
-def _lu_solve_regularized(BtB, Btm, residual, P, noise_level, clean_beta=1e-3):
-    """Reference penalized solve: the dense penalty P and an LU solve of the
-    penalized normal equations for each weight."""
+def _lu_solve_regularized(gram, Btm, residual, P, noise_level, clean_beta=1e-3):
+    """Reference penalized solve: the full symmetric BtB, the dense penalty P
+    and an LU solve of the penalized normal equations for each weight."""
+    BtB = _symmetric(gram)
     scale = np.linalg.norm(BtB) / max(np.linalg.norm(P), 1e-300)
     clean_beta = max(clean_beta, BETA_FLOOR)
     floor = clean_beta * scale
@@ -513,16 +540,50 @@ def test_estimate_matches_numpy_reference(case, sigma, kwargs, tol, request, mon
     assert drift <= tol
 
 
+def test_gram_buffer_is_the_only_square_array(setup_2d):
+    # on the 2D disc at h = 0.1 (n_int = 316) the normal equations allocate
+    # one n_int x n_int array, the Gram buffer, besides blocks of n_int x
+    # GRAM_BLOCK; the penalized solve allocates none over all 26 weights of
+    # the discrepancy loop, keeps the upper triangle, and solves the
+    # penalized normal equations
+    grid, sys_ref, sys_true, _ = setup_2d
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
+    U1 = control_to_interior_matrix(sys_ref, meas.source_nodes)
+    U2 = control_to_interior_matrix(sys_ref, meas.observation_nodes)
+    penalty = calderon._penalty(grid)
+    n2_bytes = 8 * len(grid.interior) ** 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gram, Btm, residual = calderon._linearized_normal_equations(
+            U1, U2, meas.data, grid.h**2)
+        normal_peak = tracemalloc.get_traced_memory()[1] - base
+        upper = np.triu(gram[0], 1)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        dq, beta = calderon._solve_regularized(gram, Btm, residual, penalty, 1e-30,
+                                               clean_beta=0.1)
+        solve_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert normal_peak / n2_bytes <= 1.5 and solve_peak / n2_bytes <= 0.5
+    assert np.array_equal(np.triu(gram[0], 1), upper)
+    P = np.zeros((len(Btm), len(Btm)))
+    P[penalty[0], penalty[1]] = penalty[2]
+    want = np.linalg.solve(_symmetric(gram) + beta * P, Btm)
+    assert _rel(dq, want) <= 1e-8
+
+
 def test_reconstruction_peak_n_int_squared_arrays(setup_2d):
     # peak traced memory of a 2-sweep linearized 2D reconstruction (n_int =
-    # 316), in n_int x n_int float arrays.  Measured 3.43, reached in sweep
-    # 2's penalized solve: the current system's LU (1.0), the Gram matrix
-    # BtB (1.0), the solve's work buffer (1.0), the window solutions,
-    # residual data and the penalty's coordinate arrays (0.35, growing like
-    # n_int) and the solve's own temporaries (0.08).  Sweep 2's Gram
-    # product peaks just below (3.35), with the A2A2^T temporary in place of
-    # the work buffer.  A trial system's gather adds only its output; the
-    # bound leaves 0.07.
+    # 316), in n_int x n_int float arrays.  Measured 2.77, reached in sweep
+    # 2's Gram product: the current system's Cholesky factor (1.0), the Gram
+    # buffer (1.0), the window solutions, residual data and the penalty's
+    # coordinate arrays (about 0.5, growing like n_int), and the product's
+    # row-ordered copy of A2 and one n_int x GRAM_BLOCK block (about 0.3
+    # here, growing like n_int).  The penalized solve that follows allocates
+    # no n_int x n_int array and peaks just below (2.67); a trial system's
+    # gather adds only its output.  The bound leaves 0.07.
     grid, sys_ref, sys_true, _ = setup_2d
     meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
     n2_bytes = 8 * len(grid.interior) ** 2
@@ -535,4 +596,4 @@ def test_reconstruction_peak_n_int_squared_arrays(setup_2d):
     finally:
         tracemalloc.stop()
     assert len(out["diagnostics"]["iterations"]) == 2
-    assert (peak - base) / n2_bytes <= 3.5
+    assert (peak - base) / n2_bytes <= 2.84

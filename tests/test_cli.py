@@ -66,6 +66,28 @@ def test_bit_reproducibility(tmp_path):
     assert man1 == man2
 
 
+def test_invert_manifest_records_systems_and_iterations(tmp_path):
+    # each assembled system's factorization and rcond, and each iteration's
+    # weight, data norm and step norm, identical across two runs
+    cfg = small_invert_config()
+    manifests = [run(cfg, output_dir=str(tmp_path / name))[1] for name in "ab"]
+    for man in manifests:
+        assert set(man["systems"]) == {"reference", "true"}
+        assert len(man["iterations"]) == cfg["invert"]["iterations"]
+        facts = list(man["systems"].values()) + [
+            t for it in man["iterations"] for t in it["trials"]]
+        assert len(facts) >= 2 + len(man["iterations"])
+        for fact in facts:
+            assert fact["factorization"] in ("cholesky", "lu") and fact["rcond"] > 0
+        for it in man["iterations"]:
+            assert it["beta"] > 0 and it["data_norm"] > 0 and it["step_norm"] >= 0
+    on_disk = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert on_disk["systems"] == manifests[0]["systems"]
+    assert on_disk["iterations"] == manifests[0]["iterations"]
+    assert manifests[0]["systems"] == manifests[1]["systems"]
+    assert manifests[0]["iterations"] == manifests[1]["iterations"]
+
+
 def _disc(x, r):
     return {"type": "disc", "center": [x, 0.0], "radius": r}
 

@@ -170,8 +170,8 @@ def test_resonant_rcond_below_tolerance(desk_op, desk_sys0):
 
 
 def test_system_is_its_lu(desk_sys_bump):
-    # one factorization, returned as the same tuple on every call, and the
-    # interior matrix gathered anew from the operator
+    # one factorization, returned by ``lu()`` as the same tuple on every
+    # call, and the interior matrix gathered anew from the operator
     sys = desk_sys_bump
     assert sys.lu() is sys.lu()
     interior = sys.grid.interior
@@ -181,7 +181,7 @@ def test_system_is_its_lu(desk_sys_bump):
 
 def test_system_holds_one_matrix_2d():
     # on the 2D disc at h = 0.05 (1264 interior nodes) a factored system
-    # holds its LU and no second n_int x n_int array
+    # holds its Cholesky factor and no second n_int x n_int array
     g = build_grid(2, 0.05, 3.0,
                    {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
                    {"type": "disc", "center": [0.0, 0.0], "radius": 2.0})
@@ -197,8 +197,65 @@ def test_system_holds_one_matrix_2d():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert n_int == 1264
+    assert n_int == 1264 and sys.factorization == "cholesky"
     assert held <= 1.1 * 8 * n_int**2
+
+
+def _dense_solutions(sys, seed):
+    """Interior solutions of solve_source and solve_poisson for random data,
+    next to numpy's dense solves of A = A_II + diag(q)."""
+    g = sys.grid
+    rng = np.random.default_rng(seed)
+    F = rng.normal(size=len(g.interior))
+    f = rng.normal(size=len(g.ext_support))
+    A = sys.interior_matrix
+    got = (solve_source(sys, F).values[g.interior], solve_poisson(sys, f).values[g.interior])
+    want = (np.linalg.solve(A, F),
+            np.linalg.solve(A, -sys.op.block(g.interior, g.ext_support) @ f))
+    return got, want
+
+
+def test_positive_definite_system_is_factored_by_cholesky(desk_sys0, desk_sys_bump):
+    # q >= 0 keeps A positive definite: one Cholesky factor, whose rcond
+    # (dpocon) gates and whose solves match numpy's dense LU solves
+    for seed, sys in enumerate((desk_sys0, desk_sys_bump)):
+        assert sys.factorization == "cholesky" and len(sys.lu()) == 1
+        assert check_condition(sys)["ok"]
+        for got, want in zip(*_dense_solutions(sys, seed)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_indefinite_system_takes_lu_fallback(desk_op, desk_sys0):
+    # q = -c with lambda_1 < c < lambda_2 makes A indefinite but nonsingular:
+    # Cholesky stops, and the system is gathered again and factored by LU,
+    # which solves correctly and reads an rcond within a factor n_int of
+    # the eigenvalue ratio
+    g = desk_op.grid
+    lam = dirichlet_spectrum(desk_sys0).eigenvalues
+    sys = assemble_system(desk_op, potential_from_spec(g, -0.5 * float(lam[0] + lam[1])))
+    assert sys.factorization == "lu" and len(sys.lu()) == 2
+    w = np.abs(dirichlet_spectrum(sys).eigenvalues)
+    assert np.sum(dirichlet_spectrum(sys).eigenvalues < 0) == 1
+    assert w.min() / w.max() / len(w) <= _rcond(sys) <= w.min() / w.max() * len(w)
+    for got, want in zip(*_dense_solutions(sys, 5)):
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("side,branch", [(1.0, "cholesky"), (-1.0, "lu")])
+def test_near_singular_refused_on_both_branches(side, branch, desk_op, desk_sys0):
+    # the lowest eigenvalue of A put at +-1e-12 of the spectrum's scale:
+    # positive definite, factored by Cholesky, or indefinite, by LU; either
+    # factorization reads rcond <= CONDITION_TOL and every solve is refused
+    g = desk_op.grid
+    lam = dirichlet_spectrum(desk_sys0).eigenvalues
+    shift = float(lam[0]) - side * 1e-12 * float(np.max(np.abs(lam)))
+    sys = assemble_system(desk_op, potential_from_spec(g, -shift))
+    assert sys.factorization == branch
+    assert not check_condition(sys)["ok"] and _rcond(sys) <= CONDITION_TOL
+    with pytest.raises(SingularSystemError):
+        solve_source(sys, np.ones(len(g.interior)))
+    with pytest.raises(SingularSystemError):
+        solve_poisson(sys, np.ones(len(g.ext_support)))
 
 
 def test_solve_poisson_basics(desk_sys0):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fraccalderon import GridFunction, apply_spectral, assemble_quadrature
+from fraccalderon._kernels import gather_offsets
 from fraccalderon.errors import DomainError, LadderError
 from fraccalderon.extension import (cs_extend, export_field_csv,
                                     frequency_energy_fraction,
@@ -12,10 +13,12 @@ from conftest import make_grid_1d, smooth_bump
 
 
 def test_kernel_mass_identity(fine_grid):
-    # cell weights over the box plus the escaped mass tile the whole line
+    # cell weights over the box plus the escaped mass tile the whole line;
+    # column j of K sums the table over offsets 0..j and 1..n-1-j
     for y in (0.01, 0.16, 1.28):
-        K, escape = poisson_kernel_weights(fine_grid, 0.5, y)
-        total = K.sum(axis=0) + escape
+        table, escape = poisson_kernel_weights(fine_grid, 0.5, y)
+        partial = np.cumsum(table)
+        total = partial + partial[::-1] - table[0] + escape
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
 
@@ -32,6 +35,19 @@ def test_delta_mass_preservation(fine_grid):
         _, escape = poisson_kernel_weights(g, 0.5, float(y))
         mass = g.h * np.sum(field.values[:, m]) + g.h * escape[k] * 3.0
         assert mass == pytest.approx(g.h * 3.0, rel=1e-12)
+
+
+def test_extension_is_the_kernel_matrix_product(fine_grid):
+    # each level is the dense kernel matrix gathered from the table times u,
+    # to rounding of the FFT convolution
+    g = fine_grid
+    vals = smooth_bump(g, 0.3, 0.2)
+    levels = trace_ladder(g.h)
+    field = cs_extend(GridFunction(g, vals), 0.5, levels)
+    for m, y in enumerate(levels):
+        K = gather_offsets(poisson_kernel_weights(g, 0.5, float(y))[0], g.idx, g.idx)
+        want = K @ vals
+        assert np.max(np.abs(field.values[:, m] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_even_symmetry(fine_grid):
@@ -68,9 +84,8 @@ def test_composition_at_half_s(fine_grid):
     # the intermediate field costs a few parts in a thousand
     g = fine_grid
     vals = smooth_bump(g, 0.0, 0.2)
-    K1, _ = poisson_kernel_weights(g, 0.5, 0.3)
-    K2, _ = poisson_kernel_weights(g, 0.5, 0.5)
-    K12, _ = poisson_kernel_weights(g, 0.5, 0.8)
+    K1, K2, K12 = (gather_offsets(poisson_kernel_weights(g, 0.5, y)[0], g.idx, g.idx)
+                   for y in (0.3, 0.5, 0.8))
     comp = K2 @ (K1 @ vals)
     direct = K12 @ vals
     assert np.max(np.abs(comp - direct)) / np.max(np.abs(direct)) <= 1e-2
