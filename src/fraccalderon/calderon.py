@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, blas, lapack
 
 from ._kernels import matmul, norm, syrk
-from .dirichlet import (DirichletSystem, Potential, assemble_system, dirichlet_spectrum,
+from .dirichlet import (DirichletSystem, Potential, assemble_system, lowest_eigenvectors,
                         system_facts)
 from .dnmap import assemble_dn
 from .errors import (GridMismatchError, IllConditionedWarning, RungeFailError,
@@ -286,7 +286,8 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     D = G2^T data G1, and the update is dq = Phi c.  Linearized mode takes
     G1 = G2 = Phi = I.  Constructive mode takes G1 = Runge controls (ridge
     weight ``alpha``) for ``targets`` on the source window (default: the
-    ``n_targets`` lowest Dirichlet eigenvectors), G2 = one control for the
+    ``n_targets`` lowest Dirichlet eigenvectors of the reference, from a
+    partial eigh that caches nothing), G2 = one control for the
     constant one on the observation window, and Phi = targets, since each
     pairing is a moment against one target.  A control whose relative
     residual exceeds ``runge_gate`` raises ``RungeFailError``.  Each window's
@@ -313,6 +314,15 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     the first sweep, each trial's when it is tried, and the accepted
     trial's U1 is the next sweep's), and each sweep solves its observation
     window once.  The reference system is only the linearization point.
+
+    A system is kept only until its last use.  A sweep's system is dropped
+    once its observation window is solved and its Runge controls are taken,
+    before the Gram buffer is allocated; a rejected trial is dropped before
+    the next is assembled.  So besides the caller's reference at most one
+    factor is alive: n_int x n_int arrays peak at two, that factor or the
+    Gram buffer, next to the reference.  When every trial of a sweep fails,
+    the loop records that sweep and stops: the next sweep would repeat the
+    same solves on the same system, U1 and residual, to the bit.
     """
     grid = sys_ref.grid
     if meas.grid is not grid:
@@ -326,8 +336,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     basis = None
     if mode == "constructive":
         if targets is None:
-            spec = dirichlet_spectrum(sys_ref)
-            targets = spec.eigenvectors[:, :min(n_targets, n_int)] / np.sqrt(hn)
+            targets = lowest_eigenvectors(sys_ref, min(n_targets, n_int)) / np.sqrt(hn)
         basis = np.asarray(targets, dtype=float).reshape(n_int, -1)
     penalty = _penalty(grid, basis)
     diagnostics = {"iterations": [], "mode": mode}
@@ -338,10 +347,9 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     # the current system, its source-window solutions U1 and its residual data
     # (measured difference minus the part the current estimate explains)
     q_hat = sys_ref.potential.values.copy()
-    current = (sys_ref, control_to_interior_matrix(sys_ref, src), meas.data)
+    sys_cur, U1, data_cur = sys_ref, control_to_interior_matrix(sys_ref, src), meas.data
 
     for it in range(max(1, int(iterations))):
-        sys_cur, U1, data_cur = current
         misfit_now = norm(data_cur)
         if it > 0 and misfit_now <= noise_floor:
             break
@@ -357,6 +365,10 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
                                  runge_gate, hn, "constant")
             A1, A2, G1, G2 = r1.achieved, r2.achieved, r1.control, r2.control
             runge_res, test_res = r1.residual.tolist(), r2.residual.tolist()
+        # the sweep's system is done with: unbound, its factor is freed
+        # before the Gram buffer is allocated (the reference stays alive
+        # with the caller), so at most one trial factor lives from here on
+        del sys_cur
 
         noise_level = meas.sigma * hn * float(np.sqrt(np.sum(
             _pair(meas.data**2, G1, G2, power=2))))
@@ -378,25 +390,19 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
             # DN(trial) - DN(current) = U2^T diag(q_trial - q_current) U1_trial
             return sys_try, U1_try, data_cur - matmul(U2.T, (q_vals - q_hat)[:, None] * U1_try)
 
-        step = dq
+        step, tried = dq, None
         for _ in range(4):
             trial = q_hat + step
-            if not np.all(np.isfinite(trial)):
-                step = step / 2.0
-                continue
-            try:
-                tried = _try(trial)
-            except (SingularSystemError, np.linalg.LinAlgError):
-                step = step / 2.0
-                continue
-            if norm(tried[2]) <= misfit_now or it == 0:
-                current = tried
-                break
+            if np.all(np.isfinite(trial)):
+                try:
+                    tried = _try(trial)
+                except (SingularSystemError, np.linalg.LinAlgError):
+                    tried = None
+                if tried is not None and (norm(tried[2]) <= misfit_now or it == 0):
+                    break
+                # a rejected trial's factor is freed before the next is assembled
+                tried = None
             step = step / 2.0
-        else:
-            # every trial failed: stay at the current system
-            step = np.zeros_like(dq)
-        q_hat = q_hat + step
         diagnostics["iterations"].append({
             "runge_residuals": runge_res,
             "test_residuals": test_res,
@@ -405,6 +411,13 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
             "step_norm": float(np.sqrt(hn) * norm(dq)),
             "trials": trials,
         })
+        if tried is None:
+            # every trial failed: the next sweep would repeat this one exactly
+            # (same system, U1 and residual), so the loop stops here
+            break
+        q_hat = q_hat + step
+        sys_cur, U1, data_cur = tried
+        del tried
 
     estimate = q_hat - sys_ref.potential.values
     return {"q_diff": estimate, "diagnostics": diagnostics}

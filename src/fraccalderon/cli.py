@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -484,6 +485,8 @@ def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
         **report.records,
         "files": sorted(files),
         "wall_time_s": time.time() - t0,
+        # the process's peak resident memory so far, in MB (Linux: ru_maxrss in KB)
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "numpy_version": np.__version__, "scipy_version": scipy.__version__,
         **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }

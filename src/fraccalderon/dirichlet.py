@@ -12,10 +12,12 @@ gathered again and factored by LU.  The verdict comes from the same
 factors: LAPACK's 1-norm reciprocal-condition estimate rcond must exceed
 ``CONDITION_TOL``.  For the symmetric A, rcond agrees with the eigenvalue
 ratio min|lambda|/max|lambda| to within a factor n_int, so solving needs no
-eigendecomposition.  The full spectrum (``dirichlet_spectrum``) is computed
-only by its users: the ``spectrum`` pipeline, the eigen-expansion of
-``diffusion`` and the default targets of constructive reconstruction; they
-read A through ``DirichletSystem.interior_matrix``, which gathers it anew.
+eigendecomposition.  The full spectrum (``dirichlet_spectrum``, cached on
+the system) is computed only by its users, the ``spectrum`` pipeline and the
+eigen-expansion of ``diffusion``; the default targets of constructive
+reconstruction take only the lowest eigenvectors (``lowest_eigenvectors``,
+a partial eigh, not cached).  Both read A through
+``DirichletSystem.interior_matrix``, which gathers it anew.
 """
 
 from __future__ import annotations
@@ -196,17 +198,29 @@ def _solve(sys: DirichletSystem, b: np.ndarray) -> np.ndarray:
     return lapack.dgetrs(*factors, b)[0]
 
 
+def _eigh(A: np.ndarray, **kwargs):
+    try:
+        return linalg.eigh(A, **kwargs)
+    except linalg.LinAlgError as exc:  # pragma: no cover - solver failure
+        raise EigFailError(str(exc)) from exc
+
+
 def dirichlet_spectrum(sys: DirichletSystem) -> Spectrum:
     """Full symmetric eigendecomposition of the interior matrix; cached.
 
     Solves never need it (see ``check_condition``)."""
     if sys._spectrum is None:
-        try:
-            w, v = linalg.eigh(sys.interior_matrix)
-        except linalg.LinAlgError as exc:  # pragma: no cover - solver failure
-            raise EigFailError(str(exc)) from exc
+        w, v = _eigh(sys.interior_matrix)
         sys._spectrum = Spectrum(eigenvalues=w, eigenvectors=v)
     return sys._spectrum
+
+
+def lowest_eigenvectors(sys: DirichletSystem, k: int) -> np.ndarray:
+    """The k lowest orthonormal eigenvectors of the interior matrix, as
+    columns; nothing is cached.  A partial eigh (dsyevr over an index range)
+    in the freshly gathered matrix itself: A is exactly symmetric, so A.T
+    is A in Fortran order and is overwritten without a copy."""
+    return _eigh(sys.interior_matrix.T, subset_by_index=[0, k - 1], overwrite_a=True)[1]
 
 
 def check_condition(sys: DirichletSystem) -> dict:
