@@ -1,9 +1,11 @@
 """Potential reconstruction from partial exterior measurements.
 
 Forward data is the difference of DN maps restricted to a source window and
-an observation window.  By the integral identity, the data paired with a
-source control g1 and an observation control g2 is, to first order, the
-interior integral of the potential difference against the two driven
+an observation window, measured against a reference potential; the
+measurements record that operator and potential, the point the
+reconstruction linearizes at.  By the integral identity, the data paired
+with a source control g1 and an observation control g2 is, to first order,
+the interior integral of the potential difference against the two driven
 solutions.  Reconstruction tests this linearized Galerkin system on one
 family of control pairs P and seeks the update in one unknown basis Phi:
 unit pairs and Phi = I (linearized mode), or Runge pairs g_c g_k^T, whose
@@ -13,6 +15,15 @@ updated potential, reusing the same measured data.  The identity is exact
 between any two systems, so the loop never assembles a DN map: a trial's
 residual data follows from the current residual and the two systems'
 window solutions.
+
+Memory is one Dirichlet factor (n_int^2 doubles) at a time.  The
+measurements can be taken from the true system's DN map, read before the
+reference is assembled, and the reconstruction assembles its own reference
+and drops each system after its last window solve, before the Gram buffer
+(the one n_int^2 array of the solve) is allocated.  An ``invert`` run on
+the 2D disc peaks at 96 MB resident at h = 0.05 (108 MB while the
+simulation held two factors and the reference outlived its use) and at 434
+MB at h = 0.025 (626 MB).
 """
 
 from __future__ import annotations
@@ -26,9 +37,10 @@ from scipy.linalg import LinAlgError, blas, lapack
 from ._kernels import matmul, norm, syrk
 from .dirichlet import (DirichletSystem, Potential, assemble_system, lowest_eigenvectors,
                         system_facts)
-from .dnmap import assemble_dn
-from .errors import (GridMismatchError, IllConditionedWarning, RungeFailError,
-                     SingularSystemError)
+from .dnmap import DNMap, assemble_dn
+from .errors import (GridMismatchError, IllConditionedWarning, ReferenceMismatchError,
+                     RungeFailError, SingularSystemError)
+from .fracop import FracOperator
 from .grid import Grid
 from .runge import COND_WARN, ControlProblem, control_to_interior_matrix, ridge_controls
 
@@ -37,26 +49,48 @@ DEFAULT_RUNGE_GATE = 0.05
 
 @dataclass
 class MeasurementSet:
-    grid: Grid
+    """DN-difference data between two windows, measured against the
+    reference potential ``reference`` on the operator ``op``: the
+    linearization point a reconstruction of these data starts from."""
+    op: FracOperator
+    reference: Potential
     source_nodes: np.ndarray
     observation_nodes: np.ndarray
     data: np.ndarray            # (|W2| x |W1|) DN difference, possibly noisy
     sigma: float
 
+    @property
+    def grid(self) -> Grid:
+        return self.op.grid
 
-def simulate_measurements(sys_true: DirichletSystem, sys_ref: DirichletSystem,
-                          W1, W2, sigma: float = 0.0, seed: int = 0) -> MeasurementSet:
-    """DN difference matrix between the two systems, with optional entrywise
-    relative Gaussian noise; deterministic for a fixed seed."""
-    if sys_true.grid is not sys_ref.grid:
-        raise GridMismatchError("systems must share one grid")
-    dn_t = assemble_dn(sys_true, W1, W2)
-    dn_r = assemble_dn(sys_ref, W1, W2)
-    data = dn_t.matrix - dn_r.matrix
+
+def simulate_measurements(true: DirichletSystem | DNMap, sys_ref: DirichletSystem, W1, W2,
+                          sigma: float = 0.0, seed: int = 0) -> MeasurementSet:
+    """DN difference matrix DN(true) - DN(reference) between the windows, with
+    optional entrywise relative Gaussian noise; deterministic for a fixed seed.
+
+    ``true`` is the true system, or the ``DNMap`` already read from it on
+    the windows W1, W2.  With the map, the true system can be freed before
+    the reference is assembled, so one Dirichlet factor is alive at a time;
+    a map whose node positions are not the reference's windows raises
+    ``GridMismatchError``.  The result records ``sys_ref``'s operator and
+    potential, not the system itself."""
+    if isinstance(true, DNMap):
+        grid = sys_ref.grid
+        if not (np.array_equal(true.source_nodes, grid.exterior_window(W1)[0]) and
+                np.array_equal(true.observation_nodes, grid.exterior_window(W2)[0])):
+            raise GridMismatchError("DN map read on other windows than the reference's")
+        dn_t = true
+    else:
+        if true.grid is not sys_ref.grid:
+            raise GridMismatchError("systems must share one grid")
+        dn_t = assemble_dn(true, W1, W2)
+    data = dn_t.matrix - assemble_dn(sys_ref, W1, W2).matrix
     if sigma > 0:
         rng = np.random.default_rng(seed)
         data = data * (1.0 + sigma * rng.standard_normal(data.shape))
-    return MeasurementSet(grid=sys_true.grid, source_nodes=dn_t.source_nodes,
+    return MeasurementSet(op=sys_ref.op, reference=sys_ref.potential,
+                          source_nodes=dn_t.source_nodes,
                           observation_nodes=dn_t.observation_nodes,
                           data=data, sigma=float(sigma))
 
@@ -272,12 +306,12 @@ def _runge_controls(sys: DirichletSystem, window_nodes, K: np.ndarray,
     return res
 
 
-def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
+def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
                           targets: np.ndarray = None, alpha: float = 1e-10,
                           n_targets: int = 10, runge_gate: float = DEFAULT_RUNGE_GATE,
                           iterations: int = 1, mode: str = "constructive",
                           clean_beta: float = 1e-3) -> dict:
-    """Estimate the potential difference against the reference system.
+    """Estimate the potential difference against the measurements' reference.
 
     Per iteration the residual DN data (measured minus what the current
     estimate explains) is tested on control pairs of the current system.
@@ -313,20 +347,42 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     Each system's source window is solved once (the reference's before
     the first sweep, each trial's when it is tried, and the accepted
     trial's U1 is the next sweep's), and each sweep solves its observation
-    window once.  The reference system is only the linearization point.
+    window once.
 
-    A system is kept only until its last use.  A sweep's system is dropped
-    once its observation window is solved and its Runge controls are taken,
-    before the Gram buffer is allocated; a rejected trial is dropped before
-    the next is assembled.  So besides the caller's reference at most one
-    factor is alive: n_int x n_int arrays peak at two, that factor or the
-    Gram buffer, next to the reference.  When every trial of a sweep fails,
-    the loop records that sweep and stops: the next sweep would repeat the
-    same solves on the same system, U1 and residual, to the bit.
+    The reference system is only the linearization point: the operator
+    ``meas.op`` with the potential ``meas.reference``.  Without ``sys_ref``
+    the reconstruction assembles it, as it assembles a trial, and owns it.
+    A ``sys_ref`` passed in serves instead (a caller reconstructing several
+    data sets against one reference keeps it); it must be built on
+    ``meas.op`` with the values of ``meas.reference``, or
+    ``ReferenceMismatchError`` is raised (``GridMismatchError`` for another
+    grid).  The estimate is the same to the byte either way.
+
+    One Dirichlet factor at a time.  A system is kept only until its last
+    use: a sweep's system, the reference included, is dropped once its
+    observation window is solved and its Runge controls are taken, before
+    the Gram buffer is allocated; a rejected trial is dropped before the
+    next is assembled.  The default targets are computed before the
+    reference is assembled.  So n_int x n_int arrays peak at one: a factor
+    or the Gram buffer (plus the caller's reference, when one is passed).
+    ``fraccalderon invert`` passes none: on its 2D disc (2 linearized
+    sweeps) at h = 0.025 (n_int = 5024, 193 MB per array) the run's traced
+    peak fell from 2.68 to 1.68 n_int^2 (516 to 324 MB) and its
+    ``ru_maxrss`` from 626 to 434 MB when the reconstruction came to own
+    its reference.  When every
+    trial of a sweep fails, the loop records that sweep and stops: the next
+    sweep would repeat the same solves on the same system, U1 and residual,
+    to the bit.
     """
-    grid = sys_ref.grid
-    if meas.grid is not grid:
-        raise GridMismatchError("measurements and reference system on different grids")
+    grid = meas.grid
+    if sys_ref is not None:
+        if sys_ref.grid is not grid:
+            raise GridMismatchError("measurements and reference system on different grids")
+        if sys_ref.op is not meas.op or not np.array_equal(sys_ref.potential.values,
+                                                           meas.reference.values):
+            raise ReferenceMismatchError(
+                "the reference system is not the operator and potential that the "
+                "measurements were taken against")
     hn = grid.h ** grid.dim
     n_int = len(grid.interior)
     src, obs = meas.source_nodes, meas.observation_nodes
@@ -336,7 +392,8 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     basis = None
     if mode == "constructive":
         if targets is None:
-            targets = lowest_eigenvectors(sys_ref, min(n_targets, n_int)) / np.sqrt(hn)
+            targets = lowest_eigenvectors(meas.op, meas.reference,
+                                          min(n_targets, n_int)) / np.sqrt(hn)
         basis = np.asarray(targets, dtype=float).reshape(n_int, -1)
     penalty = _penalty(grid, basis)
     diagnostics = {"iterations": [], "mode": mode}
@@ -344,10 +401,14 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
     # once the residual data sits at the noise floor, further sweeps only fit noise
     noise_floor = 1.2 * meas.sigma * norm(meas.data)
 
-    # the current system, its source-window solutions U1 and its residual data
-    # (measured difference minus the part the current estimate explains)
-    q_hat = sys_ref.potential.values.copy()
-    sys_cur, U1, data_cur = sys_ref, control_to_interior_matrix(sys_ref, src), meas.data
+    # the current system (the reference to begin with: the caller's, or one
+    # assembled here and held by ``sys_cur`` alone, so that sweep 1 frees
+    # it), its source-window solutions U1 and its residual data (measured
+    # difference minus the part the current estimate explains)
+    sys_cur = assemble_system(meas.op, meas.reference) if sys_ref is None else sys_ref
+    del sys_ref
+    q_hat = meas.reference.values.copy()
+    U1, data_cur = control_to_interior_matrix(sys_cur, src), meas.data
 
     for it in range(max(1, int(iterations))):
         misfit_now = norm(data_cur)
@@ -366,8 +427,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
             A1, A2, G1, G2 = r1.achieved, r2.achieved, r1.control, r2.control
             runge_res, test_res = r1.residual.tolist(), r2.residual.tolist()
         # the sweep's system is done with: unbound, its factor is freed
-        # before the Gram buffer is allocated (the reference stays alive
-        # with the caller), so at most one trial factor lives from here on
+        # before the Gram buffer is allocated (unless the caller holds it)
         del sys_cur
 
         noise_level = meas.sigma * hn * float(np.sqrt(np.sum(
@@ -384,7 +444,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
         trials = []
 
         def _try(q_vals):
-            sys_try = assemble_system(sys_ref.op, Potential(grid, q_vals))
+            sys_try = assemble_system(meas.op, Potential(grid, q_vals))
             trials.append(system_facts(sys_try))
             U1_try = control_to_interior_matrix(sys_try, src)
             # DN(trial) - DN(current) = U2^T diag(q_trial - q_current) U1_trial
@@ -419,7 +479,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem,
         sys_cur, U1, data_cur = tried
         del tried
 
-    estimate = q_hat - sys_ref.potential.values
+    estimate = q_hat - meas.reference.values
     return {"q_diff": estimate, "diagnostics": diagnostics}
 
 

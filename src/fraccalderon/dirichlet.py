@@ -16,8 +16,8 @@ eigendecomposition.  The full spectrum (``dirichlet_spectrum``, cached on
 the system) is computed only by its users, the ``spectrum`` pipeline and the
 eigen-expansion of ``diffusion``; the default targets of constructive
 reconstruction take only the lowest eigenvectors (``lowest_eigenvectors``,
-a partial eigh, not cached).  Both read A through
-``DirichletSystem.interior_matrix``, which gathers it anew.
+a partial eigh, not cached, from the operator and potential alone).  Both
+gather A anew.
 """
 
 from __future__ import annotations
@@ -215,12 +215,14 @@ def dirichlet_spectrum(sys: DirichletSystem) -> Spectrum:
     return sys._spectrum
 
 
-def lowest_eigenvectors(sys: DirichletSystem, k: int) -> np.ndarray:
-    """The k lowest orthonormal eigenvectors of the interior matrix, as
-    columns; nothing is cached.  A partial eigh (dsyevr over an index range)
-    in the freshly gathered matrix itself: A is exactly symmetric, so A.T
-    is A in Fortran order and is overwritten without a copy."""
-    return _eigh(sys.interior_matrix.T, subset_by_index=[0, k - 1], overwrite_a=True)[1]
+def lowest_eigenvectors(op: FracOperator, potential: Potential, k: int) -> np.ndarray:
+    """The k lowest orthonormal eigenvectors of A = A_II + diag(q), as
+    columns; nothing is cached and no system is needed.  A partial eigh
+    (dsyevr over an index range) in the freshly gathered matrix itself: A
+    is exactly symmetric, so A.T is A in Fortran order and is overwritten
+    without a copy."""
+    return _eigh(_interior_matrix(op, potential).T, subset_by_index=[0, k - 1],
+                 overwrite_a=True)[1]
 
 
 def check_condition(sys: DirichletSystem) -> dict:

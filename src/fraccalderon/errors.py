@@ -57,6 +57,13 @@ class GridMismatchError(FracCalderonError):
     code = "GRID_MISMATCH"
 
 
+class ReferenceMismatchError(FracCalderonError):
+    """A reconstruction handed a reference system other than the operator
+    and potential its measurements were taken against."""
+
+    code = "REFERENCE_MISMATCH"
+
+
 class LadderError(FracCalderonError):
     """Extension level ladder unsuitable for trace extrapolation."""
 

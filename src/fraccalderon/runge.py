@@ -4,12 +4,12 @@ Solutions driven by data in an exterior window are dense in L2 of the
 domain; this module realizes that density constructively: given an interior
 target, it finds the window control whose solution restriction comes
 closest, with a ridge penalty stabilizing the severely ill-posed problem.
-The ridge solution comes from the SVD of the control-to-interior matrix, and
-the optimum satisfies adjoint(achieved - target) = -alpha * control with the
-solve-based adjoint of that map.  One window solve and one SVD serve every
-target column and every alpha: each control is a set of filter factors on
-that SVD.  ``ridge_controls`` takes the solved matrix, so a caller that
-already holds it (the inverse solver) solves no window again.
+The ridge solution comes from the SVD of the control-to-interior matrix K,
+and the optimum satisfies K^*(achieved - target) = -alpha * control with K^*
+the adjoint of that map.  One window solve and one SVD serve every target
+column and every alpha: each control is a set of filter factors on that
+SVD.  ``ridge_controls`` takes the solved matrix, so a caller that already
+holds it (the inverse solver) solves no window again.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import svd
 
 from ._kernels import matmul, norm
-from .dirichlet import DirichletSystem, solve_source, solve_window
+from .dirichlet import DirichletSystem, solve_window
 from .errors import IllConditionedWarning
 
 DEFAULT_ALPHAS = tuple(np.logspace(-2, -12, 11))
@@ -61,15 +61,6 @@ def control_to_interior_matrix(sys: DirichletSystem, window) -> np.ndarray:
     """Columns are interior values of solutions driven by window basis vectors."""
     nodes, _ = sys.grid.exterior_window(window)
     return solve_window(sys, nodes)
-
-
-def adjoint_apply(sys: DirichletSystem, v: np.ndarray, window) -> np.ndarray:
-    """Adjoint of the control-to-interior map under the h^dim weighted
-    pairings: solve the source problem for v and read the negated operator
-    action on the window (window basis vectors vanish on the domain, so the
-    potential term drops)."""
-    nodes, _ = sys.grid.exterior_window(window)
-    return -sys.op.apply(solve_source(sys, np.asarray(v, dtype=float)).values, nodes)
 
 
 def ridge_controls(K: np.ndarray, p: ControlProblem, factors=None) -> RungeResult:

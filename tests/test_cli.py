@@ -134,6 +134,29 @@ def test_invert_reproducible_across_blas_threads(tmp_path):
     assert np.max(np.abs(one - two)) <= 5e-11 * np.max(np.abs(one))
 
 
+def test_invert_memory_one_factor_at_a_time(tmp_path):
+    # traced peak of a whole 2D invert (cli.run on the setup_2d disc, h =
+    # 0.1, n_int = 316), in n_int x n_int float arrays, with the config
+    # schema already loaded by this module.  Measured 2.55: the operator's
+    # assembly (2.52) sets it; the true system (read and freed), the
+    # reference (freed once the measurements are taken) and the
+    # reconstruction (2.05) each hold one Dirichlet factor at a time.
+    # Holding the true and reference factors together, and the reference
+    # through the reconstruction, read 3.08.  The bound leaves 0.07.
+    grid_cfg = _disc_invert_config(0.1)["grid"]
+    grid = build_grid(*(grid_cfg[k] for k in ("dim", "h", "R", "omega", "support", "windows")))
+    n2_bytes = 8 * len(grid.interior) ** 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code, _ = run(_disc_invert_config(0.1), output_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / n2_bytes <= 2.62
+
+
 def test_q_estimate_names_every_axis(tmp_path):
     # the disc of the 2D benchmark at h = 0.2; the estimate keeps columns 2
     # and 3, and in 2D the second axis follows as y
@@ -196,6 +219,27 @@ def test_manifest_records_libraries_and_blas_threads(tmp_path, monkeypatch):
     assert facts[0]["scipy_version"] == scipy.__version__
     assert facts[0]["OPENBLAS_NUM_THREADS"] == "1"
     assert facts[0]["OMP_NUM_THREADS"] is None
+
+
+def test_manifest_records_blas_threads_in_force(tmp_path, monkeypatch):
+    # the thread count that numpy's and scipy's OpenBLAS each use, read from
+    # the libraries: 1 in a child process started with OPENBLAS_NUM_THREADS=1.
+    # A missing library or getter records null and the run still passes
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, "-m", "fraccalderon.cli", "invert", "--config",
+                    str(CONFIG_DIR / "invert_desk1d.json"), "--output-dir",
+                    str(tmp_path / "child")], env=env, capture_output=True, check=True)
+    manifest = json.loads((tmp_path / "child" / "manifest.json").read_text())
+    assert manifest["numpy_blas_threads"] == manifest["scipy_blas_threads"] == 1
+    import fraccalderon.cli as cli
+    numpy_libs, scipy_libs = cli._BLAS_LIBS.values()
+    monkeypatch.setattr(cli, "_BLAS_LIBS", {
+        "numpy_blas_threads": (*numpy_libs[:2], "no-such-library-", numpy_libs[3]),
+        "scipy_blas_threads": (*scipy_libs[:3], "no_such_getter")})
+    code, manifest = run(small_invert_config(), output_dir=str(tmp_path / "missing"))
+    assert code == 0
+    assert manifest["numpy_blas_threads"] is None and manifest["scipy_blas_threads"] is None
 
 
 def test_extend_smooth_ucp_gate(tmp_path):

@@ -42,9 +42,10 @@ def test_lowest_eigenvectors_are_the_spectrum_columns(desk_op):
     # the 11th eigenvalue), so the partial eigh returns the full spectrum's
     # first columns up to sign (measured 8.8e-15 at k = 10) and caches
     # nothing on the system
-    sys = assemble_system(desk_op, potential_from_spec(desk_op.grid, {
-        "type": "gaussian", "amplitude": 0.5, "center": 0.0, "width": 0.4}))
-    V = lowest_eigenvectors(sys, 10)
+    q = potential_from_spec(desk_op.grid, {
+        "type": "gaussian", "amplitude": 0.5, "center": 0.0, "width": 0.4})
+    sys = assemble_system(desk_op, q)
+    V = lowest_eigenvectors(desk_op, q, 10)
     assert sys._spectrum is None
     full = dirichlet_spectrum(sys).eigenvectors[:, :10]
     sign = np.sign(np.sum(full * V, axis=0))
@@ -94,6 +95,8 @@ def resonant(desk_op, desk_sys0):
     "solve_poisson", "solve_source", "assemble_dn", "dn_pointwise",
     "control_to_interior_matrix", "evolve_homogeneous", "reconstruct_potential"])
 def test_resonant_system_refused(entry, resonant, desk_sys0, desk_sys_bump):
+    from dataclasses import replace
+
     from fraccalderon import GridFunction
     from fraccalderon.calderon import reconstruct_potential, simulate_measurements
     from fraccalderon.diffusion import evolve
@@ -109,8 +112,11 @@ def test_resonant_system_refused(entry, resonant, desk_sys0, desk_sys_bump):
         "control_to_interior_matrix": lambda: control_to_interior_matrix(resonant, "W1"),
         "evolve_homogeneous": lambda: evolve(resonant, GridFunction(g, np.zeros(g.n_nodes)),
                                              1.0),
+        # data measured against the resonant reference itself, which the
+        # reconstruction is handed and must refuse to solve with
         "reconstruct_potential": lambda: reconstruct_potential(
-            simulate_measurements(desk_sys_bump, desk_sys0, "W1", "W2"), resonant),
+            replace(simulate_measurements(desk_sys_bump, desk_sys0, "W1", "W2"),
+                    reference=resonant.potential), resonant),
     }
     with pytest.raises(SingularSystemError):
         calls[entry]()
