@@ -162,12 +162,17 @@ def offset_convolve(tab: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """out[i] = sum_j mask[j] * tab[|i - j|] on a lattice of any dimension, by FFT.
 
     ``tab`` covers at least the offsets of ``mask``'s shape.  The signed
-    kernel has shape (2 n_k - 1) per axis; both are zero-padded to a power
-    of two >= 3 n_k - 2, so the circular convolution equals the linear one.
+    kernel has shape (2 n_k - 1) per axis, so along an axis of n points the
+    linear convolution has 3 n - 2 outputs, of which only n - 1 ... 2 n - 2
+    are read.  Both are zero-padded to the power of two L >= 2 n - 1: a
+    circular convolution of length L adds output t + L and t - L onto t,
+    and for a read t these fall at or beyond 3 n - 2 and below 0, where the
+    linear convolution is zero, so the outputs read are exact (3 n - 2 would
+    make every output exact, at up to twice the length per axis).
     """
     n = mask.shape
     kern = tab[np.ix_(*[np.abs(np.arange(1 - m, m)) for m in n])]
-    shape = tuple(1 << (3 * m - 3).bit_length() for m in n)
+    shape = tuple(1 << (2 * m - 2).bit_length() for m in n)
     axes = tuple(range(len(n)))
     spec = np.fft.rfftn(mask, shape, axes) * np.fft.rfftn(kern, shape, axes)
     full = np.fft.irfftn(spec, shape, axes)

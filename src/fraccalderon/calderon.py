@@ -1,8 +1,13 @@
 """Potential reconstruction from partial exterior measurements.
 
-Forward data is the difference of DN maps restricted to a source window and
-an observation window, measured against a reference potential; the
-measurements record that operator and potential, the point the
+The measurement is the measured map: the DN map of the unknown (true)
+potential between a source window and an observation window, read off the
+true system, with optional entrywise relative noise.  The DN map of the
+reference potential is the reconstruction's own model, not something
+measured: the reconstruction reads it off the reference's source-window
+solutions, which its first sweep solves anyway, and forms the data, the DN
+difference between the measured and the reference map.  The measurements
+record the operator and the reference potential, the point the
 reconstruction linearizes at.  By the integral identity, the data paired
 with a source control g1 and an observation control g2 is, to first order,
 the interior integral of the potential difference against the two driven
@@ -16,14 +21,17 @@ between any two systems, so the loop never assembles a DN map: a trial's
 residual data follows from the current residual and the two systems'
 window solutions.
 
-Memory is one Dirichlet factor (n_int^2 doubles) at a time.  The
-measurements can be taken from the true system's DN map, read before the
-reference is assembled, and the reconstruction assembles its own reference
-and drops each system after its last window solve, before the Gram buffer
-(the one n_int^2 array of the solve) is allocated.  An ``invert`` run on
-the 2D disc peaks at 96 MB resident at h = 0.05 (108 MB while the
-simulation held two factors and the reference outlived its use) and at 434
-MB at h = 0.025 (626 MB).
+Each system is factored once and each window solved once per system:
+``simulate_measurements`` factors nothing and solves the true system's
+source window; the reconstruction factors the reference and each trial
+and solves a source window per system and an observation window per
+sweep.  A 2-sweep ``invert`` makes 4 factorizations (true, reference, two
+trials) and 6 window solves.  Memory is one Dirichlet factor (n_int^2
+doubles) at a time: the true system is freed once measured, before the
+reconstruction assembles its reference, and the reconstruction drops each
+system after its last window solve, before the Gram buffer (the one
+n_int^2 array of the solve) is allocated.  An ``invert`` run on the 2D
+disc peaks at 96 MB resident at h = 0.05 and at 397 MB at h = 0.025.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from scipy.linalg import LinAlgError, blas, lapack
 from ._kernels import matmul, norm, syrk
 from .dirichlet import (DirichletSystem, Potential, assemble_system, lowest_eigenvectors,
                         system_facts)
-from .dnmap import DNMap, assemble_dn
+from .dnmap import assemble_dn, dn_readout
 from .errors import (GridMismatchError, IllConditionedWarning, ReferenceMismatchError,
                      RungeFailError, SingularSystemError)
 from .fracop import FracOperator
@@ -49,14 +57,20 @@ DEFAULT_RUNGE_GATE = 0.05
 
 @dataclass
 class MeasurementSet:
-    """DN-difference data between two windows, measured against the
-    reference potential ``reference`` on the operator ``op``: the
-    linearization point a reconstruction of these data starts from."""
+    """What was measured: ``measured``, the DN map of the true potential
+    from the source window to the observation window (|W2| x |W1|), as read
+    off the true system, and the noise it carries, ``noise`` = 1 + sigma xi
+    entrywise (xi standard normal, seeded) or None for clean data.  The data
+    a reconstruction fits is the DN difference against the reference's map,
+    ``difference_data``.  ``op`` and ``reference`` are the operator and the
+    reference potential that difference is taken against: the linearization
+    point a reconstruction of these data starts from."""
     op: FracOperator
     reference: Potential
     source_nodes: np.ndarray
     observation_nodes: np.ndarray
-    data: np.ndarray            # (|W2| x |W1|) DN difference, possibly noisy
+    measured: np.ndarray                # DN(true) on W2 x W1
+    noise: np.ndarray | None            # relative noise factor, None when sigma = 0
     sigma: float
 
     @property
@@ -64,35 +78,44 @@ class MeasurementSet:
         return self.op.grid
 
 
-def simulate_measurements(true: DirichletSystem | DNMap, sys_ref: DirichletSystem, W1, W2,
-                          sigma: float = 0.0, seed: int = 0) -> MeasurementSet:
-    """DN difference matrix DN(true) - DN(reference) between the windows, with
-    optional entrywise relative Gaussian noise; deterministic for a fixed seed.
+def difference_data(meas: MeasurementSet, dn_ref: np.ndarray) -> np.ndarray:
+    """The DN-difference data (DN(true) - DN(reference)) * noise between the
+    measurement windows, from the reference's DN map ``dn_ref`` (|W2| x |W1|):
+    the difference first, then the noise factor, if any."""
+    data = meas.measured - dn_ref
+    return data if meas.noise is None else data * meas.noise
 
-    ``true`` is the true system, or the ``DNMap`` already read from it on
-    the windows W1, W2.  With the map, the true system can be freed before
-    the reference is assembled, so one Dirichlet factor is alive at a time;
-    a map whose node positions are not the reference's windows raises
-    ``GridMismatchError``.  The result records ``sys_ref``'s operator and
-    potential, not the system itself."""
-    if isinstance(true, DNMap):
-        grid = sys_ref.grid
-        if not (np.array_equal(true.source_nodes, grid.exterior_window(W1)[0]) and
-                np.array_equal(true.observation_nodes, grid.exterior_window(W2)[0])):
-            raise GridMismatchError("DN map read on other windows than the reference's")
-        dn_t = true
-    else:
-        if true.grid is not sys_ref.grid:
-            raise GridMismatchError("systems must share one grid")
-        dn_t = assemble_dn(true, W1, W2)
-    data = dn_t.matrix - assemble_dn(sys_ref, W1, W2).matrix
+
+def simulate_measurements(true: DirichletSystem, reference: DirichletSystem | Potential,
+                          W1, W2, sigma: float = 0.0, seed: int = 0) -> MeasurementSet:
+    """Measure the true system: its DN map between the windows W1 and W2,
+    with optional entrywise relative Gaussian noise of level ``sigma``,
+    deterministic for a fixed seed.
+
+    One window solve, on the true system; nothing is factored, and the
+    reference's DN map is not formed here (``difference_data`` takes it,
+    and ``reconstruct_potential`` reads it off the reference's source-window
+    solutions).  ``reference`` is the reference potential, or a system whose
+    potential it is; a system on another operator than ``true``'s raises
+    ``ReferenceMismatchError``, a potential or system on another grid
+    ``GridMismatchError``.  The result records ``true``'s operator and the
+    reference potential, not a system."""
+    if isinstance(reference, DirichletSystem):
+        if reference.grid is true.grid and reference.op is not true.op:
+            raise ReferenceMismatchError("the reference system is on another operator "
+                                         "than the true system")
+        reference = reference.potential
+    if reference.grid is not true.grid:
+        raise GridMismatchError("the reference and the true system must share one grid")
+    dn_true = assemble_dn(true, W1, W2)
+    noise = None
     if sigma > 0:
         rng = np.random.default_rng(seed)
-        data = data * (1.0 + sigma * rng.standard_normal(data.shape))
-    return MeasurementSet(op=sys_ref.op, reference=sys_ref.potential,
-                          source_nodes=dn_t.source_nodes,
-                          observation_nodes=dn_t.observation_nodes,
-                          data=data, sigma=float(sigma))
+        noise = 1.0 + sigma * rng.standard_normal(dn_true.matrix.shape)
+    return MeasurementSet(op=true.op, reference=reference,
+                          source_nodes=dn_true.source_nodes,
+                          observation_nodes=dn_true.observation_nodes,
+                          measured=dn_true.matrix, noise=noise, sigma=float(sigma))
 
 
 def _interior_laplacian(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -313,8 +336,12 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
                           clean_beta: float = 1e-3) -> dict:
     """Estimate the potential difference against the measurements' reference.
 
-    Per iteration the residual DN data (measured minus what the current
-    estimate explains) is tested on control pairs of the current system.
+    The data is the DN difference ``difference_data(meas, DN(reference))``,
+    with the reference's DN map read off the source-window solutions U1
+    of the reference system (``dnmap.dn_readout``), which the first sweep
+    solves anyway: no window is solved for it.  Per iteration the residual
+    DN data (the data minus what the current estimate explains) is tested
+    on control pairs of the current system.
     With U1, U2 the interior solutions driven by the window basis vectors,
     the pair factors are A1 = U1 G1 and A2 = U2 G2, the paired data is
     D = G2^T data G1, and the update is dq = Phi c.  Linearized mode takes
@@ -338,16 +365,20 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
     each iteration's diagnostics record the absolute weight as ``beta``,
     the residual data norm before the step as ``data_norm``, the update's
     weighted norm as ``step_norm``, and ``system_facts`` of each trial
-    system the backtracking assembled, in order, as ``trials``.
+    system the backtracking assembled, in order, as ``trials``.  The
+    diagnostics record the reference system's ``system_facts`` as
+    ``reference``.
 
-    No DN map is assembled.  The operator is exactly symmetric, so for a
-    trial system T and the current system C the integral identity is the
-    matrix identity DN(T) - DN(C) = U2_C^T diag(q_T - q_C) U1_T, and the
+    No DN map is assembled: the reference's is read off the U1 that sweep 1
+    solves, and the loop needs none.  The operator is exactly symmetric, so
+    for a trial system T and the current system C the integral identity is
+    the matrix identity DN(T) - DN(C) = U2_C^T diag(q_T - q_C) U1_T, and the
     trial's residual data is the current residual minus that product.
-    Each system's source window is solved once (the reference's before
-    the first sweep, each trial's when it is tried, and the accepted
-    trial's U1 is the next sweep's), and each sweep solves its observation
-    window once.
+    Each system is factored once and its source window solved once (the
+    reference's before the first sweep, each trial's when it is tried, and
+    the accepted trial's U1 is the next sweep's), and each sweep solves its
+    observation window once: 2 linearized sweeps that accept their first
+    trials make 3 factorizations and 5 window solves.
 
     The reference system is only the linearization point: the operator
     ``meas.op`` with the potential ``meas.reference``.  Without ``sys_ref``
@@ -398,17 +429,21 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
     penalty = _penalty(grid, basis)
     diagnostics = {"iterations": [], "mode": mode}
 
-    # once the residual data sits at the noise floor, further sweeps only fit noise
-    noise_floor = 1.2 * meas.sigma * norm(meas.data)
-
     # the current system (the reference to begin with: the caller's, or one
     # assembled here and held by ``sys_cur`` alone, so that sweep 1 frees
     # it), its source-window solutions U1 and its residual data (measured
-    # difference minus the part the current estimate explains)
+    # difference minus the part the current estimate explains).  The
+    # reference's DN map, which the data is the difference against, is read
+    # off its U1
     sys_cur = assemble_system(meas.op, meas.reference) if sys_ref is None else sys_ref
     del sys_ref
+    diagnostics["reference"] = system_facts(sys_cur)
     q_hat = meas.reference.values.copy()
-    U1, data_cur = control_to_interior_matrix(sys_cur, src), meas.data
+    U1 = control_to_interior_matrix(sys_cur, src)
+    data_cur = data = difference_data(meas, dn_readout(meas.op, U1, src, obs))
+
+    # once the residual data sits at the noise floor, further sweeps only fit noise
+    noise_floor = 1.2 * meas.sigma * norm(data)
 
     for it in range(max(1, int(iterations))):
         misfit_now = norm(data_cur)
@@ -431,7 +466,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
         del sys_cur
 
         noise_level = meas.sigma * hn * float(np.sqrt(np.sum(
-            _pair(meas.data**2, G1, G2, power=2))))
+            _pair(data**2, G1, G2, power=2))))
         # unbound, the normal matrix is freed once solved, before any trial
         # system is assembled
         dc, beta = _solve_regularized(

@@ -8,8 +8,9 @@ settings and the thread counts in force, wall time and produced files, and
 exits 0 only if all configured tolerance gates pass (1: gate failure, 2:
 invalid config, 4: numeric error).
 An ``invert`` manifest also records how each assembled system was factored
-and its rcond (``systems``; the trial systems per iteration), and each
-Newton iteration's penalty weight, data norm and step norm (``iterations``).
+and its rcond (``systems``; the trial systems per iteration), each
+Newton iteration's penalty weight, data norm and step norm (``iterations``),
+and the wall seconds of each stage (``stage_s``).
 """
 
 from __future__ import annotations
@@ -342,31 +343,39 @@ def _pipeline_runge(cfg, out_dir, report):
     return ["runge_sweep.csv"]
 
 
+# the stages an ``invert`` manifest times in ``stage_s``, in run order:
+# operator assembly (grid included), measurement of the true system, the
+# reconstruction, and writing the CSV outputs
+INVERT_STAGES = ("assembly", "measurement", "reconstruction", "output")
+
+
 def _pipeline_invert(cfg, out_dir, report):
+    # wall-clock marks between the stages named in INVERT_STAGES
+    marks = [time.perf_counter()]
     grid, op = _build(cfg)
+    marks.append(time.perf_counter())
     tol = cfg.get("tolerances", {})
     q_ref = potential_from_spec(grid, cfg.get("potential_ref", 0.0))
     q_true = potential_from_spec(grid, cfg["potential_true"])
     windows = cfg.get("source_window", "W1"), cfg.get("observation_window", "W2")
-    # one Dirichlet factor at a time: the true system is read on the windows
-    # and freed before the reference is assembled, and the reference is freed
-    # once the measurements are taken; the reconstruction assembles its own
-    # from the operator and potential that the measurements record.  On the
-    # 2D disc this took the run's peak RSS from 108 to 96 MB at h = 0.05 and
-    # from 626 to 434 MB at h = 0.025, for one more reference factorization
+    # one Dirichlet factor at a time, each system factored once: the true
+    # system is measured on the windows (one window solve) and freed, and
+    # the reconstruction assembles the reference from the operator and
+    # potential that the measurements record and reads the reference's DN
+    # map off the source-window solve its first sweep makes anyway
     sys_true = assemble_system(op, q_true)
     facts_true = system_facts(sys_true)
-    dn_true = assemble_dn(sys_true, *windows)
-    del sys_true
-    sys_ref = assemble_system(op, q_ref)
-    report.records["systems"] = {"reference": system_facts(sys_ref), "true": facts_true}
     noise = cfg.get("noise", {})
-    meas = simulate_measurements(dn_true, sys_ref, *windows,
+    meas = simulate_measurements(sys_true, q_ref, *windows,
                                  sigma=noise.get("sigma", 0.0),
                                  seed=noise.get("seed", cfg.get("seed", 0)))
-    del sys_ref, dn_true
+    del sys_true
+    marks.append(time.perf_counter())
     # the schema's invert keys are reconstruct_potential's keywords and defaults
     out = reconstruct_potential(meas, **cfg.get("invert", {}))
+    marks.append(time.perf_counter())
+    report.records["systems"] = {"reference": out["diagnostics"]["reference"],
+                                 "true": facts_true}
     report.records["iterations"] = [
         {key: d[key] for key in ("beta", "data_norm", "step_norm", "trials")}
         for d in out["diagnostics"]["iterations"]]
@@ -384,6 +393,9 @@ def _pipeline_invert(cfg, out_dir, report):
             diag_rows.append((j, k, r))
     _write_csv(out_dir / "residuals.csv", "iteration,target,runge_residual",
                diag_rows if diag_rows else [(0, 0, 0.0)])
+    marks.append(time.perf_counter())
+    report.records["stage_s"] = {stage: b - a for stage, a, b in
+                                 zip(INVERT_STAGES, marks, marks[1:])}
     err = reconstruction_error(est, truth, grid.h ** grid.dim)
     report.add("reconstruction_error", err, tol.get("reconstruction_error", 0.15))
     return ["q_estimate.csv", "residuals.csv"]
@@ -507,7 +519,7 @@ def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
     out_dir = Path(output_dir or cfg.get("output_dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     report = GateReport()
-    t0 = time.time()
+    t0 = time.perf_counter()
     files = _RUNNERS[cfg["pipeline"]](cfg, out_dir, report)
     manifest = {
         "schema_version": 1,
@@ -518,7 +530,7 @@ def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
         "gates": report.gates,
         **report.records,
         "files": sorted(files),
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
         # the process's peak resident memory so far, in MB (Linux: ru_maxrss in KB)
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "numpy_version": np.__version__, "scipy_version": scipy.__version__,

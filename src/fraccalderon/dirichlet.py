@@ -189,13 +189,15 @@ def system_facts(sys: DirichletSystem) -> dict:
     return {"factorization": sys.factorization, "rcond": sys.rcond}
 
 
-def _solve(sys: DirichletSystem, b: np.ndarray) -> np.ndarray:
+def _solve(sys: DirichletSystem, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
     """A^-1 b for an n_int vector or n_int x m array b, through the system's
-    factors: potrs on a Cholesky factor, getrs on an LU."""
+    factors: potrs on a Cholesky factor, getrs on an LU.  With
+    ``overwrite_b`` a Fortran-ordered float b is solved in place and
+    returned."""
     factors = sys.lu()
     if sys.factorization == "cholesky":
-        return lapack.dpotrs(*factors, b, lower=1)[0]
-    return lapack.dgetrs(*factors, b)[0]
+        return lapack.dpotrs(*factors, b, lower=1, overwrite_b=overwrite_b)[0]
+    return lapack.dgetrs(*factors, b, overwrite_b=overwrite_b)[0]
 
 
 def _eigh(A: np.ndarray, **kwargs):
@@ -267,8 +269,16 @@ def solve_poisson(sys: DirichletSystem, f: np.ndarray) -> GridFunction:
 
 def solve_window(sys: DirichletSystem, nodes: np.ndarray) -> np.ndarray:
     """Interior values of the solutions driven by the unit exterior vectors
-    of the given exterior-support nodes, one column per node."""
-    return _solve(sys, -sys.op.block(sys.grid.interior, nodes))
+    of the given exterior-support nodes, one column per node.
+
+    The right-hand side -A_I,W is solved in the buffer it is gathered into.
+    The operator is exactly symmetric, so the transpose of the gathered
+    block A_W,I is A_I,W in Fortran order, bit for bit: it is negated in
+    place and overwritten by the solve, with no negated copy and no
+    Fortran copy for LAPACK."""
+    rhs = sys.op.block(nodes, sys.grid.interior).T
+    np.negative(rhs, out=rhs)
+    return _solve(sys, rhs, overwrite_b=True)
 
 
 def solve_source(sys: DirichletSystem, F: np.ndarray) -> GridFunction:

@@ -23,7 +23,7 @@ from .errors import GridMismatchError
 from .fracop import FracOperator
 from .grid import Grid, GridFunction, Region
 
-__all__ = ["DNMap", "assemble_dn", "dn_pointwise", "ns_weight", "apply_ns",
+__all__ = ["DNMap", "assemble_dn", "dn_readout", "dn_pointwise", "ns_weight", "apply_ns",
            "dn_decomposition_check", "integral_identity", "export_dn_csv"]
 
 
@@ -42,16 +42,24 @@ class DNMap:
 
 def assemble_dn(sys: DirichletSystem, W1, W2) -> DNMap:
     """Column k is the observation-window readout for the k-th source basis
-    vector: (A u + E0(q u_I))|_{W2} with u the solution driven by e_k."""
+    vector: (A u + E0(q u_I))|_{W2} with u the solution driven by e_k.  One
+    window solve (``solve_window``) and its readout (``dn_readout``)."""
     grid = sys.grid
     src, _ = grid.exterior_window(W1)
     obs, _ = grid.exterior_window(W2)
-    U_int = solve_window(sys, src)                       # interior x |W1|
-    op = sys.op
-    # exterior rows of A u; the q-term E0(q u_I) vanishes on exterior rows
-    readout = matmul(op.block(obs, grid.interior), U_int) + op.block(obs, src)
+    readout = dn_readout(sys.op, solve_window(sys, src), src, obs)
     return DNMap(source_nodes=src, observation_nodes=obs, matrix=readout,
                  fingerprint=_potential_fingerprint(sys))
+
+
+def dn_readout(op: FracOperator, U_int: np.ndarray, src: np.ndarray,
+               obs: np.ndarray) -> np.ndarray:
+    """The DN map from the source window ``src`` to the observation window
+    ``obs`` (node positions), read off the interior values ``U_int`` of the
+    solutions driven by the source basis vectors (``solve_window``): the
+    exterior rows A_W2,I U_int + A_W2,W1 of A u; the q-term E0(q u_I)
+    vanishes on exterior rows, so the potential enters through U_int only."""
+    return matmul(op.block(obs, op.grid.interior), U_int) + op.block(obs, src)
 
 
 def dn_pointwise(sys: DirichletSystem, f: np.ndarray) -> np.ndarray:

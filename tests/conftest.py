@@ -123,3 +123,16 @@ class DenseOperator(FracOperator):
         if np.any(u[self.grid.nonfar_row < 0]):
             raise DomainError("the operator acts on functions that vanish on FAR nodes")
         return self.dense[self.rows(nodes)] @ u[self.grid.nonfar]
+
+
+def convolve_long_pad(tab, mask):
+    """``_kernels.offset_convolve`` with every FFT axis padded to the power of
+    two >= 3 m - 2, at which the whole linear convolution is exact: the
+    reference for the shortest exact length 2 m - 1."""
+    n = mask.shape
+    kern = tab[np.ix_(*[np.abs(np.arange(1 - m, m)) for m in n])]
+    shape = tuple(1 << (3 * m - 3).bit_length() for m in n)
+    axes = tuple(range(len(n)))
+    full = np.fft.irfftn(np.fft.rfftn(mask, shape, axes) * np.fft.rfftn(kern, shape, axes),
+                         shape, axes)
+    return full[tuple(slice(m - 1, 2 * m - 1) for m in n)]

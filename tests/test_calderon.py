@@ -26,43 +26,74 @@ def desk_setup(desk_op):
     return grid, sys_ref, sys_true, q_true
 
 
+def _data(meas, sys_ref):
+    """The DN-difference data of ``meas`` against the reference system, its
+    DN map read by ``assemble_dn``."""
+    dn_ref = dnmap.assemble_dn(sys_ref, meas.source_nodes, meas.observation_nodes)
+    return calderon.difference_data(meas, dn_ref.matrix)
+
+
 def test_zero_difference_measurements(desk_setup):
     grid, sys_ref, _, _ = desk_setup
     meas = simulate_measurements(sys_ref, sys_ref, "W1", "W2")
-    assert np.all(meas.data == 0.0)
+    assert np.all(_data(meas, sys_ref) == 0.0)
 
 
 def test_measurement_determinism(desk_setup):
     grid, sys_ref, sys_true, _ = desk_setup
     a = simulate_measurements(sys_true, sys_ref, "W1", "W2", sigma=1e-3, seed=5)
     b = simulate_measurements(sys_true, sys_ref, "W1", "W2", sigma=1e-3, seed=5)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a.measured, b.measured) and np.array_equal(a.noise, b.noise)
+    assert np.array_equal(_data(a, sys_ref), _data(b, sys_ref))
 
 
 def test_noise_magnitude(desk_setup):
     grid, sys_ref, sys_true, _ = desk_setup
     meas = simulate_measurements(sys_true, sys_ref, "W1", "W2", sigma=1e-3, seed=0)
-    clean = simulate_measurements(sys_true, sys_ref, "W1", "W2").data
-    rel = np.linalg.norm(meas.data - clean) / np.linalg.norm(clean)
+    clean = _data(simulate_measurements(sys_true, sys_ref, "W1", "W2"), sys_ref)
+    rel = np.linalg.norm(_data(meas, sys_ref) - clean) / np.linalg.norm(clean)
     assert 1e-4 <= rel <= 1e-2
 
 
-def test_measurements_from_the_true_dn_map(desk_setup):
-    # the DN map read from the true system stands in for the system bit for
-    # bit, noise included, and the measurements record the reference's
-    # operator and potential; a map read on other windows is refused
-    grid, sys_ref, sys_true, _ = desk_setup
+@pytest.mark.parametrize("case", ["desk_setup", "setup_2d"])
+def test_difference_data_is_the_dn_difference(case, request, monkeypatch):
+    # the measurement is the true system's DN map, read by one window solve;
+    # the data is DN(true) - DN(reference), times the seeded noise factor
+    # 1 + sigma xi, bit for bit.  A reference potential serves as well as
+    # its system, and the measurements record the true system's operator
+    # and the reference potential
+    grid, sys_ref, sys_true, _ = request.getfixturevalue(case)
+    dn_true = dnmap.assemble_dn(sys_true, "W1", "W2").matrix
+    dn_ref = dnmap.assemble_dn(sys_ref, "W1", "W2").matrix
     for sigma in (0.0, 1e-3):
-        want = simulate_measurements(sys_true, sys_ref, "W1", "W2", sigma=sigma, seed=5)
-        got = simulate_measurements(dnmap.assemble_dn(sys_true, "W1", "W2"), sys_ref,
-                                    "W1", "W2", sigma=sigma, seed=5)
-        assert got.data.tobytes() == want.data.tobytes()
-        assert np.array_equal(got.source_nodes, want.source_nodes)
-        assert np.array_equal(got.observation_nodes, want.observation_nodes)
-        assert got.op is sys_ref.op and got.reference is sys_ref.potential
-        assert got.grid is grid
-    with pytest.raises(GridMismatchError):
-        simulate_measurements(dnmap.assemble_dn(sys_true, "W2", "W1"), sys_ref, "W1", "W2")
+        solves = _spy(monkeypatch, dnmap, "solve_window")
+        meas = simulate_measurements(sys_true, sys_ref, "W1", "W2", sigma=sigma, seed=5)
+        assert [sys for (sys, _), _, _ in solves] == [sys_true]
+        want = dn_true - dn_ref
+        if sigma > 0:
+            want = want * (1.0 + sigma * np.random.default_rng(5).standard_normal(want.shape))
+        else:
+            assert meas.noise is None
+        assert calderon.difference_data(meas, dn_ref).tobytes() == want.tobytes()
+        assert meas.measured.tobytes() == dn_true.tobytes()
+        assert meas.op is sys_true.op and meas.reference is sys_ref.potential
+        assert meas.grid is grid and meas.sigma == sigma
+        from_potential = simulate_measurements(sys_true, sys_ref.potential, "W1", "W2",
+                                               sigma=sigma, seed=5)
+        assert calderon.difference_data(from_potential, dn_ref).tobytes() == want.tobytes()
+
+
+def test_reference_on_another_operator_refused(desk_setup, setup_2d):
+    # the difference is taken on the true system's operator, so a reference
+    # system on another operator is refused, and one on another grid too
+    grid, sys_ref, sys_true, _ = desk_setup
+    other = assemble_system(DenseOperator(sys_ref.op, sys_ref.op.matrix),
+                            potential_from_spec(grid, 0.0))
+    with pytest.raises(ReferenceMismatchError):
+        simulate_measurements(sys_true, other, "W1", "W2")
+    for reference in (setup_2d[1], setup_2d[1].potential):
+        with pytest.raises(GridMismatchError):
+            simulate_measurements(sys_true, reference, "W1", "W2")
 
 
 def test_zero_data_reconstructs_zero(desk_setup):
@@ -240,13 +271,14 @@ def test_constructive_is_galerkin_on_control_pairs(desk_setup, monkeypatch):
         return runge_approximate(ControlProblem(sys_ref, window, target, alpha=alpha))
 
     const = control(meas.observation_nodes, np.ones(len(grid.interior)))
+    data = _data(meas, sys_ref)
     rows, rhs, noise_sq = [], [], 0.0
     for k in range(targets.shape[1]):
         rk = control(meas.source_nodes, targets[:, k])
         rows.append(hn * rk.achieved * const.achieved)
-        rhs.append(hn * float(const.control @ (meas.data @ rk.control)))
+        rhs.append(hn * float(const.control @ (data @ rk.control)))
         noise_sq += meas.sigma**2 * hn**2 * float(
-            np.sum((np.outer(const.control, rk.control) * meas.data) ** 2))
+            np.sum((np.outer(const.control, rk.control) * data) ** 2))
     Bc, m = np.asarray(rows) @ targets, np.asarray(rhs)
     assert _rel(seen["BtB"], Bc.T @ Bc) <= 1e-10
     assert _rel(seen["Btm"], Bc.T @ m) <= 1e-10
@@ -300,7 +332,7 @@ def _explicit_galerkin(U1, U2, data, meas, hn):
         for l in range(U2.shape[1]):
             rows.append(hn * U1[:, k] * U2[:, l])
             rhs.append(hn * float(data[l, k]))
-            noise_sq += meas.sigma**2 * hn**2 * float(meas.data[l, k] ** 2)
+            noise_sq += meas.sigma**2 * hn**2 * float(data[l, k] ** 2)
     return np.asarray(rows), np.asarray(rhs), np.sqrt(noise_sq)
 
 
@@ -336,7 +368,7 @@ def test_gram_normal_equations_match_explicit_galerkin(case, request, monkeypatc
     hn = grid.h ** grid.dim
     U1 = control_to_interior_matrix(sys_ref, meas.source_nodes)
     U2 = control_to_interior_matrix(sys_ref, meas.observation_nodes)
-    B, m, noise = _explicit_galerkin(U1, U2, meas.data, meas, hn)
+    B, m, noise = _explicit_galerkin(U1, U2, _data(meas, sys_ref), meas, hn)
     assert B.shape == (U1.shape[1] * U2.shape[1], len(grid.interior))
     assert _rel(seen["BtB"], B.T @ B) <= 1e-12
     assert _rel(seen["Btm"], B.T @ m) <= 1e-12
@@ -419,7 +451,7 @@ def _dn_extended(sys, meas):
 def test_trial_residual_is_dn_difference(case, mode, request, monkeypatch):
     # the residual data a sweep tests, carried from the trial that the sweep
     # before accepted, is what the DN maps give:
-    # meas.data - (DN(current) - DN(reference)).  In sweep 3 (2D
+    # data - (DN(current) - DN(reference)).  In sweep 3 (2D
     # linearized) that residual is 2e-4 of the DN maps, so a float64 DN
     # difference alone is off by about 1e-12 relative; the DN maps are
     # therefore taken in extended precision (``_dn_extended``).  Measured:
@@ -440,11 +472,12 @@ def test_trial_residual_is_dn_difference(case, mode, request, monkeypatch):
     # and its current system, whose observation window it solves
     data = [X for (X, *_), kw, _ in paired if not kw]
     current = [sys for (sys, window), _, _ in solves if window is meas.observation_nodes]
-    assert data[0] is meas.data and current[0] is sys_ref
+    measured = _data(meas, sys_ref)
+    assert data[0].tobytes() == measured.tobytes() and current[0] is sys_ref
     assert len({id(sys) for sys in current}) == 3      # each sweep accepted a trial
     dn_ref = _dn_extended(sys_ref, meas)
     for sweep in (1, 2):
-        want = (meas.data - (_dn_extended(current[sweep], meas) - dn_ref)).astype(float)
+        want = (measured - (_dn_extended(current[sweep], meas) - dn_ref)).astype(float)
         assert _rel(data[sweep], want) <= 1e-12
 
 
@@ -494,7 +527,7 @@ def test_identity_consistency_of_pipeline(desk_setup):
     rng = np.random.default_rng(0)
     g1 = rng.normal(size=len(grid.windows["W1"]))
     g0 = rng.normal(size=len(grid.windows["W2"]))
-    m_meas = grid.h * float(g0 @ (meas.data @ g1))
+    m_meas = grid.h * float(g0 @ (_data(meas, sys_ref) @ g1))
     u1 = solve_poisson(sys_true, window_vector(grid, "W1", g1)).values[grid.interior]
     u2 = solve_poisson(sys_ref, window_vector(grid, "W2", g0)).values[grid.interior]
     m_direct = grid.h * float(np.sum(q_true.values * u1 * u2))
@@ -622,12 +655,13 @@ def test_gram_buffer_is_the_only_square_array(setup_2d):
     U1 = control_to_interior_matrix(sys_ref, meas.source_nodes)
     U2 = control_to_interior_matrix(sys_ref, meas.observation_nodes)
     penalty = calderon._penalty(grid)
+    data = _data(meas, sys_ref)
     n2_bytes = 8 * len(grid.interior) ** 2
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         gram, Btm, residual = calderon._linearized_normal_equations(
-            U1, U2, meas.data, grid.h**2)
+            U1, U2, data, grid.h**2)
         normal_peak = tracemalloc.get_traced_memory()[1] - base
         upper = np.triu(gram[0], 1)
         tracemalloc.reset_peak()
@@ -662,15 +696,16 @@ def _traced_reconstruction(meas, sys_ref, **kwargs):
 
 def test_reconstruction_peak_n_int_squared_arrays(setup_2d):
     # peak traced memory of a 2-sweep linearized 2D reconstruction (n_int =
-    # 316), in n_int x n_int float arrays.  Measured 1.77: each sweep drops
+    # 316), in n_int x n_int float arrays.  Measured 1.79: each sweep drops
     # its system once its observation window is solved, so the Gram buffer
     # (1.0) and later one trial factor (1.0) are the only square arrays
     # alive, never together; the rest is the window solutions, residual
     # data and the penalty's coordinate arrays (about 0.5, growing like
     # n_int), and the Gram product's row-ordered copy of A2 and one n_int x
     # GRAM_BLOCK block (about 0.3 here, growing like n_int).  The
-    # reference factor is the caller's and was allocated before the entry.
-    # The bound leaves 0.07.
+    # reference factor is the caller's and was allocated before the entry;
+    # the DN-difference data is formed inside (1.77 when the measurements
+    # carried it in).  The bound leaves 0.05.
     grid, sys_ref, sys_true, _ = setup_2d
     meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
     n2_bytes = 8 * len(grid.interior) ** 2
@@ -684,8 +719,8 @@ def test_constructive_reconstruction_memory(setup_2d):
     # the constructive twin: 8 eigen-targets, alpha 1e-12, 2 sweeps.  The
     # targets come from a partial eigh in the gathered interior matrix
     # (1.25 alone), and nothing is cached on the reference system, so
-    # almost nothing is held after the return.  Measured: peak 1.63, held
-    # 0.014; the bounds leave 0.07 and 0.05.
+    # almost nothing is held after the return.  Measured: peak 1.64, held
+    # 0.015; the bounds leave 0.06 and 0.035.
     grid, sys_ref, sys_true, q_true = setup_2d
     meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
     n2_bytes = 8 * len(grid.interior) ** 2
@@ -701,9 +736,9 @@ def test_reconstruction_peak_owning_its_reference(setup_2d):
     # the twin of test_reconstruction_peak_n_int_squared_arrays in which the
     # reconstruction assembles the reference itself, inside the traced
     # window, so the peak counts the reference factor.  Sweep 1 drops it
-    # with its window solutions, before the Gram buffer: measured 1.77, as
+    # with its window solutions, before the Gram buffer: measured 1.79, as
     # with the caller's reference (2.78 if it lived through the loop).  The
-    # bound leaves 0.07.
+    # bound leaves 0.05.
     grid, sys_ref, sys_true, _ = setup_2d
     meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
     n2_bytes = 8 * len(grid.interior) ** 2
@@ -716,9 +751,9 @@ def test_reconstruction_peak_owning_its_reference(setup_2d):
 def test_constructive_memory_owning_its_reference(setup_2d):
     # the constructive twin, the reference assembled inside the traced
     # window: the targets' partial eigh runs before the reference factor
-    # exists, so the two never meet.  Measured: peak 1.62 (2.63 if the
-    # reference lived through the loop), held 0.008; the bounds leave 0.07
-    # and 0.05.
+    # exists, so the two never meet.  Measured: peak 1.63 (2.63 if the
+    # reference lived through the loop), held 0.009; the bounds leave 0.06
+    # and 0.04.
     grid, sys_ref, sys_true, q_true = setup_2d
     meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
     n2_bytes = 8 * len(grid.interior) ** 2

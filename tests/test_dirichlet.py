@@ -261,6 +261,52 @@ def test_indefinite_system_takes_lu_fallback(desk_op, desk_sys0):
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("branch", ["cholesky", "lu"])
+@pytest.mark.parametrize("window", ["W1", "W2", "EXTERIOR_SUPPORT"])
+def test_window_solve_in_place_is_bitwise(branch, window, desk_op, desk_sys0):
+    # the window solve negates the transposed gather A_W,I in place and
+    # solves in it: bit for bit the solve of -A_I,W, on either factorization
+    from fraccalderon.dirichlet import _solve, solve_window
+    g = desk_op.grid
+    sys = desk_sys0
+    if branch == "lu":
+        lam = dirichlet_spectrum(desk_sys0).eigenvalues
+        sys = assemble_system(desk_op, potential_from_spec(g, -0.5 * float(lam[0] + lam[1])))
+    assert sys.factorization == branch
+    nodes, _ = g.exterior_window(window)
+    got = solve_window(sys, nodes)
+    want = _solve(sys, -desk_op.block(g.interior, nodes))
+    assert got.shape == (len(g.interior), len(nodes))
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+def test_window_solve_holds_one_rhs():
+    # traced peak of one window solve on the 2D disc at h = 0.05 (n_int =
+    # 1264, a 156-node window: 1.5 MB per n_int x m array) above its output:
+    # measured 648 KB, the gather's work space (the two-sided table and its
+    # zero-padded copy, 224 KB each, and one lattice line's transposed
+    # window copy).  The right-hand side is the solution's buffer: a negated
+    # or Fortran-ordered copy of it would add 1.5 MB (measured 1541 KB when
+    # the solve negated and LAPACK copied).  The bound leaves 72 KB.
+    from fraccalderon.dirichlet import solve_window
+    g = build_grid(2, 0.05, 3.0,
+                   {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
+                   {"type": "disc", "center": [0.0, 0.0], "radius": 2.0},
+                   {"W1": {"type": "disc", "center": [1.5, 0.0], "radius": 0.35}})
+    sys = assemble_system(assemble_quadrature(g, 0.5), potential_from_spec(g, 0.0))
+    nodes, _ = g.exterior_window("W1")
+    sys.lu()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        U = solve_window(sys, nodes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert U.shape == (1264, 156) and U.flags.f_contiguous
+    assert peak - U.nbytes <= 720 * 1024
+
+
 @pytest.mark.parametrize("side,branch", [(1.0, "cholesky"), (-1.0, "lu")])
 def test_near_singular_refused_on_both_branches(side, branch, desk_op, desk_sys0):
     # the lowest eigenvalue of A put at +-1e-12 of the spectrum's scale:

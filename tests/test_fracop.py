@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from fraccalderon import GridFunction, apply_spectral, assemble_quadrature, build_grid, cns_constant
+from fraccalderon import (GridFunction, apply_spectral, assemble_quadrature, build_grid,
+                          cns_constant, fracop)
 from fraccalderon._kernels import gather_offsets, offset_convolve, offset_table
 from fraccalderon.dirichlet import assemble_system, potential_from_spec
 from fraccalderon.fracop import (_cell_weights, _kappa, _lattice_sum, _smooth_integral,
@@ -19,7 +20,7 @@ from fraccalderon.fracop import (_cell_weights, _kappa, _lattice_sum, _smooth_in
 from fraccalderon.errors import DomainError, QuadratureError
 from fraccalderon.grid import Region
 
-from conftest import make_grid_1d, smooth_bump
+from conftest import convolve_long_pad, make_grid_1d, smooth_bump
 
 # Getoor-type oracle for s = 1/2 on (-1, 1): high-resolution adaptive
 # quadrature of the principal-value integral at x = 0 gives 1.0000000000
@@ -345,6 +346,56 @@ def test_far_cell_convolution_matches_direct_sum(s):
     d = np.abs(g.idx[g.nonfar][:, None, :] - g.idx[g.far][None, :, :])
     direct = K[d[..., 0], d[..., 1]].sum(axis=1)
     assert np.max(np.abs(fft - direct) / direct) <= 1e-12
+
+
+def _direct_convolve(tab, mask):
+    """out[i] = sum_j mask[j] tab[|i - j|], one lattice point at a time."""
+    points = np.array(list(np.ndindex(*mask.shape)), dtype=np.int64).reshape(-1, mask.ndim)
+    weights = mask.ravel()
+    out = [np.sum(weights * tab[tuple(np.abs(i - points).T)]) for i in points]
+    return np.reshape(out, mask.shape)
+
+
+@pytest.mark.parametrize("shape", [(m,) for m in (1, 2, 3, 7, 8, 9)]
+                         + [(m, m) for m in (1, 2, 3, 7, 8, 9)] + [(2, 9), (8, 3), (3, 5, 4)])
+def test_offset_convolve_matches_direct_sum(shape, monkeypatch):
+    # the FFT convolution, padded per axis to the power of two >= 2 m - 1,
+    # equals the direct sum at every lattice point: the circular wrap never
+    # reaches the outputs read.  Random signed tables and masks, to 1e-13
+    # of the largest output
+    rng = np.random.default_rng(len(shape) * 10 + shape[0])
+    tab, mask = rng.standard_normal(shape), rng.standard_normal(shape)
+    lengths = []
+    real = np.fft.rfftn
+
+    def spy(a, s=None, axes=None, **kwargs):
+        lengths.append(tuple(s))
+        return real(a, s, axes, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", spy)
+    got = offset_convolve(tab, mask)
+    want = _direct_convolve(tab, mask)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the smallest power of two >= 2 m - 1 per axis, for the mask and the kernel
+    pad = tuple(min(2**k for k in range(12) if 2**k >= 2 * m - 1) for m in shape)
+    assert lengths == [pad, pad]
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_shortest_fft_length_moves_the_operator_by_rounding(h, monkeypatch):
+    # the 2D disc operator with FFTs at 2 m - 1 against the same at 3 m - 2
+    # (h = 0.05: 256^2 against 512^2 points): the table is the same, and the
+    # diagonal and the tail move by rounding.  Measured over s = 1/4, 1/2,
+    # 3/4: diagonal at most 8.9e-16 relative, tail 7.0e-14 (s = 3/4)
+    g = _disc_grid_2d(h)
+    for s in (0.25, 0.5, 0.75):
+        short = assemble_quadrature(g, s)
+        with monkeypatch.context() as patch:
+            patch.setattr(fracop, "offset_convolve", convolve_long_pad)
+            long = assemble_quadrature(g, s)
+        assert np.array_equal(short.table, long.table)
+        assert np.max(np.abs(short.diag - long.diag) / np.abs(long.diag)) <= 1e-15
+        assert np.max(np.abs(short.tail - long.tail) / np.abs(long.tail)) <= 1e-13
 
 
 def _tail_per_cell_1d(grid, s):
@@ -680,7 +731,8 @@ def test_operator_and_system_memory_2d():
     # would hold 193 MB; the operator and one system stay far below that.
     # Measured traced peak 13.4 MB: the one 1264^2 buffer (12.2 MB) that
     # A_II is gathered and factored in, plus 1.2 MB of operator arrays and
-    # gather work space (the assembly alone peaks at 7.2 MB); the bound
+    # gather work space (the assembly alone peaks at 2.7 MB, its FFTs at
+    # 256^2 points; 7.2 MB at 512^2); the bound
     # leaves 2.6 MB of margin
     g = build_grid(2, 0.05, 3.0,
                    {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
