@@ -30,8 +30,7 @@ trials) and 6 window solves.  Memory is one Dirichlet factor (n_int^2
 doubles) at a time: the true system is freed once measured, before the
 reconstruction assembles its reference, and the reconstruction drops each
 system after its last window solve, before the Gram buffer (the one
-n_int^2 array of the solve) is allocated.  An ``invert`` run on the 2D
-disc peaks at 96 MB resident at h = 0.05 and at 397 MB at h = 0.025.
+n_int^2 array of the solve) is allocated.
 """
 
 from __future__ import annotations
@@ -395,15 +394,10 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
     the Gram buffer is allocated; a rejected trial is dropped before the
     next is assembled.  The default targets are computed before the
     reference is assembled.  So n_int x n_int arrays peak at one: a factor
-    or the Gram buffer (plus the caller's reference, when one is passed).
-    ``fraccalderon invert`` passes none: on its 2D disc (2 linearized
-    sweeps) at h = 0.025 (n_int = 5024, 193 MB per array) the run's traced
-    peak fell from 2.68 to 1.68 n_int^2 (516 to 324 MB) and its
-    ``ru_maxrss`` from 626 to 434 MB when the reconstruction came to own
-    its reference.  When every
-    trial of a sweep fails, the loop records that sweep and stops: the next
-    sweep would repeat the same solves on the same system, U1 and residual,
-    to the bit.
+    or the Gram buffer (plus the caller's reference, when one is passed);
+    ``fraccalderon invert`` passes none.  When every trial of a sweep
+    fails, the loop records that sweep and stops: the next sweep would
+    repeat the same solves on the same system, U1 and residual, to the bit.
     """
     grid = meas.grid
     if sys_ref is not None:

@@ -12,8 +12,9 @@ Two independent realizations:
   operator stores one table of entries per offset and one diagonal, acts
   on a vector by FFT convolution and gathers a block only where a matrix
   is needed; the dense N_nf x N_nf matrix is never held.  The tail is exact
-  outside the non-FAR cells' bounding box; the FAR cells inside it and the
-  row sums are FFT convolutions of a table with a lattice indicator.
+  outside the non-FAR cells' bounding box (a table of face-quadrant integrals
+  by lattice offset); the FAR cells inside it and the row sums are FFT
+  convolutions of a table with a lattice indicator.
 * ``apply_spectral`` applies the Fourier multiplier |xi|^(2s) on a
   zero-padded periodic embedding of the box.
 
@@ -145,29 +146,32 @@ def _smooth_integral(f, bounds):
     return fine
 
 
-def _tail_outside_box(pts: np.ndarray, lo, hi, s: float) -> np.ndarray:
-    """Integral of |p - y|^(-n-2s) outside the box [lo, hi], per point p in it:
-    (1/2s) sum over the faces F of d_F * integral_F |p - y|^(-n-2s), d_F the
-    distance from p to F (divergence theorem).  Over offsets [a, b] from the
-    foot of p the last in-face axis is closed form: (c^2 + t^2)^(-n/2-s) gives
-    c^(1-n-2s) B(1/2, k)/2 (I_{a^2/(a^2+c^2)} + I_{b^2/(b^2+c^2)})(1/2, k), k = (n-1)/2 + s.
-    Any other in-face axis is split at the foot: Gauss-Legendre in u, t = d_F sinh u."""
-    n = pts.shape[1]
+def _tail_outside_box(lo_off: np.ndarray, hi_off: np.ndarray, h: float, s: float) -> np.ndarray:
+    """Integral of |p - y|^(-n-2s) outside a lattice box, per node p in it, from its
+    offsets in cells to the box's ends (rows i - lo, hi - i): (1/2s) sum over the faces
+    F of d_F * integral_F |p - y|^(-n-2s), d_F the distance to F (divergence theorem).
+    The foot of p splits F into quadrants [0, e_1] x ... x [0, e_(n-1)]; d and the e are
+    (t + 1/2) h, so one table over offsets t holds d times every quadrant integral.
+    Its last axis is closed form: c^(1-n-2s) B(1/2, k)/2 I_{e^2/(e^2+c^2)}(1/2, k), k =
+    (n-1)/2 + s; any other takes Gauss-Legendre in u, x = d sinh u; 1D: d^(-2s)."""
+    n = lo_off.shape[1]
     k = 0.5 * (n - 1) + s
     half_b = 0.5 * special.beta(0.5, k)
-    out = np.zeros(len(pts))
-    for axis in range(n):
-        spans = [(lo[j] - pts[:, j], hi[j] - pts[:, j]) for j in range(n) if j != axis]
-        for d in (pts[:, axis] - lo[axis], hi[axis] - pts[:, axis]):
+    m = int(max(lo_off.max(), hi_off.max())) + 1
+    d, *e = np.ix_(*[(np.arange(m) + 0.5) * h] * n)
 
-            def face(*u, d=d):
-                c2 = d * d + sum((d * np.sinh(x)) ** 2 for x in u)
-                ends = [half_b * sum(special.betainc(0.5, k, e * e / (e * e + c2)) for e in span)
-                        for span in spans[-1:]]
-                return (c2 ** (0.5 * (len(ends) - n) - s) * math.prod(ends)
-                        * math.prod(d * np.cosh(x) for x in u))
-            for sides in itertools.product(*[(-a, b) for a, b in spans[:-1]]):
-                out += d * _smooth_integral(face, [(0.0, np.arcsinh(e / d)) for e in sides])
+    def quadrant(*u):
+        c2 = d * d + sum((d * np.sinh(x)) ** 2 for x in u)
+        ends = [half_b * special.betainc(0.5, k, a * a / (a * a + c2)) for a in e[-1:]]
+        return (c2 ** (0.5 * (len(ends) - n) - s) * math.prod(ends)
+                * math.prod(d * np.cosh(x) for x in u))
+    table = d * _smooth_integral(quadrant, [(0.0, np.arcsinh(a / d)) for a in e[:-1]])
+    out = np.zeros(len(lo_off))
+    for axis in range(n):
+        sides = [(lo_off[:, j], hi_off[:, j]) for j in range(n) if j != axis]
+        for t in (lo_off[:, axis], hi_off[:, axis]):
+            for edges in itertools.product(*sides):
+                out += table[(t, *edges)]
     return out / (2.0 * s)
 
 
@@ -239,10 +243,11 @@ def assemble_quadrature(grid: Grid, s: float) -> FracOperator:
 
     # far-field tail: exact outside the bounding box of the non-FAR cells,
     # the cell weights on the FAR cells inside it (none in 1D: one run)
-    x_nf, i_nf = grid.coords[nf], grid.idx[nf]
-    in_box = np.all((grid.idx >= i_nf.min(axis=0)) & (grid.idx <= i_nf.max(axis=0)), axis=1)
+    i_nf = grid.idx[nf]
+    lo, hi = i_nf.min(axis=0), i_nf.max(axis=0)
+    in_box = np.all((grid.idx >= lo) & (grid.idx <= hi), axis=1)
     far_in_box = (in_box & (grid.region == Region.EXTERIOR_FAR)).astype(np.float64)
-    tail_int = (_tail_outside_box(x_nf, x_nf.min(axis=0) - h / 2, x_nf.max(axis=0) + h / 2, s)
+    tail_int = (_tail_outside_box(i_nf - lo, hi - i_nf, h, s)
                 + offset_convolve(K, far_in_box.reshape(K.shape)).ravel()[nf])
 
     # the near-singular zone mistreats the quadratic Taylor term of u by

@@ -271,8 +271,9 @@ def _ball_grid(n, h, R, inner, outer):
 
 
 def _nonfar_box(grid):
-    x = grid.coords[grid.nonfar]
-    return x.min(axis=0) - grid.h / 2.0, x.max(axis=0) + grid.h / 2.0
+    # the bounding box of the non-FAR cells in lattice indices, first to last
+    i = grid.idx[grid.nonfar]
+    return i.min(axis=0), i.max(axis=0)
 
 
 def _tail_outside_box_adaptive(p, lo, hi, s):
@@ -295,20 +296,74 @@ def _tail_outside_box_adaptive(p, lo, hi, s):
     return out / (2.0 * s)
 
 
+def _rect_grid_2d(h):
+    # a box Omega in a box support, neither a square: the non-FAR bounding
+    # box has 37 x 23 cells at h = 0.1
+    return build_grid(2, h, 3.0, {"type": "rect", "bounds": [[-1.0, 0.6], [-0.4, 0.5]]},
+                      {"type": "rect", "bounds": [[-2.2, 1.5], [-1.0, 1.3]]})
+
+
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_box_tail_closed_form_matches_quadrature(s):
     # the box is the bounding box of the non-FAR cells.  Points: a random
-    # sample of non-FAR nodes, the node nearest a face (h/2 from it) and the
-    # corner cell's centre (h/2 from n faces).  Measured agreement 2.5e-15
-    # at worst, in 2D and in 3D
-    for g, count in ((_disc_grid_2d(0.1), 24), (_ball_grid(3, 0.25, 1.5, 0.5, 1.0), 6)):
+    # sample of non-FAR nodes, the node nearest a face (offset 0 from it) and
+    # the corner cell (offset 0 from n faces).  Measured agreement 8.0e-15
+    # at worst (the non-square box, s = 3/4), 5.7e-15 in 2D, 1.4e-15 in 3D
+    for g, count in ((_disc_grid_2d(0.1), 24), (_ball_grid(3, 0.25, 1.5, 0.5, 1.0), 6),
+                     (_rect_grid_2d(0.1), 12)):
         lo, hi = _nonfar_box(g)
-        pts = g.coords[g.nonfar]
-        pick = np.random.default_rng(3).choice(len(pts), count, replace=False)
-        pts = np.vstack([pts[pick], pts[np.argmax(pts[:, 0])], lo + g.h / 2.0])
-        closed = _tail_outside_box(pts, lo, hi, s)
-        ref = np.array([_tail_outside_box_adaptive(p, lo, hi, s) for p in pts])
+        i = g.idx[g.nonfar]
+        pick = np.random.default_rng(3).choice(len(i), count, replace=False)
+        i = np.vstack([i[pick], i[np.argmax(i[:, 0])], lo])
+        closed = _tail_outside_box(i - lo, hi - i, g.h, s)
+        ref = np.array([_tail_outside_box_adaptive(p, -g.R + lo * g.h, -g.R + (hi + 1) * g.h, s)
+                        for p in -g.R + (i + 0.5) * g.h])
         assert np.max(np.abs(closed - ref) / ref) <= 1e-12
+
+
+def _tail_per_node(pts, lo, hi, s):
+    # reference: the face integrals of ``_tail_outside_box`` evaluated per
+    # point from its coordinates and the box's, every face split at the foot
+    # of the point; the last in-face axis in incomplete beta functions over
+    # both sides at once, any other by Gauss-Legendre in u, t = d sinh u
+    n = pts.shape[1]
+    k = 0.5 * (n - 1) + s
+    half_b = 0.5 * special.beta(0.5, k)
+    out = np.zeros(len(pts))
+    for axis in range(n):
+        spans = [(lo[j] - pts[:, j], hi[j] - pts[:, j]) for j in range(n) if j != axis]
+        for d in (pts[:, axis] - lo[axis], hi[axis] - pts[:, axis]):
+
+            def face(*u, d=d):
+                c2 = d * d + sum((d * np.sinh(x)) ** 2 for x in u)
+                ends = [half_b * sum(special.betainc(0.5, k, e * e / (e * e + c2)) for e in span)
+                        for span in spans[-1:]]
+                return (c2 ** (0.5 * (len(ends) - n) - s) * math.prod(ends)
+                        * math.prod(d * np.cosh(x) for x in u))
+            for sides in itertools.product(*[(-a, b) for a, b in spans[:-1]]):
+                out += d * _smooth_integral(face, [(0.0, np.arcsinh(e / d)) for e in sides])
+    return out / (2.0 * s)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_tail_table_matches_per_node_quadrature(s, monkeypatch):
+    # the operator with its tail read from the face-quadrant table against
+    # the same operator with the tail evaluated per node from coordinates:
+    # the tail and the diagonal move by rounding, most in 1D at h = 0.005
+    # where the coordinates carry the cancellation.  Measured over s = 1/4,
+    # 1/2, 3/4: tail 1.5e-13, diagonal 1.5e-14 in 1D; 5.7e-15 and 1.6e-15 in
+    # 2D; 5.5e-16 and 3.0e-16 in 3D (relative)
+    for g, tail_bound, diag_bound in ((make_grid_1d(0.005), 2e-13, 2e-14),
+                                      (_disc_grid_2d(0.1), 1e-14, 3e-15),
+                                      (_ball_grid(3, 0.25, 1.5, 0.5, 1.0), 2e-15, 1e-15)):
+        x = g.coords[g.nonfar]
+        lo, hi = x.min(axis=0) - g.h / 2.0, x.max(axis=0) + g.h / 2.0
+        table = assemble_quadrature(g, s)
+        with monkeypatch.context() as patch:
+            patch.setattr(fracop, "_tail_outside_box", lambda *offsets: _tail_per_node(x, lo, hi, s))
+            per_node = assemble_quadrature(g, s)
+        assert np.max(np.abs(table.tail - per_node.tail) / per_node.tail) <= tail_bound
+        assert np.max(np.abs(table.diag - per_node.diag) / np.abs(per_node.diag)) <= diag_bound
 
 
 @pytest.mark.parametrize("s", [0.25, 0.75])
@@ -316,17 +371,19 @@ def test_box_tail_difference_is_the_frame_integral(s):
     # the tail outside the non-FAR bounding box less the tail outside
     # [-R, R]^2 is the integral over the frame between the two boxes, the
     # FAR cells whose part of the tail is exact instead of midpoint;
-    # measured agreement 8.9e-16 at worst
+    # measured agreement 6.2e-15 at worst
     g = _disc_grid_2d(0.1)
     lo, hi = _nonfar_box(g)
-    R = g.R
-    pts = g.coords[g.nonfar]
-    pts = np.vstack([pts[np.random.default_rng(4).choice(len(pts), 6, replace=False)],
-                     pts[np.argmax(pts[:, 1])]])
-    frame = [((-R, lo[0]), (-R, R)), ((hi[0], R), (-R, R)),
-             ((lo[0], hi[0]), (-R, lo[1])), ((lo[0], hi[0]), (hi[1], R))]
-    diff = _tail_outside_box(pts, lo, hi, s) - _tail_outside_box(pts, [-R, -R], [R, R], s)
-    for p, got in zip(pts, diff):
+    R, n_cells = g.R, g.shape[0]
+    nodes = g.nonfar[np.random.default_rng(4).choice(len(g.nonfar), 6, replace=False)]
+    nodes = np.append(nodes, g.nonfar[np.argmax(g.idx[g.nonfar, 1])])
+    i = g.idx[nodes]
+    a, b = -R + lo * g.h, -R + (hi + 1) * g.h
+    frame = [((-R, a[0]), (-R, R)), ((b[0], R), (-R, R)),
+             ((a[0], b[0]), (-R, a[1])), ((a[0], b[0]), (b[1], R))]
+    diff = (_tail_outside_box(i - lo, hi - i, g.h, s)
+            - _tail_outside_box(i, n_cells - 1 - i, g.h, s))
+    for p, got in zip(g.coords[nodes], diff):
         ref = 0.0
         for (a0, b0), (a1, b1) in frame:
             val, err = integrate.dblquad(
@@ -400,11 +457,12 @@ def test_shortest_fft_length_moves_the_operator_by_rounding(h, monkeypatch):
 
 def _tail_per_cell_1d(grid, s):
     # reference: the box complement in closed form plus one exact integral
-    # of |x - y|^(-1-2s) per FAR cell
-    x = grid.coords[grid.nonfar, 0]
-    out = ((grid.R - x) ** (-2 * s) + (grid.R + x) ** (-2 * s)) / (2.0 * s)
-    dc = np.abs(x[:, None] - grid.coords[grid.far, 0][None, :])
-    a, b = dc - grid.h / 2.0, dc + grid.h / 2.0
+    # of |x - y|^(-1-2s) per FAR cell; every distance is (t + 1/2) h for a
+    # lattice offset t, not a difference of coordinates
+    h, i = grid.h, grid.idx[grid.nonfar, 0]
+    out = (((grid.shape[0] - 0.5 - i) * h) ** (-2 * s) + ((i + 0.5) * h) ** (-2 * s)) / (2.0 * s)
+    t = np.abs(i[:, None] - grid.idx[grid.far, 0][None, :])
+    a, b = (t - 0.5) * h, (t + 0.5) * h
     return out + np.sum((a ** (-2 * s) - b ** (-2 * s)) / (2.0 * s), axis=1)
 
 
@@ -412,10 +470,10 @@ def _tail_per_cell_1d(grid, s):
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
 def test_tail_1d_closed_form_matches_per_cell_sum(h, s):
     # the FAR-cell integrals telescope, so the whole 1D tail is the integral
-    # outside the non-FAR span; measured agreement 4e-14 at worst
+    # outside the non-FAR span; measured agreement 6.1e-16 at worst
     g = make_grid_1d(h)
     want = cns_constant(1, s) * _tail_per_cell_1d(g, s)
-    assert np.max(np.abs(assemble_quadrature(g, s).tail - want) / want) <= 1e-13
+    assert np.max(np.abs(assemble_quadrature(g, s).tail - want) / want) <= 1e-14
 
 
 def test_assembly_near_classical_limit_2d():
