@@ -208,8 +208,20 @@ def _solve_regularized(gram: tuple, Btm: np.ndarray, residual, penalty: tuple,
     positions, and factors and solves by Cholesky in place (potrf and potrs
     on the lower triangle): BtB is positive semidefinite and P positive
     definite, so BtB + beta * P is symmetric positive definite.  The upper
-    triangle survives, so every beta of the discrepancy loop reuses G, and
+    triangle survives, so every beta of the discrepancy search reuses G, a
+    weight's solution does not depend on the weights solved before it, and
     the solve allocates no n x n array.
+
+    With noise, the weight is the largest of 25 log-spaced weights, from
+    100 to ``clean_beta`` times ||BtB||_F / ||P||_F, whose residual meets
+    1.1 times ``noise_level``.  For P positive definite the Tikhonov
+    residual ||B x_beta - m|| never decreases as beta grows, so along the
+    descending grid the weights that meet the target come last, and the
+    search bisects for the first of them: the top weight first, then the
+    other 24 by bisection, keeping the solution of the best weight that
+    met.  That is at most 6 penalized factorizations: the top weight and at
+    most 5 bisection steps when a weight meets, the top weight, 4 bisection
+    steps and the floor when none does; clean data makes one.
 
     The relative weight ``clean_beta`` is the penalty weight over
     ||BtB||_F / ||P||_F; the normal matrix's condition number
@@ -259,10 +271,23 @@ def _solve_regularized(gram: tuple, Btm: np.ndarray, residual, penalty: tuple,
     # raise the smoothing weight, never drop it under the clean-data policy
     # (the residual target ignores linearization error, so it can be
     # unreachable; drilling past the floor would fit noise)
-    for beta in scale * np.logspace(2, np.log10(clean_beta), 25):
-        dq = solve(beta)
+    betas = scale * np.logspace(2, np.log10(clean_beta), 25)
+    best = solve(betas[0])
+    if residual(best) <= 1.1 * noise_level:
+        return best, betas[0]
+    # bisect for the first weight that meets the target: it lies in
+    # betas[lo:hi], hi = 25 standing for none, and once a weight has met,
+    # ``best`` is the solution at betas[hi]
+    lo, hi = 1, len(betas)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        dq = solve(betas[mid])
         if residual(dq) <= 1.1 * noise_level:
-            return dq, beta
+            hi, best = mid, dq
+        else:
+            lo = mid + 1
+    if hi < len(betas):
+        return best, betas[hi]
     return solve(floor), floor
 
 
@@ -363,8 +388,10 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
     1e-8) it is raised to the floor with an ``IllConditionedWarning``, and
     each iteration's diagnostics record the absolute weight as ``beta``,
     the residual data norm before the step as ``data_norm``, the update's
-    weighted norm as ``step_norm``, and ``system_facts`` of each trial
-    system the backtracking assembled, in order, as ``trials``.  The
+    weighted norm as ``step_norm``, the number of times the step was halved
+    before the accepted trial (4 when every trial failed) as ``halvings``,
+    and ``system_facts`` of each trial system the backtracking assembled,
+    in order, as ``trials``.  The
     diagnostics record the reference system's ``system_facts`` as
     ``reference``.
 
@@ -480,7 +507,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
             return sys_try, U1_try, data_cur - matmul(U2.T, (q_vals - q_hat)[:, None] * U1_try)
 
         step, tried = dq, None
-        for _ in range(4):
+        for halvings in range(4):
             trial = q_hat + step
             if np.all(np.isfinite(trial)):
                 try:
@@ -492,12 +519,16 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
                 # a rejected trial's factor is freed before the next is assembled
                 tried = None
             step = step / 2.0
+        else:
+            # every trial failed, after the step was halved 4 times
+            halvings = 4
         diagnostics["iterations"].append({
             "runge_residuals": runge_res,
             "test_residuals": test_res,
             "beta": float(beta),
             "data_norm": misfit_now,
             "step_norm": float(np.sqrt(hn) * norm(dq)),
+            "halvings": halvings,
             "trials": trials,
         })
         if tried is None:

@@ -4,13 +4,14 @@ One pipeline per invocation: ``fraccalderon <pipeline> --config cfg.json
 [--set key=value]...``.  Configs are JSON (schema-validated, unknown keys
 rejected); scalar fields can be overridden from the command line.  Every run
 writes a manifest recording the config hash, seeds, versions, BLAS thread
-settings and the thread counts in force, wall time and produced files, and
-exits 0 only if all configured tolerance gates pass (1: gate failure, 2:
-invalid config, 4: numeric error).
+settings and the thread counts in force, wall time, produced files and the
+warnings shown during the pipeline (``warnings``: category and message,
+also printed to stderr), and exits 0 only if all configured tolerance gates
+pass (1: gate failure, 2: invalid config, 4: numeric error).
 An ``invert`` manifest also records how each assembled system was factored
 and its rcond (``systems``; the trial systems per iteration), each
-Newton iteration's penalty weight, data norm and step norm (``iterations``),
-and the wall seconds of each stage (``stage_s``).
+Newton iteration's penalty weight, data norm, step norm and step halvings
+(``iterations``), and the wall seconds of each stage (``stage_s``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import resource
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -377,7 +379,7 @@ def _pipeline_invert(cfg, out_dir, report):
     report.records["systems"] = {"reference": out["diagnostics"]["reference"],
                                  "true": facts_true}
     report.records["iterations"] = [
-        {key: d[key] for key in ("beta", "data_norm", "step_norm", "trials")}
+        {key: d[key] for key in ("beta", "data_norm", "step_norm", "halvings", "trials")}
         for d in out["diagnostics"]["iterations"]]
     truth = q_true.values - q_ref.values
     est = out["q_diff"]
@@ -520,7 +522,14 @@ def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
     report = GateReport()
     t0 = time.perf_counter()
-    files = _RUNNERS[cfg["pipeline"]](cfg, out_dir, report)
+    # the warnings shown during the pipeline are recorded, then shown as
+    # before, also when the pipeline raises
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            files = _RUNNERS[cfg["pipeline"]](cfg, out_dir, report)
+    finally:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     manifest = {
         "schema_version": 1,
         "package_version": __version__,
@@ -529,6 +538,8 @@ def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
         "seed": cfg.get("seed", 0),
         "gates": report.gates,
         **report.records,
+        "warnings": [{"category": w.category.__name__, "message": str(w.message)}
+                     for w in caught],
         "files": sorted(files),
         "wall_time_s": time.perf_counter() - t0,
         # the process's peak resident memory so far, in MB (Linux: ru_maxrss in KB)

@@ -16,7 +16,7 @@ Two independent realizations:
   by lattice offset); the FAR cells inside it and the row sums are FFT
   convolutions of a table with a lattice indicator.
 * ``apply_spectral`` applies the Fourier multiplier |xi|^(2s) on a
-  zero-padded periodic embedding of the box.
+  zero-padded periodic embedding of the box, by real-to-complex FFTs.
 
 The singular self-cell is handled by a curvature correction: the second
 order Taylor term of the principal value over the own cell is redistributed
@@ -278,16 +278,22 @@ def apply_spectral(u: GridFunction, s: float, pad_factor: int = 8) -> GridFuncti
     u.check_far_zero()
     g = u.grid
     padded = tuple(int(pad_factor) * n for n in g.shape)
-    # fftn zero-pads each axis to its padded length
-    spec = np.fft.fftn(u.values.reshape(g.shape), padded, range(g.dim))
-    out = np.fft.ifftn(squared_frequencies(padded, g.h) ** s * spec).real
+    axes = tuple(range(g.dim))
+    # u and the multiplier are real, so the half spectrum of rfftn carries
+    # the product; rfftn zero-pads each axis to its padded length
+    spec = np.fft.rfftn(u.values.reshape(g.shape), padded, axes)
+    spec *= squared_frequencies(padded, g.h, half=True) ** s
+    out = np.fft.irfftn(spec, padded, axes)
     return GridFunction(g, out[tuple(slice(0, n) for n in g.shape)].ravel())
 
 
-def squared_frequencies(shape: tuple, h: float) -> np.ndarray:
+def squared_frequencies(shape: tuple, h: float, half: bool = False) -> np.ndarray:
     """|xi|^2 on the DFT lattice of spacing-h samples of the given shape: the
-    squared angular frequencies of the axes, summed."""
-    return sum(np.ix_(*[(2.0 * np.pi * np.fft.fftfreq(m, d=h)) ** 2 for m in shape]))
+    squared angular frequencies of the axes, summed.  ``half``: on the half
+    lattice of ``rfftn``, the last axis's non-negative frequencies only."""
+    freqs = [np.fft.fftfreq(m, d=h) for m in shape[:-1]]
+    freqs.append((np.fft.rfftfreq if half else np.fft.fftfreq)(shape[-1], d=h))
+    return sum(np.ix_(*[(2.0 * np.pi * f) ** 2 for f in freqs]))
 
 
 def export_operator(op: FracOperator, path: str, fmt: str = "npz") -> None:

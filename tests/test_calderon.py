@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from fraccalderon import assemble_quadrature, build_grid, calderon, dirichlet, dnmap, runge
 from fraccalderon.calderon import (BETA_FLOOR, reconstruct_potential,
@@ -324,6 +325,31 @@ def test_backtracking_halves_nonfinite_step(desk_setup, monkeypatch):
                         lambda gram, *a, **k: (np.full(len(gram[1]), np.inf), 1.0))
     out = reconstruct_potential(meas, sys_ref, iterations=1, mode="linearized")
     assert np.array_equal(out["q_diff"], np.zeros(len(grid.interior)))
+    assert out["diagnostics"]["iterations"][0]["halvings"] == 4
+
+
+def test_halvings_count_the_steps_halved(desk_setup, monkeypatch):
+    # two unsolvable trials, then the quarter step is accepted: the sweep
+    # records 2 halvings and the one trial system assembled; the full step
+    # of an unhindered sweep records none
+    grid, sys_ref, sys_true, _ = desk_setup
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
+    kwargs = dict(iterations=1, mode="linearized", clean_beta=0.1)
+    full = reconstruct_potential(meas, sys_ref, **kwargs)
+    real, failures = calderon.assemble_system, [None, None]
+
+    def flaky(*args):
+        if failures:
+            failures.pop()
+            raise SingularSystemError("unsolvable trial")
+        return real(*args)
+
+    monkeypatch.setattr(calderon, "assemble_system", flaky)
+    out = reconstruct_potential(meas, sys_ref, **kwargs)
+    assert full["diagnostics"]["iterations"][0]["halvings"] == 0
+    sweep = out["diagnostics"]["iterations"][0]
+    assert sweep["halvings"] == 2 and len(sweep["trials"]) == 1
+    assert np.array_equal(out["q_diff"], full["q_diff"] / 4)
 
 
 def _explicit_galerkin(U1, U2, data, meas, hn):
@@ -648,9 +674,10 @@ def test_estimate_matches_numpy_reference(case, sigma, kwargs, tol, request, mon
 def test_gram_buffer_is_the_only_square_array(setup_2d):
     # on the 2D disc at h = 0.1 (n_int = 316) the normal equations allocate
     # one n_int x n_int array, the Gram buffer, besides blocks of n_int x
-    # GRAM_BLOCK; the penalized solve allocates none over all 26 weights of
-    # the discrepancy loop, keeps the upper triangle, and solves the
-    # penalized normal equations
+    # GRAM_BLOCK; at a noise level no weight meets, the penalized solve
+    # allocates none over the 6 weights it factors (the top one, 4
+    # bisection steps and the floor), keeps the upper triangle, and solves
+    # the penalized normal equations
     grid, sys_ref, sys_true, _ = setup_2d
     meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
     U1 = control_to_interior_matrix(sys_ref, meas.source_nodes)
@@ -678,6 +705,137 @@ def test_gram_buffer_is_the_only_square_array(setup_2d):
     P[penalty[0], penalty[1]] = penalty[2]
     want = np.linalg.solve(_symmetric(gram) + beta * P, Btm)
     assert _rel(dq, want) <= 1e-8
+
+
+# the program's search, kept before any test replaces it
+_search = calderon._solve_regularized
+
+
+def _scan_weights(gram, Btm, penalty, clean_beta):
+    """The search's 25 weights, its floor and a solve per weight, on the
+    program's own Gram pair and LAPACK calls: the weights' scale read off
+    ``_solve_regularized`` at relative weight 1, and per weight BtB + beta P
+    assembled from the Gram pair, factored by dpotrf and solved by dpotrs
+    in its lower triangle."""
+    scale = _search(gram, Btm, None, penalty, 0.0, clean_beta=1.0)[1]
+    rows, cols, vals = penalty
+    lower = rows >= cols
+    BtB = np.asfortranarray(_symmetric(gram))
+
+    def solve(beta):
+        M = BtB.copy(order="F")
+        M[rows[lower], cols[lower]] += beta * vals[lower]
+        factor, info = lapack.dpotrf(M, lower=1, clean=0, overwrite_a=1)
+        assert info == 0
+        return lapack.dpotrs(factor, Btm, lower=1)[0]
+
+    clean_beta = max(clean_beta, BETA_FLOOR)
+    return scale * np.logspace(2, np.log10(clean_beta), 25), clean_beta * scale, solve
+
+
+def _scan_solve_regularized(gram, Btm, residual, penalty, noise_level, clean_beta=1e-3):
+    """The discrepancy search as a scan of the 25 weights from the top.
+    Returns the solution, the weight and the number of weights solved (None
+    when no weight meets the target and the floor is solved)."""
+    betas, floor, solve = _scan_weights(gram, Btm, penalty, clean_beta)
+    if noise_level > 0:
+        for k, beta in enumerate(betas):
+            dq = solve(beta)
+            if residual(dq) <= 1.1 * noise_level:
+                return dq, beta, k + 1
+    return solve(floor), floor, None
+
+
+def _checked_search(monkeypatch):
+    """Replace ``_solve_regularized`` by the program's search checked
+    against the scan: every call must return the scan's weight and the
+    scan's solution to the byte.  Returns the list of the scan's weight
+    counts per call (None where no weight met)."""
+    scanned = []
+
+    def checked(gram, Btm, residual, penalty, noise_level, **kwargs):
+        want_dq, want_beta, count = _scan_solve_regularized(
+            gram, Btm, residual, penalty, noise_level, **kwargs)
+        dq, beta = _search(gram, Btm, residual, penalty, noise_level, **kwargs)
+        assert beta == want_beta and dq.tobytes() == want_dq.tobytes()
+        scanned.append(count)
+        return dq, beta
+
+    monkeypatch.setattr(calderon, "_solve_regularized", checked)
+    return scanned
+
+
+@pytest.mark.parametrize("case,sigma,kwargs", [
+    ("desk_setup", 1e-4, dict(iterations=4, mode="linearized", clean_beta=0.1)),
+    ("desk_setup", 1e-3, dict(iterations=4, mode="linearized", clean_beta=0.1)),
+    ("desk_setup", 1e-2, dict(iterations=4, mode="linearized", clean_beta=0.1)),
+    ("setup_2d", 1e-3, dict(iterations=2, mode="linearized", clean_beta=0.1)),
+    ("desk_setup", 1e-3, dict(iterations=2, mode="constructive", alpha=1e-8, n_targets=4,
+                              runge_gate=0.95, clean_beta=1e-3)),
+])
+def test_search_matches_linear_scan(case, sigma, kwargs, request, monkeypatch):
+    # the residual grows with the weight, so bisecting for the first weight
+    # that meets the target returns the scan's weight and solution bytes
+    grid, sys_ref, sys_true, _ = request.getfixturevalue(case)
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2", sigma=sigma, seed=3)
+    scanned = _checked_search(monkeypatch)
+    reconstruct_potential(meas, sys_ref, **kwargs)
+    assert scanned
+
+
+def _desk_normal_equations(desk_setup, sigma):
+    """The first sweep's Gram pair, right-hand side, residual, penalty and
+    noise level on the desk case, noise seed 3."""
+    grid, sys_ref, sys_true, _ = desk_setup
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2", sigma=sigma, seed=3)
+    U1 = control_to_interior_matrix(sys_ref, meas.source_nodes)
+    U2 = control_to_interior_matrix(sys_ref, meas.observation_nodes)
+    data = _data(meas, sys_ref)
+    return (*calderon._linearized_normal_equations(U1, U2, data, grid.h),
+            calderon._penalty(grid), sigma * grid.h * np.linalg.norm(data))
+
+
+def test_search_matches_linear_scan_at_every_weight(desk_setup, monkeypatch):
+    # targets set between the residuals of neighbouring weights make each of
+    # the 25 weights in turn the first that meets (the top one included),
+    # and a target no weight meets falls back to the floor
+    gram, Btm, residual, penalty, _ = _desk_normal_equations(desk_setup, 1e-3)
+    betas, _, solve = _scan_weights(gram, Btm, penalty, 0.1)
+    levels = [residual(solve(beta)) / 1.1 for beta in betas]
+    assert all(a > b * (1 + 1e-9) for a, b in zip(levels, levels[1:]))
+    scanned = _checked_search(monkeypatch)
+    for level in levels + [levels[-1] / 2]:
+        calderon._solve_regularized(gram, Btm, residual, penalty, level * (1 + 1e-12),
+                                    clean_beta=0.1)
+    assert scanned == list(range(1, 26)) + [None]
+
+
+def test_search_factorizations_per_call(desk_setup, monkeypatch):
+    # dpotrf runs once for clean data, once when the top weight meets, at
+    # most 1 + 5 when another weight meets (bisection over the other 24),
+    # and 1 + 4 + 1 when none meets (the bisection fails 4 times, then the
+    # floor)
+    potrf, calls = lapack.dpotrf, []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return potrf(*args, **kwargs)
+
+    monkeypatch.setattr(calderon.lapack, "dpotrf", counting)
+
+    def count(noise_level, problem):
+        gram, Btm, residual, penalty, _ = problem
+        del calls[:]
+        calderon._solve_regularized(gram, Btm, residual, penalty, noise_level,
+                                    clean_beta=0.1)
+        return len(calls)
+
+    for sigma in (1e-4, 1e-3, 1e-2):
+        problem = _desk_normal_equations(desk_setup, sigma)
+        assert count(0.0, problem) == 1
+        assert count(1e30, problem) == 1
+        assert count(1e-30, problem) == 6
+        assert count(problem[-1], problem) <= 6
 
 
 def _traced_reconstruction(meas, sys_ref, **kwargs):
@@ -782,6 +940,7 @@ def test_every_trial_failing_stops_the_loop(desk_setup, monkeypatch):
                                 clean_beta=0.1)
     sweeps = out["diagnostics"]["iterations"]
     assert len(sweeps) == 1 and sweeps[0]["trials"] == [] and sweeps[0]["step_norm"] > 0
+    assert sweeps[0]["halvings"] == 4
     observation = [sys for (sys, window), _, _ in solves if window is meas.observation_nodes]
     assert observation == [sys_ref] and len(solves) == 2
     assert np.array_equal(out["q_diff"], np.zeros(len(grid.interior)))

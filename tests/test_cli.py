@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -14,7 +15,7 @@ from jsonschema.validators import validator_for
 
 from fraccalderon import build_grid
 from fraccalderon.cli import CONFIG_SCHEMA, UCP_SMOOTH_FLOOR, main, run, validate_config
-from fraccalderon.errors import ConfigError
+from fraccalderon.errors import ConfigError, IllConditionedWarning
 
 from conftest import convolve_long_pad
 
@@ -99,11 +100,52 @@ def test_invert_manifest_records_systems_and_iterations(tmp_path):
             assert fact["factorization"] in ("cholesky", "lu") and fact["rcond"] > 0
         for it in man["iterations"]:
             assert it["beta"] > 0 and it["data_norm"] > 0 and it["step_norm"] >= 0
+            # the step halved before the accepted trial (4: every trial
+            # failed); every trial here is finite, so each assembled a system
+            assert it["halvings"] in range(4) and len(it["trials"]) == it["halvings"] + 1
     on_disk = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert on_disk["systems"] == manifests[0]["systems"]
     assert on_disk["iterations"] == manifests[0]["iterations"]
     assert manifests[0]["systems"] == manifests[1]["systems"]
     assert manifests[0]["iterations"] == manifests[1]["iterations"]
+
+
+@pytest.mark.parametrize("name,message", [
+    ("invert_desk1d_constructive.json", "raised to the resolvable floor"),
+    ("runge_desk1d.json", "the exterior control problem is severely ill-posed"),
+])
+def test_manifest_records_warnings(name, message, tmp_path):
+    # the warnings the pipeline shows, as category and message, in the
+    # manifest and on disk; they are still shown after the run records them
+    with pytest.warns(IllConditionedWarning) as shown:
+        code, manifest = run(load_config(name), output_dir=str(tmp_path))
+    assert code == 0
+    recorded = manifest["warnings"]
+    assert recorded == [{"category": w.category.__name__, "message": str(w.message)}
+                        for w in shown]
+    assert recorded and all(r["category"] == "IllConditionedWarning" for r in recorded)
+    assert any(message in r["message"] for r in recorded)
+    assert json.loads((tmp_path / "manifest.json").read_text())["warnings"] == recorded
+
+
+def test_manifest_records_no_warnings_for_a_clean_run(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, manifest = run(small_invert_config(), output_dir=str(tmp_path))
+    assert code == 0 and manifest["warnings"] == []
+
+
+def test_warnings_still_reach_stderr(tmp_path):
+    # a CLI process prints the warning it records
+    cfg = CONFIG_DIR / "invert_desk1d_constructive.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "fraccalderon.cli", "invert", "--config",
+                           str(cfg), "--output-dir", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads((tmp_path / "manifest.json").read_text())["warnings"]
+    assert len(recorded) == 1
+    assert f"IllConditionedWarning: {recorded[0]['message']}" in proc.stderr
 
 
 def _disc(x, r):
