@@ -354,10 +354,9 @@ def _runge_controls(sys: DirichletSystem, window_nodes, K: np.ndarray,
 
 
 def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
-                          targets: np.ndarray = None, alpha: float = 1e-10,
-                          n_targets: int = 10, runge_gate: float = DEFAULT_RUNGE_GATE,
-                          iterations: int = 1, mode: str = "constructive",
-                          clean_beta: float = 1e-3) -> dict:
+                          alpha: float = 1e-10, n_targets: int = 10,
+                          runge_gate: float = DEFAULT_RUNGE_GATE, iterations: int = 1,
+                          mode: str = "constructive", clean_beta: float = 1e-3) -> dict:
     """Estimate the potential difference against the measurements' reference.
 
     The data is the DN difference ``difference_data(meas, DN(reference))``,
@@ -370,9 +369,9 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
     the pair factors are A1 = U1 G1 and A2 = U2 G2, the paired data is
     D = G2^T data G1, and the update is dq = Phi c.  Linearized mode takes
     G1 = G2 = Phi = I.  Constructive mode takes G1 = Runge controls (ridge
-    weight ``alpha``) for ``targets`` on the source window (default: the
-    ``n_targets`` lowest Dirichlet eigenvectors of the reference, from a
-    partial eigh that caches nothing), G2 = one control for the
+    weight ``alpha``) on the source window for the targets, the ``n_targets``
+    lowest Dirichlet eigenvectors of the reference (a partial eigh that
+    caches nothing), G2 = one control for the
     constant one on the observation window, and Phi = targets, since each
     pairing is a moment against one target.  A control whose relative
     residual exceeds ``runge_gate`` raises ``RungeFailError``.  Each window's
@@ -419,7 +418,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
     use: a sweep's system, the reference included, is dropped once its
     observation window is solved and its Runge controls are taken, before
     the Gram buffer is allocated; a rejected trial is dropped before the
-    next is assembled.  The default targets are computed before the
+    next is assembled.  The targets are computed before the
     reference is assembled.  So n_int x n_int arrays peak at one: a factor
     or the Gram buffer (plus the caller's reference, when one is passed);
     ``fraccalderon invert`` passes none.  When every trial of a sweep
@@ -443,10 +442,8 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
         raise ValueError(f"unknown mode {mode!r}")
     basis = None
     if mode == "constructive":
-        if targets is None:
-            targets = lowest_eigenvectors(meas.op, meas.reference,
-                                          min(n_targets, n_int)) / np.sqrt(hn)
-        basis = np.asarray(targets, dtype=float).reshape(n_int, -1)
+        basis = lowest_eigenvectors(meas.op, meas.reference,
+                                    min(n_targets, n_int)) / np.sqrt(hn)
     penalty = _penalty(grid, basis)
     diagnostics = {"iterations": [], "mode": mode}
 

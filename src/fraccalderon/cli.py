@@ -33,16 +33,16 @@ import scipy
 from . import __version__
 from .dirichlet import (assemble_system, check_condition, dirichlet_spectrum,
                         potential_from_spec, solve_poisson, system_facts)
-from .dnmap import assemble_dn, dn_decomposition_check, export_dn_csv, integral_identity
+from .dnmap import assemble_dn, dn_decomposition_check, integral_identity
 from .errors import ConfigError, FracCalderonError
-from .extension import (cs_extend, export_field_csv, frequency_energy_fraction,
-                        trace_derivative, trace_ladder, ucp_conditioning)
-from .fracop import apply_spectral, assemble_quadrature, export_operator
+from .extension import (cs_extend, frequency_energy_fraction, trace_derivative,
+                        trace_ladder, ucp_conditioning)
+from .fracop import apply_spectral, assemble_quadrature
 from .grid import GridFunction, build_grid
-from .diffusion import decay_series, dn_cost_check, evolve, series_to_csv
+from .diffusion import decay_series, dn_cost_check, evolve
 from .calderon import (reconstruct_potential, reconstruction_error,
                        simulate_measurements)
-from .runge import DEFAULT_ALPHAS, alpha_sweep, sweep_to_csv
+from .runge import DEFAULT_ALPHAS, alpha_sweep
 
 PIPELINES = ("validate-op", "spectrum", "dnmap", "runge-sweep", "invert",
              "extend", "diffuse")
@@ -180,11 +180,19 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
+def _format_row(values) -> str:
+    values = tuple(values)      # one format operation per row, as np.savetxt makes
+    return ",".join(["%.17g"] * len(values)) % values
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
+    """The one CSV writer of the package: ``header`` (a column-name line, or
+    ``#`` lines), then one line per row, each value to 17 significant
+    digits, which reads back as the same double."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+            fh.write(_format_row(row) + "\n")
 
 
 def _smooth_bumps(grid, seed, count=10):
@@ -227,7 +235,8 @@ def _build(cfg):
 def _pipeline_validate_op(cfg, out_dir, report):
     """Quadrature against the spectral route on smooth bumps, plus symmetry
     and sign gates, through ``FracOperator.apply`` and the offset table: no
-    matrix is gathered, and the spectral route's padded lattice sets the memory."""
+    matrix is gathered but the one ``operator_export`` writes, and the spectral
+    route's padded lattice sets the memory."""
     grid, op = _build(cfg)
     pad, seed = cfg.get("pad_factor", 16), cfg.get("seed", 0)
     nf = grid.nonfar
@@ -241,12 +250,19 @@ def _pipeline_validate_op(cfg, out_dir, report):
     report.add("offdiagonal_sign", float(np.max(op.table.ravel()[1:])), 0.0)
     gate = cfg.get("tolerances", {}).get("oracle_agreement", 5e-3 if grid.dim == 1 else 2e-2)
     report.add("oracle_agreement", max(rel for _, rel in rows), gate)
+    # the whole matrix, gathered once: N_nf^2 doubles, 193 MB on the 2D
+    # disc at h = 0.05, and several times that as csv text
     exp = cfg.get("operator_export", "none")
-    files = ["operator_check.csv"]
-    if exp != "none":
-        export_operator(op, str(out_dir / f"operator.{exp}"), fmt=exp)
-        files.append(f"operator.{exp}")
-    return files
+    if exp == "none":
+        return ["operator_check.csv"]
+    A = op.matrix
+    if exp == "npz":
+        np.savez_compressed(out_dir / "operator.npz", matrix=A, tail=op.tail, s=op.s,
+                            cns=op.cns, nonfar=nf)
+    else:
+        _write_csv(out_dir / "operator.csv",
+                   f"# fractional operator, s={op.s!r}, cns={op.cns!r}, n={len(A)}", A)
+    return ["operator_check.csv", f"operator.{exp}"]
 
 
 # bound of ``_probe_asymmetry``, about 200x its largest value measured (5.1e-17,
@@ -290,7 +306,12 @@ def _pipeline_dnmap(cfg, out_dir, report):
     sys1 = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
     src = cfg.get("source_window", "W1")
     obs = cfg.get("observation_window", "W2")
-    export_dn_csv(assemble_dn(sys1, src, obs), grid, str(out_dir / "dn_matrix.csv"))
+    dn = assemble_dn(sys1, src, obs)
+    coords = lambda nodes: "; ".join(_format_row(grid.coords[n]) for n in nodes)
+    _write_csv(out_dir / "dn_matrix.csv",
+               f"# source nodes (columns): {coords(dn.source_nodes)}\n"
+               f"# observation nodes (rows): {coords(dn.observation_nodes)}\n"
+               f"# potential fingerprint: {dn.fingerprint}", dn.matrix)
 
     M = assemble_dn(sys1, "EXTERIOR_SUPPORT", "EXTERIOR_SUPPORT").matrix
     sym = float(np.max(np.abs(M - M.T)) / max(np.max(np.abs(M)), 1e-300))
@@ -335,7 +356,8 @@ def _pipeline_runge(cfg, out_dir, report):
         raise ConfigError(f"unknown runge target {tgt_spec!r}")
     alphas = rcfg.get("alphas", DEFAULT_ALPHAS)
     results = alpha_sweep(sys, window, target, alphas=alphas)
-    sweep_to_csv(results, str(out_dir / "runge_sweep.csv"))
+    _write_csv(out_dir / "runge_sweep.csv", "alpha,residual,control_norm",
+               [(r.alpha, r.residual, r.control_norm) for r in results])
     resids = [r.residual for r in results]
     mono = all(b <= a * (1 + 1e-9) for a, b in zip(resids, resids[1:]))
     report.add("residual_monotone", 0.0 if mono else 1.0, 0.0, ok=mono)
@@ -422,7 +444,9 @@ def _pipeline_extend(cfg, out_dir, report):
     u = GridFunction(grid, vals)
     levels = np.asarray(ecfg.get("levels", trace_ladder(grid.h)), dtype=float)
     field = cs_extend(u, s, levels)
-    export_field_csv(field, str(out_dir / "extension_field.csv"))
+    _write_csv(out_dir / "extension_field.csv", "x,y,w",
+               ((xi, y, w) for y, column in zip(field.y_levels, field.values.T)
+                for xi, w in zip(x, column)))
     td = trace_derivative(field, s).values[grid.nonfar]
     spec = apply_spectral(u, s, cfg.get("pad_factor", 64)).values[grid.nonfar]
     rel = float(np.linalg.norm(td - spec) / np.linalg.norm(spec))
@@ -449,12 +473,13 @@ def _pipeline_diffuse(cfg, out_dir, report):
     f = np.zeros(len(grid.ext_support))
     _, src = grid.exterior_window(cfg.get("source_window", "W1"))
     f[src] = 1.0
+    # the steady state of the clamp f, solved once for every check below
     u_f = solve_poisson(sys, f)
     v0 = u_f.values.copy()
     v0[grid.interior] += rng.standard_normal(len(grid.interior))
     times = dcfg.get("t_values", [0.1, 0.5, 1.0, 2.0, 5.0])
-    rows = decay_series(sys, GridFunction(grid, v0), f, times)
-    series_to_csv(rows, str(out_dir / "decay.csv"))
+    rows = decay_series(sys, GridFunction(grid, v0), u_f, times)
+    _write_csv(out_dir / "decay.csv", "t,distance", rows)
 
     spec = dirichlet_spectrum(sys)
     lam1 = float(spec.eigenvalues[0])
@@ -463,13 +488,13 @@ def _pipeline_diffuse(cfg, out_dir, report):
     ok_rate = all(d <= np.exp(-lam1 * t) * d0 * (1 + 1e-9) for t, d in rows)
     report.add("decay_rate_bound", 0.0 if ok_rate else 1.0, 0.0, ok=ok_rate)
 
-    a = evolve(sys, GridFunction(grid, v0), 0.4, f=f)
-    b = evolve(sys, a, 0.6, f=f)
-    c = evolve(sys, GridFunction(grid, v0), 1.0, f=f)
+    a = evolve(sys, GridFunction(grid, v0), 0.4, steady=u_f)
+    b = evolve(sys, a, 0.6, steady=u_f)
+    c = evolve(sys, GridFunction(grid, v0), 1.0, steady=u_f)
     semi = float(np.max(np.abs(b.values - c.values)))
     report.add("semigroup", semi, tol.get("semigroup", 1e-12))
 
-    cost = dn_cost_check(sys, f)
+    cost = dn_cost_check(sys, u_f)
     ratio = cost["deviation"] / max(cost["deviation_half"], 1e-300)
     report.add("cost_richardson_ratio", abs(ratio - 2.0),
                tol.get("richardson_band", 0.3))

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dirichlet import DirichletSystem, dirichlet_spectrum, ensure_solvable, solve_poisson
-from .errors import DomainError, ModeMismatchError
+from .dirichlet import DirichletSystem, dirichlet_spectrum, ensure_solvable
+from .errors import DomainError, GridMismatchError, ModeMismatchError
 from .grid import Grid, GridFunction
 
 
@@ -23,28 +23,30 @@ def _homogeneous_propagate(sys: DirichletSystem, interior0: np.ndarray, t: float
     return spec.eigenvectors @ (np.exp(-spec.eigenvalues * t) * coeff)
 
 
-def _clamped_split(sys: DirichletSystem, initial: GridFunction, f) -> tuple:
-    """Steady state u_f (full node vector) and interior difference
-    initial - u_f under the exterior clamp f.  f = None clamps to zero, whose
-    steady state is zero, so no Poisson solve runs."""
+def _clamped_split(sys: DirichletSystem, initial: GridFunction,
+                   steady: GridFunction) -> tuple:
+    """Steady state u_f (a full node vector; zero for steady = None) and
+    interior difference initial - u_f under the exterior clamp u_f|ES."""
     grid = sys.grid
-    clamp = 0.0 if f is None else np.asarray(f, dtype=float)
-    if np.max(np.abs(initial.values[grid.ext_support] - clamp)) > 0:
-        raise ModeMismatchError("initial state must equal the exterior data "
-                                "(zero without f) on the exterior support")
-    u_f = np.zeros(grid.n_nodes) if f is None else solve_poisson(sys, clamp).values
+    if steady is not None and steady.grid is not grid:
+        raise GridMismatchError("steady state and system live on different grids")
+    u_f = np.zeros(grid.n_nodes) if steady is None else steady.values.copy()
+    if np.max(np.abs(initial.values[grid.ext_support] - u_f[grid.ext_support])) > 0:
+        raise ModeMismatchError("initial state must equal the steady state "
+                                "(zero without one) on the exterior support")
     return u_f, initial.values[grid.interior] - u_f[grid.interior]
 
 
 def evolve(sys: DirichletSystem, initial: GridFunction, t: float,
-           f: np.ndarray = None) -> GridFunction:
-    """State at time t of the evolution with the exterior clamped to f (zero
-    when f is None), propagated exactly through the cached eigenbasis."""
+           steady: GridFunction = None) -> GridFunction:
+    """State at time t of the evolution with the exterior clamped to f, for
+    ``steady`` = ``solve_poisson(sys, f)`` (None: f = 0, steady state zero),
+    propagated exactly through the cached eigenbasis."""
     ensure_solvable(sys)
     if t < 0:
         raise DomainError("t must be nonnegative")
     initial.check_far_zero()
-    u_f, diff0 = _clamped_split(sys, initial, f)
+    u_f, diff0 = _clamped_split(sys, initial, steady)
     u_f[sys.grid.interior] += _homogeneous_propagate(sys, diff0, t)
     return GridFunction(sys.grid, u_f)
 
@@ -71,41 +73,42 @@ def heat_kernel_free(grid: Grid, s: float, t: float, pad_factor: int = 64) -> Gr
     return GridFunction(grid, vals[m_index])
 
 
-def decay_series(sys: DirichletSystem, initial: GridFunction, f: np.ndarray,
+def decay_series(sys: DirichletSystem, initial: GridFunction, steady: GridFunction,
                  times) -> list:
-    """(t, distance to steady state) pairs for the clamped evolution: one
-    Poisson solve, then the interior difference decays through the spectrum."""
-    if f is None:
-        raise ModeMismatchError("the decay series requires exterior data f")
+    """(t, distance to steady state) pairs for the clamped evolution of
+    ``evolve``: the interior difference decays through the spectrum."""
+    ensure_solvable(sys)
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise DomainError("t must be nonnegative")
     initial.check_far_zero()
-    _, diff0 = _clamped_split(sys, initial, f)   # the Poisson solve checks solvability
+    _, diff0 = _clamped_split(sys, initial, steady)
     hn = sys.grid.h ** sys.grid.dim
     return [(t, float(np.sqrt(hn) * np.linalg.norm(_homogeneous_propagate(sys, diff0, t))))
             for t in times]
 
 
-def dn_cost_check(sys: DirichletSystem, f: np.ndarray, dt: float = None) -> dict:
+def dn_cost_check(sys: DirichletSystem, steady: GridFunction, dt: float = None) -> dict:
     """Short free evolution of the steady state versus the DN readout.
 
     (f - u(dt))/dt on the exterior support approximates the DN map of f with
-    an O(dt) remainder; the deviation halves when dt does.  ``deviation`` is
-    taken at dt and ``deviation_half`` at dt/2, from the same eigenbasis of
-    the non-FAR operator and the same Poisson solve.  That eigenbasis needs
-    the whole matrix (N_nf^2 doubles) and an O(N_nf^3) ``eigh``, so this
-    check suits grids of a few thousand non-FAR nodes.
+    an O(dt) remainder, for ``steady`` = ``solve_poisson(sys, f)``; the
+    deviation halves when dt does.  ``deviation`` is taken at dt and
+    ``deviation_half`` at dt/2, from the same eigenbasis of the non-FAR
+    operator.  That eigenbasis needs the whole matrix (N_nf^2 doubles) and an
+    O(N_nf^3) ``eigh``, so this check suits grids of a few thousand non-FAR
+    nodes.
     """
     grid = sys.grid
     op = sys.op
-    f = np.asarray(f, dtype=float)
-    u_f = solve_poisson(sys, f)
+    if steady.grid is not grid:
+        raise GridMismatchError("steady state and system live on different grids")
+    f = steady.values[grid.ext_support]
     evals, evecs = np.linalg.eigh(op.matrix)
     if dt is None:
         dt = 1e-3 / float(evals[-1])
-    coeff = evecs.T @ u_f.values[grid.nonfar]
-    dn = op.apply(u_f.values, grid.ext_support)      # DN f from the one solve
+    coeff = evecs.T @ steady.values[grid.nonfar]
+    dn = op.apply(steady.values, grid.ext_support)      # DN f
     scale = float(np.max(np.abs(dn))) if np.max(np.abs(dn)) > 0 else 1.0
 
     def readout_at(tau):
@@ -117,10 +120,3 @@ def dn_cost_check(sys: DirichletSystem, f: np.ndarray, dt: float = None) -> dict
     _, deviation_half = readout_at(float(dt) / 2)
     return {"dt": float(dt), "deviation": deviation, "deviation_half": deviation_half,
             "readout": readout, "dn": dn}
-
-
-def series_to_csv(rows: list, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,distance\n")
-        for t, d in rows:
-            fh.write("%.17g,%.17g\n" % (t, d))

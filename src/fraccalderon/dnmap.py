@@ -21,10 +21,10 @@ from ._kernels import matmul
 from .dirichlet import DirichletSystem, solve_poisson, solve_window
 from .errors import GridMismatchError
 from .fracop import FracOperator
-from .grid import Grid, GridFunction, Region
+from .grid import GridFunction, Region
 
 __all__ = ["DNMap", "assemble_dn", "dn_readout", "dn_pointwise", "ns_weight", "apply_ns",
-           "dn_decomposition_check", "integral_identity", "export_dn_csv"]
+           "dn_decomposition_check", "integral_identity"]
 
 
 def _potential_fingerprint(sys: DirichletSystem) -> str:
@@ -113,15 +113,3 @@ def integral_identity(sys1: DirichletSystem, sys2: DirichletSystem,
     dq = sys1.potential.values - sys2.potential.values
     rhs = hn * float(np.sum(dq * u1.values[interior] * u2.values[interior]))
     return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
-
-
-def export_dn_csv(dn: DNMap, grid: Grid, path: str) -> None:
-    """CSV dump with window node coordinates in a comment header block."""
-    with open(path, "w", newline="") as fh:
-        fh.write("# source nodes (columns): " +
-                 "; ".join(",".join("%.17g" % v for v in grid.coords[n]) for n in dn.source_nodes) + "\n")
-        fh.write("# observation nodes (rows): " +
-                 "; ".join(",".join("%.17g" % v for v in grid.coords[n]) for n in dn.observation_nodes) + "\n")
-        fh.write(f"# potential fingerprint: {dn.fingerprint}\n")
-        for row in dn.matrix:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")

@@ -197,13 +197,3 @@ def ucp_conditioning(op: FracOperator, W) -> dict:
         "constraint_rows": int(C.shape[0]),
         "dof": int(C.shape[1]),
     }
-
-
-def export_field_csv(field: ExtensionField, path: str) -> None:
-    """(x, y, w) triples for contour plotting."""
-    x = field.grid.coords[:, 0]
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,w\n")
-        for m, y in enumerate(field.y_levels):
-            for i in range(len(x)):
-                fh.write("%.17g,%.17g,%.17g\n" % (x[i], y, field.values[i, m]))

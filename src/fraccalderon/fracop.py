@@ -294,18 +294,3 @@ def squared_frequencies(shape: tuple, h: float, half: bool = False) -> np.ndarra
     freqs = [np.fft.fftfreq(m, d=h) for m in shape[:-1]]
     freqs.append((np.fft.rfftfreq if half else np.fft.fftfreq)(shape[-1], d=h))
     return sum(np.ix_(*[(2.0 * np.pi * f) ** 2 for f in freqs]))
-
-
-def export_operator(op: FracOperator, path: str, fmt: str = "npz") -> None:
-    """Dump the whole matrix and metadata for offline inspection (npz or
-    csv).  The matrix is gathered once: N_nf^2 doubles, 193 MB on the 2D
-    disc at h = 0.05, and several times that as csv text."""
-    if fmt not in ("npz", "csv"):
-        raise ValueError(f"unknown export format {fmt!r}")
-    A = op.matrix
-    if fmt == "npz":
-        np.savez_compressed(path, matrix=A, tail=op.tail, s=op.s,
-                            cns=op.cns, nonfar=op.grid.nonfar)
-        return
-    header = f"# fractional operator, s={op.s!r}, cns={op.cns!r}, n={A.shape[0]}"
-    np.savetxt(path, A, delimiter=",", header=header, fmt="%.17g")

@@ -144,9 +144,9 @@ class GridFunction:
         if self.values.shape != (self.grid.n_nodes,):
             raise ValueError("value vector length must equal the node count")
 
-    def check_far_zero(self, tol: float = 0.0) -> None:
+    def check_far_zero(self) -> None:
         far = self.grid.far
-        if len(far) and np.max(np.abs(self.values[far])) > tol:
+        if len(far) and np.max(np.abs(self.values[far])) > 0:
             raise ValueError("grid function must vanish on EXTERIOR_FAR nodes")
 
 

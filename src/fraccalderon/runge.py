@@ -106,10 +106,3 @@ def alpha_sweep(sys: DirichletSystem, window, target, alphas=DEFAULT_ALPHAS) -> 
     K = control_to_interior_matrix(sys, window)
     factors = svd(K, full_matrices=False)
     return [ridge_controls(K, p, factors) for p in problems]
-
-
-def sweep_to_csv(results: list, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("alpha,residual,control_norm\n")
-        for r in results:
-            fh.write("%.17g,%.17g,%.17g\n" % (r.alpha, r.residual, r.control_norm))

@@ -188,21 +188,21 @@ def test_criterion_8_diffusion(desk_sys0):
     v0 = u_f.values.copy()
     v0[g.interior] += rng.normal(size=len(g.interior))
 
-    a = evolve(desk_sys0, GridFunction(g, v0), 0.4, f=f)
-    b = evolve(desk_sys0, a, 0.6, f=f)
-    c = evolve(desk_sys0, GridFunction(g, v0), 1.0, f=f)
+    a = evolve(desk_sys0, GridFunction(g, v0), 0.4, steady=u_f)
+    b = evolve(desk_sys0, a, 0.6, steady=u_f)
+    c = evolve(desk_sys0, GridFunction(g, v0), 1.0, steady=u_f)
     semi = np.max(np.abs(b.values - c.values))
     assert semi <= 1e-12
 
     lam1 = dirichlet_spectrum(desk_sys0).eigenvalues[0]
     d0 = np.linalg.norm(v0 - u_f.values)
     for t in (0.1, 1.0, 5.0):
-        st = evolve(desk_sys0, GridFunction(g, v0), t, f=f)
+        st = evolve(desk_sys0, GridFunction(g, v0), t, steady=u_f)
         assert np.linalg.norm(st.values - u_f.values) \
             <= np.exp(-lam1 * t) * d0 * (1 + 1e-12)
 
-    out1 = dn_cost_check(desk_sys0, f)
-    out2 = dn_cost_check(desk_sys0, f, dt=out1["dt"] / 2)
+    out1 = dn_cost_check(desk_sys0, u_f)
+    out2 = dn_cost_check(desk_sys0, u_f, dt=out1["dt"] / 2)
     ratio = out1["deviation"] / out2["deviation"]
     assert abs(ratio - 2.0) <= 0.3
     _report("criterion 8 (diffusion)",

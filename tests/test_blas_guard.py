@@ -1,10 +1,12 @@
-"""One BLAS library on the solve path (see ``fraccalderon._kernels``).
+"""One BLAS library on the solve path (see ``fraccalderon._kernels``), and
+one module that writes files.
 
 ``dirichlet``, ``dnmap``, ``runge``, ``calderon`` and ``extension`` make
 every BLAS call through scipy, so numpy's OpenBLAS thread pool never
 competes with scipy's.  The guard reads their source; the helpers must
 equal numpy's products and norms up to rounding, without copying their
-operands.
+operands.  Only ``cli`` writes files, so the output format is decided in
+one place; the second guard reads the source of every other module.
 """
 
 import ast
@@ -76,6 +78,62 @@ def test_solve_path_calls_no_numpy_blas(module):
 ])
 def test_guard_flags_each_numpy_blas_construct(snippet, banned):
     assert bool(numpy_blas_uses(snippet)) is banned
+
+
+# calls that write a file whatever their arguments
+FILE_WRITERS = ("savetxt", "save", "savez", "savez_compressed", "tofile",
+                "write_text", "write_bytes")
+
+
+def file_writes(source: str) -> list:
+    """(line, construct) for each call in ``source`` that writes a file: one
+    of ``FILE_WRITERS``, or ``open`` with a mode that writes, appends,
+    creates or updates (``open(path)`` and mode "r" read)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in FILE_WRITERS:
+            found.append((node.lineno, name))
+        elif name == "open":
+            # the mode is the second argument of open, the first of Path.open
+            at = 1 if isinstance(func, ast.Name) else 0
+            mode = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at:at + 1]
+            reads = not mode or (isinstance(mode[0], ast.Constant)
+                                 and not set(str(mode[0].value)) & set("wax+"))
+            if not reads:
+                found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli.py"])
+def test_only_the_cli_writes_files(module):
+    assert file_writes((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("snippet,writes", [
+    ("fh = open(path, 'w', newline='')", True),
+    ("fh = open(path, mode='a')", True),
+    ("fh = open(path, 'r+')", True),
+    ("fh = open(path, mode)", True),
+    ("fh = Path(path).open('wb')", True),
+    ("np.savetxt(path, a, delimiter=',')", True),
+    ("np.savez_compressed(path, matrix=a)", True),
+    ("numpy.save(path, a)", True),
+    ("path.write_text(text)", True),
+    ("fh = open(path)", False),
+    ("fh = open(path, 'r')", False),
+    ("fh = Path(path).open()", False),
+    ("a = np.loadtxt(path, delimiter=',')", False),
+    ("text = path.read_text()", False),
+])
+def test_guard_flags_each_file_write(snippet, writes):
+    assert bool(file_writes(snippet)) is writes
 
 
 @pytest.mark.parametrize("a_shape,b_shape", [((7, 5), (5, 3)), ((7, 5), (5,)),

@@ -8,7 +8,7 @@ from scipy.linalg import lapack
 from fraccalderon import assemble_quadrature, build_grid, calderon, dirichlet, dnmap, runge
 from fraccalderon.calderon import (BETA_FLOOR, reconstruct_potential,
                                    reconstruction_error, simulate_measurements)
-from fraccalderon.dirichlet import assemble_system, dirichlet_spectrum, potential_from_spec
+from fraccalderon.dirichlet import assemble_system, lowest_eigenvectors, potential_from_spec
 from fraccalderon.errors import (GridMismatchError, IllConditionedWarning,
                                  ReferenceMismatchError, RungeFailError, SingularSystemError)
 from fraccalderon.runge import ControlProblem, control_to_interior_matrix, runge_approximate
@@ -265,9 +265,9 @@ def test_constructive_is_galerkin_on_control_pairs(desk_setup, monkeypatch):
 
     monkeypatch.setattr(calderon, "_solve_regularized", spy)
     alpha, hn = 1e-8, grid.h
-    targets = dirichlet_spectrum(sys_ref).eigenvectors[:, :4] / np.sqrt(hn)
-    reconstruct_potential(meas, sys_ref, targets=targets, alpha=alpha,
+    reconstruct_potential(meas, sys_ref, n_targets=4, alpha=alpha,
                           runge_gate=0.95, iterations=1, mode="constructive")
+    targets = lowest_eigenvectors(meas.op, meas.reference, 4) / np.sqrt(hn)
 
     def control(window, target):
         return runge_approximate(ControlProblem(sys_ref, window, target, alpha=alpha))

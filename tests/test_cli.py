@@ -14,8 +14,12 @@ import scipy
 from jsonschema.validators import validator_for
 
 from fraccalderon import build_grid
-from fraccalderon.cli import CONFIG_SCHEMA, UCP_SMOOTH_FLOOR, main, run, validate_config
+from fraccalderon.cli import CONFIG_SCHEMA, UCP_SMOOTH_FLOOR, _build, main, run, validate_config
+from fraccalderon.dirichlet import assemble_system, potential_from_spec
+from fraccalderon.dnmap import assemble_dn
 from fraccalderon.errors import ConfigError, IllConditionedWarning
+from fraccalderon.extension import trace_ladder
+from fraccalderon.runge import DEFAULT_ALPHAS
 
 from conftest import convolve_long_pad
 
@@ -500,6 +504,88 @@ def test_committed_config_runs_through_main(path, tmp_path):
     assert main([pipeline, "--config", str(path), "--output-dir", str(out)]) == 0
     gates = json.loads((out / "manifest.json").read_text())["gates"]
     assert gates and [name for name, g in gates.items() if not g["pass"]] == []
+
+
+def _csv_shapes(cfg, grid) -> dict:
+    """The (rows, columns) of each CSV that the config's pipeline writes and
+    whose shape follows from the config."""
+    pipeline = cfg["pipeline"]
+    if pipeline == "runge-sweep":
+        return {"runge_sweep.csv": (len(cfg.get("runge", {}).get("alphas", DEFAULT_ALPHAS)), 3)}
+    if pipeline == "diffuse":
+        times = cfg.get("diffuse", {}).get("t_values", [0.1, 0.5, 1.0, 2.0, 5.0])
+        return {"decay.csv": (len(times), 2)}
+    if pipeline == "extend":
+        levels = cfg.get("extend", {}).get("levels", trace_ladder(grid.h))
+        return {"extension_field.csv": (grid.n_nodes * len(levels), 3)}
+    if pipeline == "dnmap":
+        src, obs = (len(grid.indices_of(cfg.get(key, default))) for key, default in
+                    (("source_window", "W1"), ("observation_window", "W2")))
+        return {"dn_matrix.csv": (obs, src)}
+    return {}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_committed_config_csv_files(path, tmp_path):
+    # every CSV of the manifest: one column-name line (dn_matrix.csv: exactly
+    # three '#' lines), then finite rows as wide as the header names, in the
+    # shape the config implies; the DN matrix reads back bit for bit.  The
+    # ill-conditioning warnings of two configs are test_manifest_records_warnings'
+    cfg = json.loads(path.read_text())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        code, manifest = run(cfg, output_dir=str(tmp_path))
+    assert code == 0
+    grid, op = _build(cfg)
+    shapes = _csv_shapes(cfg, grid)
+    tables = {}
+    for name in manifest["files"]:
+        if not name.endswith(".csv"):
+            continue
+        lines = (tmp_path / name).read_text().splitlines()
+        head = 3 if name == "dn_matrix.csv" else 1
+        assert [line.startswith("#") for line in lines[:head + 1]] == [head == 3] * head + [False]
+        rows = tables[name] = np.array([[float(v) for v in line.split(",")]
+                                        for line in lines[head:]])
+        assert rows.ndim == 2 and np.all(np.isfinite(rows))
+        if head == 1:
+            assert rows.shape[1] == len(lines[0].split(","))
+    assert {name: tables[name].shape for name in shapes} == shapes
+    if cfg["pipeline"] == "dnmap":
+        sys1 = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
+        dn = assemble_dn(sys1, cfg.get("source_window", "W1"), cfg.get("observation_window", "W2"))
+        assert np.array_equal(tables["dn_matrix.csv"], dn.matrix)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "npz"])
+def test_validate_op_exports_operator(fmt, tmp_path):
+    # the whole matrix with its tail, s, cns and non-FAR nodes as npz, or
+    # as csv under one header line that starts with a single '# '; the
+    # matrix reads back bit for bit
+    cfg = load_config("desk1d_grid.json")
+    cfg["operator_export"] = fmt
+    code, manifest = run(cfg, output_dir=str(tmp_path))
+    assert code == 0 and f"operator.{fmt}" in manifest["files"]
+    _, op = _build(cfg)
+    A = op.matrix
+    if fmt == "npz":
+        data = np.load(tmp_path / "operator.npz")
+        assert np.array_equal(data["matrix"], A) and np.array_equal(data["tail"], op.tail)
+        assert data["s"] == op.s and data["cns"] == op.cns
+        assert np.array_equal(data["nonfar"], op.grid.nonfar)
+    else:
+        lines = (tmp_path / "operator.csv").read_text().splitlines()
+        assert lines[0] == f"# fractional operator, s={op.s!r}, cns={op.cns!r}, n={len(A)}"
+        assert np.array_equal(np.loadtxt(lines[1:], delimiter=","), A)
+
+
+def test_diffuse_solves_poisson_once(tmp_path, monkeypatch):
+    # the clamp's steady state serves the decay series, the semigroup gate
+    # and the DN cost check: one Poisson solve (6 while each solved its own)
+    from fraccalderon import dirichlet
+    solved = _count_calls(monkeypatch, dirichlet, "solve_poisson")
+    code, _ = run(load_config("diffuse_desk1d.json"), output_dir=str(tmp_path))
+    assert code == 0 and len(solved) == 1
 
 
 def test_dnmap_solves_each_pair_once(tmp_path, monkeypatch):

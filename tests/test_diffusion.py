@@ -3,9 +3,8 @@ import pytest
 
 from fraccalderon import GridFunction, build_grid
 from fraccalderon.dirichlet import dirichlet_spectrum, solve_poisson
-from fraccalderon.diffusion import (decay_series, dn_cost_check, evolve,
-                                    heat_kernel_free, series_to_csv)
-from fraccalderon.errors import DomainError, ModeMismatchError
+from fraccalderon.diffusion import decay_series, dn_cost_check, evolve, heat_kernel_free
+from fraccalderon.errors import DomainError, GridMismatchError, ModeMismatchError
 
 from conftest import window_vector
 
@@ -24,10 +23,7 @@ def interior_state(sys, values):
     return GridFunction(sys.grid, full)
 
 
-def test_t_zero_identity(desk_sys0, monkeypatch):
-    # without exterior data the steady state is zero: no Poisson solve runs
-    from fraccalderon import diffusion
-    monkeypatch.setattr(diffusion, "solve_poisson", None)
+def test_t_zero_identity(desk_sys0):
     g = desk_sys0.grid
     rng = np.random.default_rng(0)
     u0 = interior_state(desk_sys0, rng.normal(size=len(g.interior)))
@@ -76,7 +72,7 @@ def test_clamped_convergence_rate(desk_sys0):
     lam1 = dirichlet_spectrum(desk_sys0).eigenvalues[0]
     d0 = np.linalg.norm(v0 - u_f.values)
     for t in (0.1, 1.0, 10.0):
-        st = evolve(desk_sys0, GridFunction(g, v0), t, f=f)
+        st = evolve(desk_sys0, GridFunction(g, v0), t, steady=u_f)
         assert np.linalg.norm(st.values - u_f.values) \
             <= np.exp(-lam1 * t) * d0 * (1 + 1e-12)
 
@@ -86,7 +82,7 @@ def test_steady_state_fixed_point(desk_sys0):
     f = window_vector(g, "W1", 1.0)
     u_f = solve_poisson(desk_sys0, f)
     for t in (0.5, 5.0):
-        st = evolve(desk_sys0, u_f, t, f=f)
+        st = evolve(desk_sys0, u_f, t, steady=u_f)
         assert np.max(np.abs(st.values - u_f.values)) <= 1e-12
 
 
@@ -98,7 +94,19 @@ def test_mode_mismatch_errors(desk_sys0):
         evolve(desk_sys0, GridFunction(g, bad), 1.0)
     f = window_vector(g, "W1", 1.0)
     with pytest.raises(ModeMismatchError):
-        evolve(desk_sys0, GridFunction(g, np.zeros(g.n_nodes)), 1.0, f=f)
+        evolve(desk_sys0, GridFunction(g, np.zeros(g.n_nodes)), 1.0,
+               steady=solve_poisson(desk_sys0, f))
+
+
+def test_steady_state_of_another_grid_raises(desk_sys0, fine_sys0):
+    g = desk_sys0.grid
+    steady = solve_poisson(fine_sys0, window_vector(fine_sys0.grid, "W1", 1.0))
+    state = GridFunction(g, np.zeros(g.n_nodes))
+    for call in (lambda: evolve(desk_sys0, state, 1.0, steady),
+                 lambda: decay_series(desk_sys0, state, steady, [1.0]),
+                 lambda: dn_cost_check(desk_sys0, steady)):
+        with pytest.raises(GridMismatchError):
+            call()
 
 
 def test_heat_kernel_closed_form(heat_grid):
@@ -134,63 +142,48 @@ def test_heat_kernel_domain_errors(heat_grid, grid_2d):
 
 def test_dn_cost_richardson(desk_sys0):
     g = desk_sys0.grid
-    f = window_vector(g, "W1", 1.0)
-    out1 = dn_cost_check(desk_sys0, f)
+    u_f = solve_poisson(desk_sys0, window_vector(g, "W1", 1.0))
+    out1 = dn_cost_check(desk_sys0, u_f)
     assert out1["deviation"] <= 0.01
-    out2 = dn_cost_check(desk_sys0, f, dt=out1["dt"] / 2)
+    out2 = dn_cost_check(desk_sys0, u_f, dt=out1["dt"] / 2)
     ratio = out1["deviation"] / out2["deviation"]
     assert abs(ratio - 2.0) <= 0.3
 
 
 def test_dn_cost_pair_in_one_call(desk_sys0):
     # the dt/2 deviation of one call is a second call at dt/2, bit for bit
-    f = window_vector(desk_sys0.grid, "W1", 1.0)
-    out = dn_cost_check(desk_sys0, f)
-    half = dn_cost_check(desk_sys0, f, dt=out["dt"] / 2)
+    u_f = solve_poisson(desk_sys0, window_vector(desk_sys0.grid, "W1", 1.0))
+    out = dn_cost_check(desk_sys0, u_f)
+    half = dn_cost_check(desk_sys0, u_f, dt=out["dt"] / 2)
     assert out["deviation_half"] == half["deviation"]
 
 
 def test_dn_cost_zero_data(desk_sys0):
     g = desk_sys0.grid
-    out = dn_cost_check(desk_sys0, np.zeros(len(g.ext_support)))
+    out = dn_cost_check(desk_sys0, solve_poisson(desk_sys0, np.zeros(len(g.ext_support))))
     assert out["deviation"] == 0.0
 
 
-def test_decay_series_csv(tmp_path, desk_sys0):
+def test_decay_series_matches_evolve(desk_sys0):
+    # the distances of the clamped evolution at each time, for the steady
+    # state of a window clamp and for the zero clamp (steady None); zero
+    # from the steady state itself; evolve's input checks kept
     g = desk_sys0.grid
-    f = window_vector(g, "W1", 1.0)
-    v0 = solve_poisson(desk_sys0, f)
-    rows = decay_series(desk_sys0, v0, f, [0.1, 1.0])
-    path = tmp_path / "decay.csv"
-    series_to_csv(rows, str(path))
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (2, 2)
-    assert np.all(data[:, 1] <= 1e-12)
-
-
-def test_decay_series_one_poisson_solve(desk_sys0, monkeypatch):
-    # one steady-state solve for the whole series, the distances of the
-    # clamped evolution at each time, and evolve's input checks kept
-    from fraccalderon import diffusion
-    g = desk_sys0.grid
-    f = window_vector(g, "W1", 1.0)
-    v0 = solve_poisson(desk_sys0, f).values.copy()
-    v0[g.interior] += np.random.default_rng(3).normal(size=len(g.interior))
-    v0 = GridFunction(g, v0)
+    u_f = solve_poisson(desk_sys0, window_vector(g, "W1", 1.0))
+    noise = np.random.default_rng(3).normal(size=len(g.interior))
     times = [0.0, 0.3, 2.0]
-    u_f = solve_poisson(desk_sys0, f)
-    want = [np.sqrt(g.h) * np.linalg.norm(
-        evolve(desk_sys0, v0, t, f=f).values - u_f.values)
-        for t in times]
-    solves = []
-    real = diffusion.solve_poisson
-    monkeypatch.setattr(diffusion, "solve_poisson",
-                        lambda *a: solves.append(1) or real(*a))
-    rows = decay_series(desk_sys0, v0, f, times)
-    assert len(solves) == 1
-    assert [t for t, _ in rows] == times
-    assert np.allclose([d for _, d in rows], want, rtol=1e-12, atol=1e-15)
+    for steady in (u_f, None):
+        v0 = np.zeros(g.n_nodes) if steady is None else steady.values.copy()
+        v0[g.interior] += noise
+        v0 = GridFunction(g, v0)
+        rest = 0.0 if steady is None else u_f.values
+        want = [np.sqrt(g.h) * np.linalg.norm(evolve(desk_sys0, v0, t, steady).values - rest)
+                for t in times]
+        rows = decay_series(desk_sys0, v0, steady, times)
+        assert [t for t, _ in rows] == times
+        assert np.allclose([d for _, d in rows], want, rtol=1e-12, atol=1e-15)
+    assert all(d <= 1e-12 for _, d in decay_series(desk_sys0, u_f, u_f, [0.1, 1.0]))
     with pytest.raises(ModeMismatchError):
-        decay_series(desk_sys0, GridFunction(g, np.zeros(g.n_nodes)), f, times)
+        decay_series(desk_sys0, GridFunction(g, np.zeros(g.n_nodes)), u_f, times)
     with pytest.raises(DomainError):
-        decay_series(desk_sys0, v0, f, [1.0, -0.5])
+        decay_series(desk_sys0, v0, None, [1.0, -0.5])

@@ -93,13 +93,14 @@ def resonant(desk_op, desk_sys0):
 
 @pytest.mark.parametrize("entry", [
     "solve_poisson", "solve_source", "assemble_dn", "dn_pointwise",
-    "control_to_interior_matrix", "evolve_homogeneous", "reconstruct_potential"])
+    "control_to_interior_matrix", "evolve_homogeneous", "decay_series_homogeneous",
+    "reconstruct_potential"])
 def test_resonant_system_refused(entry, resonant, desk_sys0, desk_sys_bump):
     from dataclasses import replace
 
     from fraccalderon import GridFunction
     from fraccalderon.calderon import reconstruct_potential, simulate_measurements
-    from fraccalderon.diffusion import evolve
+    from fraccalderon.diffusion import decay_series, evolve
     from fraccalderon.dnmap import assemble_dn, dn_pointwise
     from fraccalderon.runge import control_to_interior_matrix
     g = resonant.grid
@@ -112,6 +113,8 @@ def test_resonant_system_refused(entry, resonant, desk_sys0, desk_sys_bump):
         "control_to_interior_matrix": lambda: control_to_interior_matrix(resonant, "W1"),
         "evolve_homogeneous": lambda: evolve(resonant, GridFunction(g, np.zeros(g.n_nodes)),
                                              1.0),
+        "decay_series_homogeneous": lambda: decay_series(
+            resonant, GridFunction(g, np.zeros(g.n_nodes)), None, [1.0]),
         # data measured against the resonant reference itself, which the
         # reconstruction is handed and must refuse to solve with
         "reconstruct_potential": lambda: reconstruct_potential(

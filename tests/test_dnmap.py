@@ -3,8 +3,7 @@ import pytest
 
 from fraccalderon.dirichlet import assemble_system, potential_from_spec, solve_poisson
 from fraccalderon.dnmap import (apply_ns, assemble_dn, dn_decomposition_check,
-                                dn_pointwise, export_dn_csv, integral_identity,
-                                ns_weight)
+                                dn_pointwise, integral_identity, ns_weight)
 from fraccalderon.errors import GridMismatchError
 from fraccalderon.grid import GridFunction
 
@@ -155,14 +154,3 @@ def test_grid_mismatch_raises(desk_sys0, fine_sys0):
         integral_identity(desk_sys0, fine_sys0, u, u)
     with pytest.raises(GridMismatchError):
         apply_ns(fine_sys0.op, GridFunction(g, np.zeros(g.n_nodes)))
-
-
-def test_export_csv(tmp_path, desk_sys0):
-    dn = assemble_dn(desk_sys0, "W1", "W2")
-    path = tmp_path / "dn.csv"
-    export_dn_csv(dn, desk_sys0.grid, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# source nodes")
-    data = np.loadtxt(lines[3:], delimiter=",")
-    assert data.shape == dn.matrix.shape
-    assert np.allclose(data, dn.matrix, atol=0, rtol=1e-15)

@@ -4,8 +4,7 @@ import pytest
 from fraccalderon import GridFunction, apply_spectral, assemble_quadrature
 from fraccalderon._kernels import gather_offsets
 from fraccalderon.errors import DomainError, LadderError
-from fraccalderon.extension import (cs_extend, export_field_csv,
-                                    frequency_energy_fraction,
+from fraccalderon.extension import (cs_extend, frequency_energy_fraction,
                                     poisson_kernel_weights, trace_derivative,
                                     trace_ladder, ucp_conditioning)
 
@@ -162,13 +161,3 @@ def test_frequency_fraction_of_smooth_mode(desk_grid):
     slow = np.cos(0.5 * np.pi * g.coords[g.nonfar, 0] / 2.0)
     frac = frequency_energy_fraction(g, slow, np.pi / (4 * g.h))
     assert frac < 0.05
-
-
-def test_field_csv(tmp_path, fine_grid):
-    g = fine_grid
-    field = cs_extend(GridFunction(g, smooth_bump(g, 0.0, 0.2)), 0.5,
-                      g.h * 2.0 ** np.arange(2))
-    path = tmp_path / "field.csv"
-    export_field_csv(field, str(path))
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (2 * g.n_nodes, 3)

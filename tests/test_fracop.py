@@ -16,7 +16,7 @@ from fraccalderon import (GridFunction, apply_spectral, assemble_quadrature, bui
 from fraccalderon._kernels import gather_offsets, offset_convolve, offset_table
 from fraccalderon.dirichlet import assemble_system, potential_from_spec
 from fraccalderon.fracop import (_cell_weights, _kappa, _lattice_sum, _smooth_integral,
-                                 _tail_outside_box, _unit_weights, export_operator)
+                                 _tail_outside_box, _unit_weights)
 from fraccalderon.errors import DomainError, QuadratureError
 from fraccalderon.grid import Region
 
@@ -254,17 +254,6 @@ def test_assembly_deterministic(desk_grid):
     b = assemble_quadrature(desk_grid, 0.5)
     assert np.array_equal(a.matrix, b.matrix)
     assert np.array_equal(a.tail, b.tail)
-
-
-def test_export_roundtrip(tmp_path, desk_op):
-    path = tmp_path / "op.npz"
-    export_operator(desk_op, str(path), fmt="npz")
-    data = np.load(path)
-    assert np.array_equal(data["matrix"], desk_op.matrix)
-    csv_path = tmp_path / "op.csv"
-    export_operator(desk_op, str(csv_path), fmt="csv")
-    loaded = np.loadtxt(csv_path, delimiter=",")
-    assert np.allclose(loaded, desk_op.matrix, rtol=0, atol=1e-16 * np.max(np.abs(desk_op.matrix)))
 
 
 def _disc_grid_2d(h):

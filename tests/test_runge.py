@@ -4,7 +4,7 @@ import pytest
 from fraccalderon.dirichlet import solve_poisson, solve_source
 from fraccalderon.errors import GridMismatchError, IllConditionedWarning
 from fraccalderon.runge import (ControlProblem, alpha_sweep, control_to_interior_matrix,
-                                runge_approximate, sweep_to_csv)
+                                runge_approximate)
 
 from conftest import make_grid_1d, window_vector
 
@@ -104,17 +104,6 @@ def test_pinv_fallback(desk_sys0):
     res = runge_approximate(ControlProblem(desk_sys0, "W1", target, alpha=0.0))
     assert np.isfinite(res.residual)
     assert res.singular_values is not None
-
-
-def test_sweep_csv(tmp_path, desk_sys0):
-    g = desk_sys0.grid
-    results = alpha_sweep(desk_sys0, "W1", np.ones(len(g.interior)),
-                          alphas=[1e-4, 1e-6])
-    path = tmp_path / "sweep.csv"
-    sweep_to_csv(results, str(path))
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (2, 3)
-    assert rows[0, 0] == 1e-4
 
 
 def test_large_window_dense_stationarity():
