@@ -4,14 +4,24 @@ One pipeline per invocation: ``fraccalderon <pipeline> --config cfg.json
 [--set key=value]...``.  Configs are JSON (schema-validated, unknown keys
 rejected); scalar fields can be overridden from the command line.  Every run
 writes a manifest recording the config hash, seeds, versions, BLAS thread
-settings and the thread counts in force, wall time, produced files and the
-warnings shown during the pipeline (``warnings``: category and message,
-also printed to stderr), and exits 0 only if all configured tolerance gates
-pass (1: gate failure, 2: invalid config, 4: numeric error).
+settings and the thread counts in force, wall time, the wall seconds of each
+stage (``stage_s``: ``assembly``, ``compute`` and ``output``; ``invert``
+splits ``compute`` into ``measurement`` and ``reconstruction``), produced
+files and the warnings shown during the pipeline (``warnings``: category
+and message, also printed to stderr), and exits 0 only if all configured
+tolerance gates pass (1: gate failure, 2: invalid config, 4: numeric error).
+A run that raises a package error still writes its manifest, with
+``error`` (code, message and the module that raised it), no files, and the
+stages and records set before the raise.
 An ``invert`` manifest also records how each assembled system was factored
-and its rcond (``systems``; the trial systems per iteration), each
+and its rcond (``systems``; the trial systems per iteration), and each
 Newton iteration's penalty weight, data norm, step norm and step halvings
-(``iterations``), and the wall seconds of each stage (``stage_s``).
+(``iterations``).
+
+``run`` is the frame of every pipeline: it builds the grid and operator,
+hands them to the pipeline with the gate report, times the stages and
+writes the files the pipeline returns, ``{name: (header, rows)}`` (a dict
+of arrays for a ``.npz``).
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import os
 import resource
 import sys
 import time
+import traceback
 import warnings
 from pathlib import Path
 
@@ -34,7 +45,7 @@ from . import __version__
 from .dirichlet import (assemble_system, check_condition, dirichlet_spectrum,
                         potential_from_spec, solve_poisson, system_facts)
 from .dnmap import assemble_dn, dn_decomposition_check, integral_identity
-from .errors import ConfigError, FracCalderonError
+from .errors import ConfigError, FracCalderonError, LinAlgFailError
 from .extension import (cs_extend, frequency_energy_fraction, trace_derivative,
                         trace_ladder, ucp_conditioning)
 from .fracop import apply_spectral, assemble_quadrature
@@ -123,8 +134,9 @@ CONFIG_SCHEMA = {
                                  "seed": {"type": "integer"}}},
         "runge": {"type": "object", "additionalProperties": False,
                   "properties": {"window": {"type": "string"},
-                                 "target": {"type": ["string", "array"]},
-                                 "alphas": {"type": "array"}}},
+                                 "target": {"anyOf": [{"enum": ["constant", "sign"]},
+                                                      {"type": "array", "items": _NUMBER}]},
+                                 "alphas": {"type": "array", "items": _NUMBER}}},
         "invert": {"type": "object", "additionalProperties": False,
                    "properties": {"mode": {"enum": ["constructive", "linearized"]},
                                   "iterations": {"type": "integer", "minimum": 1},
@@ -134,27 +146,28 @@ CONFIG_SCHEMA = {
                                   "clean_beta": {"type": "number"}}},
         "extend": {"type": "object", "additionalProperties": False,
                    "properties": {"ucp_window": {"type": "string"},
-                                  "levels": {"type": "array"}}},
+                                  "levels": {"type": "array", "items": _NUMBER}}},
         "diffuse": {"type": "object", "additionalProperties": False,
-                    "properties": {"t_values": {"type": "array"}}},
+                    "properties": {"t_values": {"type": "array", "items": _NUMBER}}},
         "operator_export": {"enum": ["none", "csv", "npz"]},
         "pad_factor": {"type": "integer", "minimum": 4},
-        "tolerances": {"type": "object"},
+        "tolerances": {"type": "object", "additionalProperties": _NUMBER},
         "seed": {"type": "integer"},
         "output_dir": {"type": "string"},
     },
 }
 
 
-# the gate thresholds each pipeline reads from ``tolerances``
-TOLERANCE_KEYS = {
-    "validate-op": ("oracle_agreement",),
-    "spectrum": (),
-    "dnmap": ("identity", "identity_loose"),
-    "runge-sweep": ("runge_residual",),
-    "invert": ("reconstruction_error",),
-    "extend": ("trace_identity",),
-    "diffuse": ("semigroup", "richardson_band"),
+# pipeline -> the gate thresholds it reads from ``tolerances`` -> default;
+# a pair is the default in 1D and in more dimensions
+TOLERANCES = {
+    "validate-op": {"oracle_agreement": (5e-3, 2e-2)},
+    "spectrum": {},
+    "dnmap": {"identity": 1e-12, "identity_loose": 1e-10},
+    "runge-sweep": {"runge_residual": 0.10},
+    "invert": {"reconstruction_error": 0.15},
+    "extend": {"trace_identity": 5e-3},
+    "diffuse": {"semigroup": 1e-12, "richardson_band": 0.3},
 }
 
 
@@ -163,17 +176,29 @@ def validate_config(cfg: dict) -> None:
     so a misspelt gate name fails instead of leaving its default in force.
 
     The schema itself is checked by the tests, not on every call; the error
-    raised is the one ``jsonschema.validate`` would pick."""
+    raised is the one ``jsonschema.validate`` would pick, in its words, which
+    name the value but not its key: a value below the top level is prefixed
+    with its path (``runge.alphas[1]: ...``)."""
     from jsonschema.exceptions import best_match
     from jsonschema.validators import validator_for
     error = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(cfg))
     if error is not None:
-        raise ConfigError(str(error).splitlines()[0]) from error
-    allowed = TOLERANCE_KEYS[cfg["pipeline"]]
+        where = f"{error.json_path[2:]}: " if len(error.absolute_path) > 1 else ""
+        raise ConfigError(where + str(error).splitlines()[0]) from error
+    allowed = TOLERANCES[cfg["pipeline"]]
     unknown = sorted(set(cfg.get("tolerances", {})) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown tolerances {unknown} for pipeline {cfg['pipeline']!r}; "
                           f"allowed: {list(allowed)}")
+
+
+def _tolerances(cfg: dict) -> dict:
+    """The gate thresholds of the config's pipeline: its ``tolerances``, the
+    defaults of ``TOLERANCES`` for the keys it leaves out."""
+    one_d = cfg["grid"]["dim"] == 1
+    defaults = {key: (value[0] if one_d else value[1]) if isinstance(value, tuple) else value
+                for key, value in TOLERANCES[cfg["pipeline"]].items()}
+    return {**defaults, **cfg.get("tolerances", {})}
 
 
 def _config_hash(cfg: dict) -> str:
@@ -209,9 +234,22 @@ def _smooth_bumps(grid, seed, count=10):
 
 
 class GateReport:
-    def __init__(self):
+    """A run's gates, the facts its pipeline records, the wall seconds of its
+    stages, and the thresholds its gates read (``tolerances``)."""
+
+    def __init__(self, tolerances: dict):
         self.gates = {}
         self.records = {}           # pipeline facts copied into the manifest
+        self.stage_s = {}
+        self.tolerances = tolerances
+        self._last_mark = time.perf_counter()
+
+    def mark(self, stage):
+        """Record the wall seconds since the previous mark (or since the report
+        was made) as ``stage``."""
+        now = time.perf_counter()
+        self.stage_s[stage] = now - self._last_mark
+        self._last_mark = now
 
     def add(self, name, value, threshold, ok=None):
         if ok is None:
@@ -232,37 +270,33 @@ def _build(cfg):
     return grid, op
 
 
-def _pipeline_validate_op(cfg, out_dir, report):
+def _pipeline_validate_op(cfg, grid, op, report):
     """Quadrature against the spectral route on smooth bumps, plus symmetry
     and sign gates, through ``FracOperator.apply`` and the offset table: no
     matrix is gathered but the one ``operator_export`` writes, and the spectral
     route's padded lattice sets the memory."""
-    grid, op = _build(cfg)
     pad, seed = cfg.get("pad_factor", 16), cfg.get("seed", 0)
     nf = grid.nonfar
     rows = []
     for i, vals in enumerate(_smooth_bumps(grid, seed)):
         spec = apply_spectral(GridFunction(grid, vals), cfg["s"], pad).values[nf]
         rows.append((i, float(np.linalg.norm(op.apply(vals, nf) - spec) / np.linalg.norm(spec))))
-    _write_csv(out_dir / "operator_check.csv", "bump,rel_l2_discrepancy", rows)
     report.add("operator_symmetry", _probe_asymmetry(op, seed), SYMMETRY_TOL)
     # the off-diagonal entries are the table's, one per lattice offset d != 0
     report.add("offdiagonal_sign", float(np.max(op.table.ravel()[1:])), 0.0)
-    gate = cfg.get("tolerances", {}).get("oracle_agreement", 5e-3 if grid.dim == 1 else 2e-2)
-    report.add("oracle_agreement", max(rel for _, rel in rows), gate)
+    report.add("oracle_agreement", max(rel for _, rel in rows),
+               report.tolerances["oracle_agreement"])
+    outputs = {"operator_check.csv": ("bump,rel_l2_discrepancy", rows)}
     # the whole matrix, gathered once: N_nf^2 doubles, 193 MB on the 2D
     # disc at h = 0.05, and several times that as csv text
     exp = cfg.get("operator_export", "none")
-    if exp == "none":
-        return ["operator_check.csv"]
-    A = op.matrix
     if exp == "npz":
-        np.savez_compressed(out_dir / "operator.npz", matrix=A, tail=op.tail, s=op.s,
-                            cns=op.cns, nonfar=nf)
-    else:
-        _write_csv(out_dir / "operator.csv",
-                   f"# fractional operator, s={op.s!r}, cns={op.cns!r}, n={len(A)}", A)
-    return ["operator_check.csv", f"operator.{exp}"]
+        outputs["operator.npz"] = {"matrix": op.matrix, "tail": op.tail, "s": op.s,
+                                   "cns": op.cns, "nonfar": nf}
+    elif exp == "csv":
+        outputs["operator.csv"] = (f"# fractional operator, s={op.s!r}, cns={op.cns!r}, "
+                                   f"n={len(nf)}", op.matrix)
+    return outputs
 
 
 # bound of ``_probe_asymmetry``, about 200x its largest value measured (5.1e-17,
@@ -284,12 +318,9 @@ def _probe_asymmetry(op, seed) -> float:
     return float(worst)
 
 
-def _pipeline_spectrum(cfg, out_dir, report):
-    grid, op = _build(cfg)
+def _pipeline_spectrum(cfg, grid, op, report):
     sys = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
     spec = dirichlet_spectrum(sys)
-    _write_csv(out_dir / "spectrum.csv", "index,eigenvalue",
-               list(enumerate(spec.eigenvalues)))
     A = sys.interior_matrix             # gathered anew: the system holds its factors only
     resid = float(np.max(np.abs(A @ spec.eigenvectors
                                 - spec.eigenvectors * spec.eigenvalues)))
@@ -297,25 +328,18 @@ def _pipeline_spectrum(cfg, out_dir, report):
     report.add("eigen_residual", resid, 1e-10 * scale)
     chk = check_condition(sys)
     report.add("condition_margin", -chk["margin"], 0.0, ok=chk["ok"])
-    return ["spectrum.csv"]
+    return {"spectrum.csv": ("index,eigenvalue", list(enumerate(spec.eigenvalues)))}
 
 
-def _pipeline_dnmap(cfg, out_dir, report):
-    grid, op = _build(cfg)
-    tol = cfg.get("tolerances", {})
+def _pipeline_dnmap(cfg, grid, op, report):
     sys1 = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
     src = cfg.get("source_window", "W1")
     obs = cfg.get("observation_window", "W2")
     dn = assemble_dn(sys1, src, obs)
-    coords = lambda nodes: "; ".join(_format_row(grid.coords[n]) for n in nodes)
-    _write_csv(out_dir / "dn_matrix.csv",
-               f"# source nodes (columns): {coords(dn.source_nodes)}\n"
-               f"# observation nodes (rows): {coords(dn.observation_nodes)}\n"
-               f"# potential fingerprint: {dn.fingerprint}", dn.matrix)
 
     M = assemble_dn(sys1, "EXTERIOR_SUPPORT", "EXTERIOR_SUPPORT").matrix
     sym = float(np.max(np.abs(M - M.T)) / max(np.max(np.abs(M)), 1e-300))
-    report.add("dn_self_adjointness", sym, tol.get("identity", 1e-12))
+    report.add("dn_self_adjointness", sym, report.tolerances["identity"])
 
     rng = np.random.default_rng(cfg.get("seed", 0))
     f = np.zeros(len(grid.ext_support))
@@ -325,22 +349,23 @@ def _pipeline_dnmap(cfg, out_dir, report):
     u1 = solve_poisson(sys1, f)
     point, Mf = op.apply(u1.values, grid.ext_support), M @ f   # pointwise and bilinear DN f
     agree = float(np.max(np.abs(Mf - point)) / max(np.max(np.abs(Mf)), 1e-300))
-    report.add("pointwise_vs_bilinear", agree, tol.get("identity_loose", 1e-10))
+    report.add("pointwise_vs_bilinear", agree, report.tolerances["identity_loose"])
     scale = max(float(np.max(np.abs(point))), 1e-300)
     report.add("decomposition_residual", dn_decomposition_check(op, u1) / scale,
-               tol.get("identity_loose", 1e-10))
+               report.tolerances["identity_loose"])
 
     sys2 = assemble_system(op, potential_from_spec(grid, cfg.get("potential_ref", 1.0)))
     f2 = rng.standard_normal(len(grid.ext_support))
     out = integral_identity(sys1, sys2, u1, solve_poisson(sys2, f2))
     rel = out["residual"] / max(abs(out["lhs"]), 1e-300)
-    report.add("integral_identity", rel, tol.get("identity_loose", 1e-10))
-    return ["dn_matrix.csv"]
+    report.add("integral_identity", rel, report.tolerances["identity_loose"])
+    coords = lambda nodes: "; ".join(_format_row(grid.coords[n]) for n in nodes)
+    return {"dn_matrix.csv": (f"# source nodes (columns): {coords(dn.source_nodes)}\n"
+                              f"# observation nodes (rows): {coords(dn.observation_nodes)}\n"
+                              f"# potential fingerprint: {dn.fingerprint}", dn.matrix)}
 
 
-def _pipeline_runge(cfg, out_dir, report):
-    grid, op = _build(cfg)
-    tol = cfg.get("tolerances", {})
+def _pipeline_runge(cfg, grid, op, report):
     sys = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
     rcfg = cfg.get("runge", {})
     window = rcfg.get("window", "W1")
@@ -350,35 +375,24 @@ def _pipeline_runge(cfg, out_dir, report):
         target = np.ones(n_int)
     elif tgt_spec == "sign":
         target = np.sign(grid.coords[grid.interior, 0])
-    elif isinstance(tgt_spec, list):
-        target = np.asarray(tgt_spec, dtype=float)
     else:
-        raise ConfigError(f"unknown runge target {tgt_spec!r}")
+        target = np.asarray(tgt_spec, dtype=float)
+        if len(target) != n_int:
+            raise ConfigError(f"runge.target needs {n_int} values, one per interior node; "
+                              f"got {len(target)}")
     alphas = rcfg.get("alphas", DEFAULT_ALPHAS)
     results = alpha_sweep(sys, window, target, alphas=alphas)
-    _write_csv(out_dir / "runge_sweep.csv", "alpha,residual,control_norm",
-               [(r.alpha, r.residual, r.control_norm) for r in results])
     resids = [r.residual for r in results]
     mono = all(b <= a * (1 + 1e-9) for a, b in zip(resids, resids[1:]))
     report.add("residual_monotone", 0.0 if mono else 1.0, 0.0, ok=mono)
     hn = grid.h ** grid.dim
     final_rel = resids[-1] / (np.sqrt(hn) * np.linalg.norm(target))
-    report.add("final_residual", final_rel, tol.get("runge_residual", 0.10))
-    return ["runge_sweep.csv"]
+    report.add("final_residual", final_rel, report.tolerances["runge_residual"])
+    return {"runge_sweep.csv": ("alpha,residual,control_norm",
+                                [(r.alpha, r.residual, r.control_norm) for r in results])}
 
 
-# the stages an ``invert`` manifest times in ``stage_s``, in run order:
-# operator assembly (grid included), measurement of the true system, the
-# reconstruction, and writing the CSV outputs
-INVERT_STAGES = ("assembly", "measurement", "reconstruction", "output")
-
-
-def _pipeline_invert(cfg, out_dir, report):
-    # wall-clock marks between the stages named in INVERT_STAGES
-    marks = [time.perf_counter()]
-    grid, op = _build(cfg)
-    marks.append(time.perf_counter())
-    tol = cfg.get("tolerances", {})
+def _pipeline_invert(cfg, grid, op, report):
     q_ref = potential_from_spec(grid, cfg.get("potential_ref", 0.0))
     q_true = potential_from_spec(grid, cfg["potential_true"])
     windows = cfg.get("source_window", "W1"), cfg.get("observation_window", "W2")
@@ -394,10 +408,10 @@ def _pipeline_invert(cfg, out_dir, report):
                                  sigma=noise.get("sigma", 0.0),
                                  seed=noise.get("seed", cfg.get("seed", 0)))
     del sys_true
-    marks.append(time.perf_counter())
+    report.mark("measurement")
     # the schema's invert keys are reconstruct_potential's keywords and defaults
     out = reconstruct_potential(meas, **cfg.get("invert", {}))
-    marks.append(time.perf_counter())
+    report.mark("reconstruction")
     report.records["systems"] = {"reference": out["diagnostics"]["reference"],
                                  "true": facts_true}
     report.records["iterations"] = [
@@ -410,19 +424,13 @@ def _pipeline_invert(cfg, out_dir, report):
     # the second and third columns
     header = ",".join(["x", "q_diff_true", "q_diff_estimate", *"yz"[:grid.dim - 1]])
     rows = [(x[i, 0], truth[i], est[i], *x[i, 1:]) for i in range(len(est))]
-    _write_csv(out_dir / "q_estimate.csv", header, rows)
-    diag_rows = []
-    for j, d in enumerate(out["diagnostics"]["iterations"]):
-        for k, r in enumerate(d["runge_residuals"]):
-            diag_rows.append((j, k, r))
-    _write_csv(out_dir / "residuals.csv", "iteration,target,runge_residual",
-               diag_rows if diag_rows else [(0, 0, 0.0)])
-    marks.append(time.perf_counter())
-    report.records["stage_s"] = {stage: b - a for stage, a, b in
-                                 zip(INVERT_STAGES, marks, marks[1:])}
+    diag_rows = [(j, k, r) for j, d in enumerate(out["diagnostics"]["iterations"])
+                 for k, r in enumerate(d["runge_residuals"])]
     err = reconstruction_error(est, truth, grid.h ** grid.dim)
-    report.add("reconstruction_error", err, tol.get("reconstruction_error", 0.15))
-    return ["q_estimate.csv", "residuals.csv"]
+    report.add("reconstruction_error", err, report.tolerances["reconstruction_error"])
+    return {"q_estimate.csv": (header, rows),
+            "residuals.csv": ("iteration,target,runge_residual",
+                              diag_rows if diag_rows else [(0, 0, 0.0)])}
 
 
 # floor of the smooth double-vanishing constraints' sigma_min.  Measured on
@@ -433,9 +441,7 @@ def _pipeline_invert(cfg, out_dir, report):
 UCP_SMOOTH_FLOOR = 1e-9
 
 
-def _pipeline_extend(cfg, out_dir, report):
-    grid, op = _build(cfg)
-    tol = cfg.get("tolerances", {})
+def _pipeline_extend(cfg, grid, op, report):
     ecfg = cfg.get("extend", {})
     s = cfg["s"]
     x = grid.coords[:, 0]
@@ -444,13 +450,10 @@ def _pipeline_extend(cfg, out_dir, report):
     u = GridFunction(grid, vals)
     levels = np.asarray(ecfg.get("levels", trace_ladder(grid.h)), dtype=float)
     field = cs_extend(u, s, levels)
-    _write_csv(out_dir / "extension_field.csv", "x,y,w",
-               ((xi, y, w) for y, column in zip(field.y_levels, field.values.T)
-                for xi, w in zip(x, column)))
     td = trace_derivative(field, s).values[grid.nonfar]
     spec = apply_spectral(u, s, cfg.get("pad_factor", 64)).values[grid.nonfar]
     rel = float(np.linalg.norm(td - spec) / np.linalg.norm(spec))
-    report.add("trace_identity", rel, tol.get("trace_identity", 5e-3))
+    report.add("trace_identity", rel, report.tolerances["trace_identity"])
 
     ucp = ucp_conditioning(op, ecfg.get("ucp_window", "EXTERIOR_SUPPORT"))
     frac = frequency_energy_fraction(grid, ucp["minimizer"], np.pi / (4 * grid.h))
@@ -459,14 +462,13 @@ def _pipeline_extend(cfg, out_dir, report):
     report.add("ucp_minimizer_highfreq", -frac, -0.5, ok=(frac > 0.5))
     report.add("ucp_smooth_sigma_min", -ucp["smooth_sigma_min"], -UCP_SMOOTH_FLOOR,
                ok=(ucp["smooth_sigma_min"] > UCP_SMOOTH_FLOOR))
-    _write_csv(out_dir / "ucp_singular_values.csv", "index,sigma",
-               list(enumerate(ucp["singular_values"])))
-    return ["extension_field.csv", "ucp_singular_values.csv"]
+    return {"extension_field.csv": ("x,y,w", ((xi, y, w) for y, column in
+                                              zip(field.y_levels, field.values.T)
+                                              for xi, w in zip(x, column))),
+            "ucp_singular_values.csv": ("index,sigma", list(enumerate(ucp["singular_values"])))}
 
 
-def _pipeline_diffuse(cfg, out_dir, report):
-    grid, op = _build(cfg)
-    tol = cfg.get("tolerances", {})
+def _pipeline_diffuse(cfg, grid, op, report):
     dcfg = cfg.get("diffuse", {})
     sys = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
     rng = np.random.default_rng(cfg.get("seed", 0))
@@ -479,7 +481,6 @@ def _pipeline_diffuse(cfg, out_dir, report):
     v0[grid.interior] += rng.standard_normal(len(grid.interior))
     times = dcfg.get("t_values", [0.1, 0.5, 1.0, 2.0, 5.0])
     rows = decay_series(sys, GridFunction(grid, v0), u_f, times)
-    _write_csv(out_dir / "decay.csv", "t,distance", rows)
 
     spec = dirichlet_spectrum(sys)
     lam1 = float(spec.eigenvalues[0])
@@ -492,14 +493,12 @@ def _pipeline_diffuse(cfg, out_dir, report):
     b = evolve(sys, a, 0.6, steady=u_f)
     c = evolve(sys, GridFunction(grid, v0), 1.0, steady=u_f)
     semi = float(np.max(np.abs(b.values - c.values)))
-    report.add("semigroup", semi, tol.get("semigroup", 1e-12))
+    report.add("semigroup", semi, report.tolerances["semigroup"])
 
     cost = dn_cost_check(sys, u_f)
     ratio = cost["deviation"] / max(cost["deviation_half"], 1e-300)
-    report.add("cost_richardson_ratio", abs(ratio - 2.0),
-               tol.get("richardson_band", 0.3))
-
-    return ["decay.csv"]
+    report.add("cost_richardson_ratio", abs(ratio - 2.0), report.tolerances["richardson_band"])
+    return {"decay.csv": ("t,distance", rows)}
 
 
 _RUNNERS = {
@@ -540,18 +539,41 @@ def _blas_threads() -> dict:
     return counts
 
 
+def _raising_module(exc: BaseException) -> str:
+    """The innermost package module in the traceback of ``exc``."""
+    names = [f.f_globals.get("__name__", "") for f, _ in traceback.walk_tb(exc.__traceback__)]
+    return next((n for n in reversed(names) if n.startswith("fraccalderon.")), "fraccalderon")
+
+
 def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
-    """Execute one pipeline; returns (exit code, manifest)."""
+    """Execute one pipeline; returns (exit code, manifest).  A package error,
+    or a LAPACK error as ``LinAlgFailError``, is raised again after the
+    manifest records it."""
     validate_config(cfg)
     out_dir = Path(output_dir or cfg.get("output_dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = GateReport()
     t0 = time.perf_counter()
+    report = GateReport(_tolerances(cfg))
+    outputs, error = {}, None
     # the warnings shown during the pipeline are recorded, then shown as
     # before, also when the pipeline raises
     try:
         with warnings.catch_warnings(record=True) as caught:
-            files = _RUNNERS[cfg["pipeline"]](cfg, out_dir, report)
+            grid, op = _build(cfg)
+            report.mark("assembly")
+            outputs = _RUNNERS[cfg["pipeline"]](cfg, grid, op, report)
+            if len(report.stage_s) == 1:    # the pipeline marked no stage of its own
+                report.mark("compute")
+            for name, table in outputs.items():
+                if name.endswith(".npz"):
+                    np.savez_compressed(out_dir / name, **table)
+                else:
+                    _write_csv(out_dir / name, *table)
+            report.mark("output")
+    except FracCalderonError as exc:
+        error = exc
+    except np.linalg.LinAlgError as exc:    # kept with its traceback, for the module
+        error = LinAlgFailError(str(exc)).with_traceback(exc.__traceback__)
     finally:
         for w in caught:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
@@ -563,9 +585,10 @@ def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
         "seed": cfg.get("seed", 0),
         "gates": report.gates,
         **report.records,
+        "stage_s": report.stage_s,
         "warnings": [{"category": w.category.__name__, "message": str(w.message)}
                      for w in caught],
-        "files": sorted(files),
+        "files": sorted(outputs),
         "wall_time_s": time.perf_counter() - t0,
         # the process's peak resident memory so far, in MB (Linux: ru_maxrss in KB)
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -573,8 +596,13 @@ def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
         **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         **_blas_threads(),
     }
+    if error is not None:
+        manifest["error"] = {"code": error.code, "message": str(error),
+                             "module": _raising_module(error)}
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
+    if error is not None:
+        raise error
     return (0 if report.all_pass else 1), manifest
 
 
@@ -623,14 +651,7 @@ def main(argv=None) -> int:
         print(f"CONFIG_INVALID: {exc}", file=sys.stderr)
         return 2
     except FracCalderonError as exc:
-        module = "fraccalderon"
-        tb = exc.__traceback__
-        while tb is not None:
-            name = tb.tb_frame.f_globals.get("__name__", "")
-            if name.startswith("fraccalderon."):
-                module = name
-            tb = tb.tb_next
-        print(f"{module}: {exc.code}: {exc}", file=sys.stderr)
+        print(f"{_raising_module(exc)}: {exc.code}: {exc}", file=sys.stderr)
         return 4
     for name, gate in manifest["gates"].items():
         status = "PASS" if gate["pass"] else "FAIL"

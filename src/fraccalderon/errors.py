@@ -74,6 +74,13 @@ class ModeMismatchError(FracCalderonError):
     code = "MODE_MISMATCH"
 
 
+class LinAlgFailError(FracCalderonError):
+    """A LAPACK routine failed (``numpy.linalg.LinAlgError``), e.g. a Cholesky
+    factorization of a matrix that is not positive definite."""
+
+    code = "LINALG_FAIL"
+
+
 class RungeFailError(FracCalderonError):
     """A Runge control residual exceeded the configured gate."""
 

@@ -14,7 +14,8 @@ import scipy
 from jsonschema.validators import validator_for
 
 from fraccalderon import build_grid
-from fraccalderon.cli import CONFIG_SCHEMA, UCP_SMOOTH_FLOOR, _build, main, run, validate_config
+from fraccalderon.cli import (CONFIG_SCHEMA, PIPELINES, TOLERANCES, UCP_SMOOTH_FLOOR, _build,
+                              main, run, validate_config)
 from fraccalderon.dirichlet import assemble_system, potential_from_spec
 from fraccalderon.dnmap import assemble_dn
 from fraccalderon.errors import ConfigError, IllConditionedWarning
@@ -484,6 +485,87 @@ def test_misspelt_tolerance_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _committed_config(pipeline):
+    """The first committed config that runs ``pipeline``."""
+    return next(cfg for cfg in map(load_config, sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+                if cfg["pipeline"] == pipeline)
+
+
+@pytest.mark.parametrize("pipeline", [p for p in PIPELINES if TOLERANCES[p]])
+def test_every_tolerance_sets_a_gate_threshold(pipeline, tmp_path):
+    # each key of the pipeline's TOLERANCES, set to its own sentinel, is the
+    # threshold of some gate: the table names the thresholds the gates read
+    assert set(TOLERANCES) == set(PIPELINES)
+    cfg = _committed_config(pipeline)
+    sentinels = {key: 0.0123 * (k + 1) for k, key in enumerate(TOLERANCES[pipeline])}
+    cfg["tolerances"] = sentinels
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        _, manifest = run(cfg, output_dir=str(tmp_path))
+    thresholds = [gate["threshold"] for gate in manifest["gates"].values()]
+    assert [key for key, value in sentinels.items() if value not in thresholds] == []
+
+
+def test_failing_run_writes_its_manifest(tmp_path, capsys):
+    # the committed constructive config at the default Runge gate fails on a
+    # target residual (exit 4); the manifest records the error, no files, and
+    # the stages timed before the raise
+    out = tmp_path / "out"
+    code = main(["invert", "--config", str(CONFIG_DIR / "invert_desk1d_constructive.json"),
+                 "--output-dir", str(out), "--set", "invert.runge_gate=0.05"])
+    assert code == 4
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"]["code"] == "RUNGE_FAIL"
+    assert manifest["error"]["module"] == "fraccalderon.calderon"
+    assert f"fraccalderon.calderon: RUNGE_FAIL: {manifest['error']['message']}" \
+        in capsys.readouterr().err
+    assert manifest["files"] == [] and [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert sorted(manifest["stage_s"]) == ["assembly", "measurement"]
+    assert manifest["warnings"] == []
+
+
+@pytest.mark.parametrize("name,override,key", [
+    ("invert_desk1d.json", "tolerances.reconstruction_error=abc",
+     "tolerances.reconstruction_error"),
+    ("runge_desk1d.json", 'runge.alphas=[0.1,"x"]', "runge.alphas[1]"),
+    ("runge_desk1d.json", "runge.target=[1,2,3]", "runge.target"),
+    ("runge_desk1d.json", "runge.target=sgn", "runge.target"),
+    ("diffuse_desk1d.json", 'diffuse.t_values=[0.1,"x"]', "diffuse.t_values[1]"),
+    ("extend_desk1d.json", 'extend.levels=["a"]', "extend.levels[0]"),
+])
+def test_config_typo_exits_2_naming_the_key(name, override, key, tmp_path, capsys):
+    path = CONFIG_DIR / name
+    code = main([load_config(name)["pipeline"], "--config", str(path),
+                 "--output-dir", str(tmp_path / "out"), "--set", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CONFIG_INVALID: ") and key in err
+
+
+@pytest.mark.parametrize("name,module,attr,where", [
+    ("invert_desk1d.json", "fraccalderon.calderon", "_solve_regularized",
+     "fraccalderon.calderon"),
+    ("diffuse_desk1d.json", "numpy.linalg", "eigh", "fraccalderon.diffusion"),
+    ("extend_desk1d.json", "scipy.linalg", "svd", "fraccalderon.extension"),
+])
+def test_lapack_failure_exits_4_with_its_manifest(name, module, attr, where, tmp_path,
+                                                 monkeypatch, capsys):
+    # a LAPACK error inside a pipeline is a numeric error (exit 4) that the
+    # manifest records, named after the package module it came through
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("penalized normal matrix not positive definite")
+
+    monkeypatch.setattr(f"{module}.{attr}", fail)
+    out = tmp_path / "out"
+    code = main([load_config(name)["pipeline"], "--config", str(CONFIG_DIR / name),
+                 "--output-dir", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err.startswith(f"{where}: LINALG_FAIL: ")
+    error = json.loads((out / "manifest.json").read_text())["error"]
+    assert error == {"code": "LINALG_FAIL", "module": where,
+                     "message": "penalized normal matrix not positive definite"}
+
+
 def test_tolerance_of_another_pipeline_rejected():
     cfg = small_invert_config()
     cfg["tolerances"] = {"semigroup": 1e-12}
@@ -498,12 +580,20 @@ def test_committed_configs_valid(path):
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
 def test_committed_config_runs_through_main(path, tmp_path):
-    # every committed config runs end to end and passes every gate
+    # every committed config runs end to end and passes every gate; its
+    # stages (invert's four, one compute stage elsewhere) each take positive
+    # time and together no more than the run's wall time
     pipeline = json.loads(path.read_text())["pipeline"]
     out = tmp_path / "out"
     assert main([pipeline, "--config", str(path), "--output-dir", str(out)]) == 0
-    gates = json.loads((out / "manifest.json").read_text())["gates"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    gates = manifest["gates"]
     assert gates and [name for name, g in gates.items() if not g["pass"]] == []
+    stages = manifest["stage_s"]
+    work = ["measurement", "reconstruction"] if pipeline == "invert" else ["compute"]
+    assert sorted(stages) == sorted(["assembly", *work, "output"])
+    assert all(seconds > 0 for seconds in stages.values())
+    assert sum(stages.values()) <= manifest["wall_time_s"]
 
 
 def _csv_shapes(cfg, grid) -> dict:
@@ -527,6 +617,7 @@ def _csv_shapes(cfg, grid) -> dict:
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
 def test_committed_config_csv_files(path, tmp_path):
+    # the output directory holds the manifest's files and the manifest alone;
     # every CSV of the manifest: one column-name line (dn_matrix.csv: exactly
     # three '#' lines), then finite rows as wide as the header names, in the
     # shape the config implies; the DN matrix reads back bit for bit.  The
@@ -536,6 +627,8 @@ def test_committed_config_csv_files(path, tmp_path):
         warnings.simplefilter("ignore", IllConditionedWarning)
         code, manifest = run(cfg, output_dir=str(tmp_path))
     assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*manifest["files"],
+                                                                 "manifest.json"])
     grid, op = _build(cfg)
     shapes = _csv_shapes(cfg, grid)
     tables = {}
@@ -565,7 +658,9 @@ def test_validate_op_exports_operator(fmt, tmp_path):
     cfg = load_config("desk1d_grid.json")
     cfg["operator_export"] = fmt
     code, manifest = run(cfg, output_dir=str(tmp_path))
-    assert code == 0 and f"operator.{fmt}" in manifest["files"]
+    assert code == 0 and manifest["files"] == sorted(["operator_check.csv", f"operator.{fmt}"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*manifest["files"],
+                                                                 "manifest.json"])
     _, op = _build(cfg)
     A = op.matrix
     if fmt == "npz":
