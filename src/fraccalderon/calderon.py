@@ -509,7 +509,7 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
             if np.all(np.isfinite(trial)):
                 try:
                     tried = _try(trial)
-                except (SingularSystemError, np.linalg.LinAlgError):
+                except SingularSystemError:
                     tried = None
                 if tried is not None and (norm(tried[2]) <= misfit_now or it == 0):
                     break

@@ -42,7 +42,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dirichlet import (assemble_system, check_condition, dirichlet_spectrum,
+from .dirichlet import (CONDITION_TOL, assemble_system, dirichlet_spectrum,
                         potential_from_spec, solve_poisson, system_facts)
 from .dnmap import assemble_dn, dn_decomposition_check, integral_identity
 from .errors import ConfigError, FracCalderonError, LinAlgFailError
@@ -134,8 +134,12 @@ CONFIG_SCHEMA = {
                                  "seed": {"type": "integer"}}},
         "runge": {"type": "object", "additionalProperties": False,
                   "properties": {"window": {"type": "string"},
-                                 "target": {"anyOf": [{"enum": ["constant", "sign"]},
-                                                      {"type": "array", "items": _NUMBER}]},
+                                 # a name or one number per interior node; names
+                                 # are checked in a then-branch, not an anyOf, so
+                                 # that an unknown name's message lists them
+                                 "target": {"type": ["string", "array"], "items": _NUMBER,
+                                            "if": {"type": "string"},
+                                            "then": {"enum": ["constant", "sign"]}},
                                  "alphas": {"type": "array", "items": _NUMBER}}},
         "invert": {"type": "object", "additionalProperties": False,
                    "properties": {"mode": {"enum": ["constructive", "linearized"]},
@@ -251,11 +255,11 @@ class GateReport:
         self.stage_s[stage] = now - self._last_mark
         self._last_mark = now
 
-    def add(self, name, value, threshold, ok=None):
-        if ok is None:
-            ok = bool(value <= threshold)
+    def add(self, name, value, threshold):
+        """Record gate ``name``: it passes iff ``value < threshold``, strictly,
+        so a NaN value fails.  A lower bound is recorded negated."""
         self.gates[name] = {"value": float(value), "threshold": float(threshold),
-                            "pass": bool(ok)}
+                            "pass": bool(value < threshold)}
 
     @property
     def all_pass(self):
@@ -326,8 +330,8 @@ def _pipeline_spectrum(cfg, grid, op, report):
                                 - spec.eigenvectors * spec.eigenvalues)))
     scale = float(np.max(np.abs(spec.eigenvalues)))
     report.add("eigen_residual", resid, 1e-10 * scale)
-    chk = check_condition(sys)
-    report.add("condition_margin", -chk["margin"], 0.0, ok=chk["ok"])
+    # the test ensure_solvable applies: rcond > CONDITION_TOL
+    report.add("condition_margin", -sys.rcond, -CONDITION_TOL)
     return {"spectrum.csv": ("index,eigenvalue", list(enumerate(spec.eigenvalues)))}
 
 
@@ -383,8 +387,10 @@ def _pipeline_runge(cfg, grid, op, report):
     alphas = rcfg.get("alphas", DEFAULT_ALPHAS)
     results = alpha_sweep(sys, window, target, alphas=alphas)
     resids = [r.residual for r in results]
-    mono = all(b <= a * (1 + 1e-9) for a, b in zip(resids, resids[1:]))
-    report.add("residual_monotone", 0.0 if mono else 1.0, 0.0, ok=mono)
+    # the largest rise of the residual from one alpha to the next, beyond a
+    # relative 1e-9 (-inf for a single alpha: nothing rises; NaN propagates)
+    rise = np.max([b - a * (1 + 1e-9) for a, b in zip(resids, resids[1:])], initial=-np.inf)
+    report.add("residual_monotone", rise, 0.0)
     hn = grid.h ** grid.dim
     final_rel = resids[-1] / (np.sqrt(hn) * np.linalg.norm(target))
     report.add("final_residual", final_rel, report.tolerances["runge_residual"])
@@ -428,9 +434,10 @@ def _pipeline_invert(cfg, grid, op, report):
                  for k, r in enumerate(d["runge_residuals"])]
     err = reconstruction_error(est, truth, grid.h ** grid.dim)
     report.add("reconstruction_error", err, report.tolerances["reconstruction_error"])
-    return {"q_estimate.csv": (header, rows),
-            "residuals.csv": ("iteration,target,runge_residual",
-                              diag_rows if diag_rows else [(0, 0, 0.0)])}
+    outputs = {"q_estimate.csv": (header, rows)}
+    if diag_rows:       # Runge residuals: constructive mode alone computes them
+        outputs["residuals.csv"] = ("iteration,target,runge_residual", diag_rows)
+    return outputs
 
 
 # floor of the smooth double-vanishing constraints' sigma_min.  Measured on
@@ -457,11 +464,9 @@ def _pipeline_extend(cfg, grid, op, report):
 
     ucp = ucp_conditioning(op, ecfg.get("ucp_window", "EXTERIOR_SUPPORT"))
     frac = frequency_energy_fraction(grid, ucp["minimizer"], np.pi / (4 * grid.h))
-    report.add("ucp_sigma_positive", -ucp["sigma_min"], 0.0,
-               ok=(ucp["sigma_min"] > 0.0))
-    report.add("ucp_minimizer_highfreq", -frac, -0.5, ok=(frac > 0.5))
-    report.add("ucp_smooth_sigma_min", -ucp["smooth_sigma_min"], -UCP_SMOOTH_FLOOR,
-               ok=(ucp["smooth_sigma_min"] > UCP_SMOOTH_FLOOR))
+    report.add("ucp_sigma_positive", -ucp["sigma_min"], 0.0)
+    report.add("ucp_minimizer_highfreq", -frac, -0.5)
+    report.add("ucp_smooth_sigma_min", -ucp["smooth_sigma_min"], -UCP_SMOOTH_FLOOR)
     return {"extension_field.csv": ("x,y,w", ((xi, y, w) for y, column in
                                               zip(field.y_levels, field.values.T)
                                               for xi, w in zip(x, column))),
@@ -486,8 +491,11 @@ def _pipeline_diffuse(cfg, grid, op, report):
     lam1 = float(spec.eigenvalues[0])
     hn = grid.h ** grid.dim
     d0 = np.sqrt(hn) * np.linalg.norm(v0 - u_f.values)
-    ok_rate = all(d <= np.exp(-lam1 * t) * d0 * (1 + 1e-9) for t, d in rows)
-    report.add("decay_rate_bound", 0.0 if ok_rate else 1.0, 0.0, ok=ok_rate)
+    # the largest excess of the distance over its spectral bound, beyond a
+    # relative 1e-9 (-inf for no times; NaN propagates)
+    excess = np.max([d - np.exp(-lam1 * t) * d0 * (1 + 1e-9) for t, d in rows],
+                    initial=-np.inf)
+    report.add("decay_rate_bound", excess, 0.0)
 
     a = evolve(sys, GridFunction(grid, v0), 0.4, steady=u_f)
     b = evolve(sys, a, 0.6, steady=u_f)
@@ -540,8 +548,10 @@ def _blas_threads() -> dict:
 
 
 def _raising_module(exc: BaseException) -> str:
-    """The innermost package module in the traceback of ``exc``."""
-    names = [f.f_globals.get("__name__", "") for f, _ in traceback.walk_tb(exc.__traceback__)]
+    """The innermost package module in the traceback of ``exc``, named by its
+    spec, which names ``fraccalderon.cli`` also when it runs as ``__main__``."""
+    names = [getattr(f.f_globals.get("__spec__"), "name", "")
+             for f, _ in traceback.walk_tb(exc.__traceback__)]
     return next((n for n in reversed(names) if n.startswith("fraccalderon.")), "fraccalderon")
 
 

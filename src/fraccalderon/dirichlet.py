@@ -29,7 +29,7 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import lapack
 
-from .errors import ConfigError, DomainError, EigFailError, SingularSystemError
+from .errors import ConfigError, DomainError, SingularSystemError
 from .fracop import FracOperator
 from .grid import Grid, GridFunction
 
@@ -200,19 +200,12 @@ def _solve(sys: DirichletSystem, b: np.ndarray, overwrite_b: bool = False) -> np
     return lapack.dgetrs(*factors, b, overwrite_b=overwrite_b)[0]
 
 
-def _eigh(A: np.ndarray, **kwargs):
-    try:
-        return linalg.eigh(A, **kwargs)
-    except linalg.LinAlgError as exc:  # pragma: no cover - solver failure
-        raise EigFailError(str(exc)) from exc
-
-
 def dirichlet_spectrum(sys: DirichletSystem) -> Spectrum:
     """Full symmetric eigendecomposition of the interior matrix; cached.
 
     Solves never need it (see ``check_condition``)."""
     if sys._spectrum is None:
-        w, v = _eigh(sys.interior_matrix)
+        w, v = linalg.eigh(sys.interior_matrix)
         sys._spectrum = Spectrum(eigenvalues=w, eigenvectors=v)
     return sys._spectrum
 
@@ -223,8 +216,8 @@ def lowest_eigenvectors(op: FracOperator, potential: Potential, k: int) -> np.nd
     (dsyevr over an index range) in the freshly gathered matrix itself: A
     is exactly symmetric, so A.T is A in Fortran order and is overwritten
     without a copy."""
-    return _eigh(_interior_matrix(op, potential).T, subset_by_index=[0, k - 1],
-                 overwrite_a=True)[1]
+    return linalg.eigh(_interior_matrix(op, potential).T, subset_by_index=[0, k - 1],
+                       overwrite_a=True)[1]
 
 
 def check_condition(sys: DirichletSystem) -> dict:

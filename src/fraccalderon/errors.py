@@ -43,10 +43,6 @@ class QuadratureError(FracCalderonError):
     code = "QUADRATURE_FAIL"
 
 
-class EigFailError(FracCalderonError):
-    code = "EIG_FAIL"
-
-
 class SingularSystemError(FracCalderonError):
     """Zero is (numerically) a Dirichlet eigenvalue; solves are refused."""
 

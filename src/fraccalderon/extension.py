@@ -144,14 +144,15 @@ def ucp_conditioning(op: FracOperator, W) -> dict:
     """Conditioning of the double-vanishing constraints on a window.
 
     Stacks the rows selecting u on W with the operator rows producing
-    (A u)|_W, over all non-FAR degrees of freedom, and returns the smallest
-    singular value with its minimizing unit vector.  The minimum is tiny
-    (near-violations exist at fixed h) but the minimizer is a grid artifact:
-    its energy concentrates above the resolvable band.  The complementary
-    number ``smooth_sigma_min`` restricts candidates to operator eigenvectors
-    with energy at most ``norm_cap``, the half-Nyquist energy
-    (pi/(4h))^(2s); for smooth candidates the constraints are far from
-    degenerate, which is the discrete residue of the uniqueness property.
+    (A u)|_W, over all non-FAR degrees of freedom, and returns its singular
+    values and the smallest (0 for a wide stack) with its minimizing unit
+    vector.  The minimum is tiny (near-violations exist at fixed h) but the
+    minimizer is a grid artifact: its energy concentrates above the
+    resolvable band.  The complementary number ``smooth_sigma_min``
+    restricts candidates to operator eigenvectors with energy at most the
+    half-Nyquist energy (pi/(4h))^(2s); for smooth candidates the
+    constraints are far from degenerate, which is the discrete residue of
+    the uniqueness property.
     The smooth candidates need the whole matrix (N_nf^2 doubles) and its full
     ``eigh``, so this study suits grids of a few thousand non-FAR nodes.
     """
@@ -165,14 +166,9 @@ def ucp_conditioning(op: FracOperator, W) -> dict:
 
     _, sv, Vt = linalg.svd(C, full_matrices=True)
     minimizer = Vt[-1]
-    if C.shape[0] >= C.shape[1]:
-        sigma_min = float(sv[C.shape[1] - 1])
-        sigma_rows = sigma_min
-    else:
-        # wide stack: exact double-vanishers exist; report the structural zero
-        # together with the conditioning of the row functionals
-        sigma_min = 0.0
-        sigma_rows = float(sv[C.shape[0] - 1])
+    # a wide stack has exact double-vanishers: sigma_min is the structural
+    # zero, and the last singular value the conditioning of the row functionals
+    sigma_min = float(sv[-1]) if C.shape[0] >= C.shape[1] else 0.0
 
     norm_cap = (np.pi / (4.0 * grid.h)) ** (2.0 * op.s)
     evals, evecs = linalg.eigh(op.matrix)
@@ -181,19 +177,11 @@ def ucp_conditioning(op: FracOperator, W) -> dict:
         V = evecs[:, keep]
         sv_smooth = linalg.svdvals(matmul(C, V))
         smooth_sigma_min = float(sv_smooth[-1]) if V.shape[1] <= C.shape[0] else 0.0
-        smooth_dim = int(V.shape[1])
     else:
         smooth_sigma_min = float("inf")
-        smooth_dim = 0
     return {
         "sigma_min": sigma_min,
         "minimizer": minimizer,
         "singular_values": sv,
-        "null_dim": int(max(0, C.shape[1] - C.shape[0])),
-        "row_sigma_min": sigma_rows,
         "smooth_sigma_min": smooth_sigma_min,
-        "smooth_dim": smooth_dim,
-        "norm_cap": float(norm_cap),
-        "constraint_rows": int(C.shape[0]),
-        "dof": int(C.shape[1]),
     }

@@ -316,6 +316,22 @@ def test_backtracking_propagates_unrelated_errors(desk_setup, monkeypatch):
                               clean_beta=0.1)
 
 
+def test_backtracking_propagates_lapack_errors(desk_setup, monkeypatch):
+    # a LAPACK error while evaluating a trial is not an unsolvable trial: it
+    # surfaces (the CLI reports it as LINALG_FAIL) instead of being halved
+    # away into an estimate left at the reference
+    grid, sys_ref, sys_true, _ = desk_setup
+    meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("trial factorization failed")
+
+    monkeypatch.setattr(calderon, "assemble_system", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="trial factorization failed"):
+        reconstruct_potential(meas, sys_ref, iterations=1, mode="linearized",
+                              clean_beta=0.1)
+
+
 def test_backtracking_halves_nonfinite_step(desk_setup, monkeypatch):
     # a non-finite update is halved like a failed trial; after the last
     # halving the step is dropped and the estimate stays at the reference

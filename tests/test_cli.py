@@ -16,7 +16,7 @@ from jsonschema.validators import validator_for
 from fraccalderon import build_grid
 from fraccalderon.cli import (CONFIG_SCHEMA, PIPELINES, TOLERANCES, UCP_SMOOTH_FLOOR, _build,
                               main, run, validate_config)
-from fraccalderon.dirichlet import assemble_system, potential_from_spec
+from fraccalderon.dirichlet import assemble_system, dirichlet_spectrum, potential_from_spec
 from fraccalderon.dnmap import assemble_dn
 from fraccalderon.errors import ConfigError, IllConditionedWarning
 from fraccalderon.extension import trace_ladder
@@ -59,7 +59,8 @@ def test_invert_pipeline_end_to_end(tmp_path):
     code, manifest = run(cfg, output_dir=str(tmp_path))
     assert code == 0
     assert (tmp_path / "q_estimate.csv").exists()
-    assert (tmp_path / "residuals.csv").exists()
+    # linearized mode computes no Runge residuals, so it writes no residuals.csv
+    assert not (tmp_path / "residuals.csv").exists()
     assert (tmp_path / "manifest.json").exists()
     assert manifest["gates"]["reconstruction_error"]["pass"]
 
@@ -506,6 +507,69 @@ def test_every_tolerance_sets_a_gate_threshold(pipeline, tmp_path):
     assert [key for key, value in sentinels.items() if value not in thresholds] == []
 
 
+def _resonant(cfg):
+    """Shift the config's potential, a constant, by -lambda_1 of its own
+    system: zero is then a Dirichlet eigenvalue."""
+    grid, op = _build(cfg)
+    sys0 = assemble_system(op, potential_from_spec(grid, cfg["potential"]))
+    cfg["potential"]["value"] -= float(dirichlet_spectrum(sys0).eigenvalues[0])
+
+
+@pytest.mark.parametrize("name,edit,code_want", [
+    *[pytest.param(path.name, None, 0, id=path.stem)
+      for path in sorted(CONFIG_DIR.glob("*.json"))],
+    pytest.param("spectrum_desk1d.json", _resonant, 1, id="resonant-spectrum"),
+    pytest.param("runge_desk1d.json", lambda cfg: cfg["runge"].update(alphas=[0.0]), 0,
+                 id="one-alpha-runge"),
+])
+def test_every_gate_passes_below_its_threshold(name, edit, code_want, tmp_path):
+    # one rule decides every gate: it passes iff its recorded value is below
+    # its recorded threshold (a lower bound is recorded negated).  The
+    # resonant spectrum fails its condition gate; a sweep over one alpha has
+    # no rise, so its monotone gate reads -inf and passes
+    cfg = load_config(name)
+    if edit is not None:
+        edit(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        code, manifest = run(cfg, output_dir=str(tmp_path))
+    gates = manifest["gates"]
+    assert gates
+    assert [k for k, g in gates.items() if g["pass"] != (g["value"] < g["threshold"])] == []
+    assert code == code_want
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_runge_sign_target(dim, tmp_path, monkeypatch):
+    # runge.target "sign" is the sign of each interior node's first
+    # coordinate, in any dimension: the committed sweep's interval, and the
+    # 2D disc at h = 0.2 (both halves hold interior nodes, none lies on
+    # x1 = 0).  The jump is hard to reach from the window: the final
+    # residual reads 0.285 in 1D and 0.782 in 2D, above the default gate
+    # 0.10, while the residual still falls along the alpha path
+    import fraccalderon.cli as cli
+    cfg = load_config("runge_desk1d.json")
+    if dim == 2:
+        cfg["grid"] = _disc_invert_config(0.2)["grid"]
+    cfg["runge"]["target"] = "sign"
+    targets, real = [], cli.alpha_sweep
+
+    def spy(sys, window, target, **kwargs):
+        targets.append(target)
+        return real(sys, window, target, **kwargs)
+
+    monkeypatch.setattr(cli, "alpha_sweep", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        code, manifest = run(cfg, output_dir=str(tmp_path))
+    grid, _ = _build(cfg)
+    x1 = grid.coords[grid.interior, 0]
+    assert len(targets) == 1 and np.array_equal(targets[0], np.where(x1 > 0, 1.0, -1.0))
+    gates = manifest["gates"]
+    assert gates["residual_monotone"]["pass"] and not gates["final_residual"]["pass"]
+    assert code == 1
+
+
 def test_failing_run_writes_its_manifest(tmp_path, capsys):
     # the committed constructive config at the default Runge gate fails on a
     # target residual (exit 4); the manifest records the error, no files, and
@@ -540,6 +604,23 @@ def test_config_typo_exits_2_naming_the_key(name, override, key, tmp_path, capsy
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("CONFIG_INVALID: ") and key in err
+    if override == "runge.target=sgn":
+        # an unknown target name: the message lists the names accepted
+        assert "['constant', 'sign']" in err
+
+
+def test_error_module_named_under_python_m(tmp_path):
+    # run as ``python -m fraccalderon.cli`` the CLI's frames are ``__main__``;
+    # an error raised in cli.py still names fraccalderon.cli
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "fraccalderon.cli", "runge-sweep", "--config",
+                           str(CONFIG_DIR / "runge_desk1d.json"), "--output-dir", str(out),
+                           "--set", "runge.target=[1,2,3]"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    error = json.loads((out / "manifest.json").read_text())["error"]
+    assert error["code"] == "CONFIG_INVALID" and error["module"] == "fraccalderon.cli"
 
 
 @pytest.mark.parametrize("name,module,attr,where", [
@@ -547,6 +628,7 @@ def test_config_typo_exits_2_naming_the_key(name, override, key, tmp_path, capsy
      "fraccalderon.calderon"),
     ("diffuse_desk1d.json", "numpy.linalg", "eigh", "fraccalderon.diffusion"),
     ("extend_desk1d.json", "scipy.linalg", "svd", "fraccalderon.extension"),
+    ("spectrum_desk1d.json", "scipy.linalg", "eigh", "fraccalderon.dirichlet"),
 ])
 def test_lapack_failure_exits_4_with_its_manifest(name, module, attr, where, tmp_path,
                                                  monkeypatch, capsys):

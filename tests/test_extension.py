@@ -132,9 +132,10 @@ def test_ladder_validation(fine_grid):
 
 def test_ucp_full_observation(desk_grid, desk_op):
     out = ucp_conditioning(desk_op, desk_grid.nonfar)
-    # identity rows force sigma_min >= 1
+    # identity rows force sigma_min >= 1; the stack is tall, so every
+    # degree of freedom has a singular value
     assert out["sigma_min"] >= 1.0
-    assert out["null_dim"] == 0
+    assert len(out["singular_values"]) == len(out["minimizer"])
 
 
 def test_ucp_refinement_witness():
@@ -142,7 +143,7 @@ def test_ucp_refinement_witness():
         g = make_grid_1d(h)
         out = ucp_conditioning(assemble_quadrature(g, 0.5), "EXTERIOR_SUPPORT")
         assert out["sigma_min"] > 0.0
-        assert out["null_dim"] == 0
+        assert len(out["singular_values"]) == len(out["minimizer"])
         frac = frequency_energy_fraction(g, out["minimizer"], np.pi / (4 * h))
         assert frac > 0.5
         # smooth candidates are far from violating the constraints
@@ -150,10 +151,12 @@ def test_ucp_refinement_witness():
 
 
 def test_ucp_wide_window_reports_structural_null(desk_grid, desk_op):
+    # a wide stack: fewer singular values than degrees of freedom, the
+    # structural zero, and row functionals that are independent
     out = ucp_conditioning(desk_op, "W1")
-    assert out["null_dim"] > 0
+    assert len(out["singular_values"]) < len(out["minimizer"])
     assert out["sigma_min"] == 0.0
-    assert out["row_sigma_min"] > 0.0
+    assert out["singular_values"][-1] > 0.0
 
 
 def test_frequency_fraction_of_smooth_mode(desk_grid):
