@@ -42,7 +42,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dirichlet import (CONDITION_TOL, assemble_system, dirichlet_spectrum,
+from .dirichlet import (assemble_system, check_condition, dirichlet_spectrum,
                         potential_from_spec, solve_poisson, system_facts)
 from .dnmap import assemble_dn, dn_decomposition_check, integral_identity
 from .errors import ConfigError, FracCalderonError, LinAlgFailError
@@ -140,7 +140,7 @@ CONFIG_SCHEMA = {
                                  "target": {"type": ["string", "array"], "items": _NUMBER,
                                             "if": {"type": "string"},
                                             "then": {"enum": ["constant", "sign"]}},
-                                 "alphas": {"type": "array", "items": _NUMBER}}},
+                                 "alphas": {"type": "array", "items": _NUMBER, "minItems": 1}}},
         "invert": {"type": "object", "additionalProperties": False,
                    "properties": {"mode": {"enum": ["constructive", "linearized"]},
                                   "iterations": {"type": "integer", "minimum": 1},
@@ -237,6 +237,12 @@ def _smooth_bumps(grid, seed, count=10):
     return out
 
 
+# the threshold of a gate whose value must not exceed 0: the least positive
+# float, so value < AT_MOST_ZERO iff value <= 0 (0 - 0 = 0 passes, as when
+# every term underflows), and a NaN still fails
+AT_MOST_ZERO = float(np.nextafter(0.0, 1.0))
+
+
 class GateReport:
     """A run's gates, the facts its pipeline records, the wall seconds of its
     stages, and the thresholds its gates read (``tolerances``)."""
@@ -330,8 +336,7 @@ def _pipeline_spectrum(cfg, grid, op, report):
                                 - spec.eigenvectors * spec.eigenvalues)))
     scale = float(np.max(np.abs(spec.eigenvalues)))
     report.add("eigen_residual", resid, 1e-10 * scale)
-    # the test ensure_solvable applies: rcond > CONDITION_TOL
-    report.add("condition_margin", -sys.rcond, -CONDITION_TOL)
+    report.add("condition_margin", *check_condition(sys))
     return {"spectrum.csv": ("index,eigenvalue", list(enumerate(spec.eigenvalues)))}
 
 
@@ -388,9 +393,10 @@ def _pipeline_runge(cfg, grid, op, report):
     results = alpha_sweep(sys, window, target, alphas=alphas)
     resids = [r.residual for r in results]
     # the largest rise of the residual from one alpha to the next, beyond a
-    # relative 1e-9 (-inf for a single alpha: nothing rises; NaN propagates)
-    rise = np.max([b - a * (1 + 1e-9) for a, b in zip(resids, resids[1:])], initial=-np.inf)
-    report.add("residual_monotone", rise, 0.0)
+    # relative 1e-9 (NaN propagates); a single alpha has no rise and no gate
+    if len(resids) > 1:
+        rise = np.max([b - a * (1 + 1e-9) for a, b in zip(resids, resids[1:])])
+        report.add("residual_monotone", rise, AT_MOST_ZERO)
     hn = grid.h ** grid.dim
     final_rel = resids[-1] / (np.sqrt(hn) * np.linalg.norm(target))
     report.add("final_residual", final_rel, report.tolerances["runge_residual"])
@@ -492,10 +498,10 @@ def _pipeline_diffuse(cfg, grid, op, report):
     hn = grid.h ** grid.dim
     d0 = np.sqrt(hn) * np.linalg.norm(v0 - u_f.values)
     # the largest excess of the distance over its spectral bound, beyond a
-    # relative 1e-9 (-inf for no times; NaN propagates)
-    excess = np.max([d - np.exp(-lam1 * t) * d0 * (1 + 1e-9) for t, d in rows],
-                    initial=-np.inf)
-    report.add("decay_rate_bound", excess, 0.0)
+    # relative 1e-9 (NaN propagates); no times, no gate
+    if rows:
+        excess = np.max([d - np.exp(-lam1 * t) * d0 * (1 + 1e-9) for t, d in rows])
+        report.add("decay_rate_bound", excess, AT_MOST_ZERO)
 
     a = evolve(sys, GridFunction(grid, v0), 0.4, steady=u_f)
     b = evolve(sys, a, 0.6, steady=u_f)

@@ -220,28 +220,30 @@ def lowest_eigenvectors(op: FracOperator, potential: Potential, k: int) -> np.nd
                        overwrite_a=True)[1]
 
 
-def check_condition(sys: DirichletSystem) -> dict:
+def check_condition(sys: DirichletSystem) -> tuple[float, float]:
     """Is zero eigenvalue-free within tolerance?  Read from the system's factors.
 
-    ok = rcond > ``CONDITION_TOL``, with rcond LAPACK's estimate (dpocon on
-    a Cholesky factor, dgecon on an LU) of the 1-norm reciprocal condition
-    number 1 / (||A||_1 ||A^-1||_1) of A = A_II + diag(q); margin =
-    rcond ||A||_1 estimates 1 / ||A^-1||_1.  For symmetric A the exact
-    1-norm quantities lie between 1/n_int and 1 times the eigenvalue ratio
-    min|lambda|/max|lambda| (the 2-norm reciprocal condition number), and
-    between 1/sqrt(n_int) and 1 times min|lambda|; the estimate can only
-    read larger than the exact value.
+    Returns the solvability gate as (value, threshold) = (-rcond,
+    -``CONDITION_TOL``): A is solvable iff value < threshold, that is iff
+    rcond > ``CONDITION_TOL``, with rcond LAPACK's estimate (dpocon on a
+    Cholesky factor, dgecon on an LU) of the 1-norm reciprocal condition
+    number 1 / (||A||_1 ||A^-1||_1) of A = A_II + diag(q).  For symmetric A
+    the exact 1-norm quantity lies between 1/n_int and 1 times the
+    eigenvalue ratio min|lambda|/max|lambda| (the 2-norm reciprocal
+    condition number); the estimate can only read larger than the exact
+    value.
     """
-    return {"ok": sys.rcond > CONDITION_TOL, "margin": sys.rcond * sys.anorm}
+    return -sys.rcond, -CONDITION_TOL
 
 
 def ensure_solvable(sys: DirichletSystem) -> None:
     """Raise ``SingularSystemError`` unless the factors' 1-norm rcond estimate
     exceeds ``CONDITION_TOL`` (``check_condition``)."""
-    chk = check_condition(sys)
-    if not chk["ok"]:
+    value, threshold = check_condition(sys)
+    if not value < threshold:
         raise SingularSystemError(
-            f"zero is a Dirichlet eigenvalue within tolerance (margin {chk['margin']:.3e})")
+            f"zero is a Dirichlet eigenvalue within tolerance "
+            f"(rcond {sys.rcond:.3e}, needs > {CONDITION_TOL:g})")
 
 
 def solve_poisson(sys: DirichletSystem, f: np.ndarray) -> GridFunction:

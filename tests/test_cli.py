@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -515,26 +516,32 @@ def _resonant(cfg):
     cfg["potential"]["value"] -= float(dirichlet_spectrum(sys0).eigenvalues[0])
 
 
-@pytest.mark.parametrize("name,edit,code_want", [
-    *[pytest.param(path.name, None, 0, id=path.stem)
-      for path in sorted(CONFIG_DIR.glob("*.json"))],
-    pytest.param("spectrum_desk1d.json", _resonant, 1, id="resonant-spectrum"),
+@pytest.mark.parametrize("name,edit,code_want,absent", [
+    pytest.param("spectrum_desk1d.json", _resonant, 1, None, id="resonant-spectrum"),
     pytest.param("runge_desk1d.json", lambda cfg: cfg["runge"].update(alphas=[0.0]), 0,
-                 id="one-alpha-runge"),
+                 "residual_monotone", id="one-alpha-runge"),
+    pytest.param("diffuse_desk1d.json", lambda cfg: cfg["diffuse"].update(t_values=[0.1, 1000]),
+                 0, None, id="underflow-diffuse"),
+    pytest.param("diffuse_desk1d.json", lambda cfg: cfg["diffuse"].update(t_values=[]), 0,
+                 "decay_rate_bound", id="no-times-diffuse"),
 ])
-def test_every_gate_passes_below_its_threshold(name, edit, code_want, tmp_path):
-    # one rule decides every gate: it passes iff its recorded value is below
-    # its recorded threshold (a lower bound is recorded negated).  The
-    # resonant spectrum fails its condition gate; a sweep over one alpha has
-    # no rise, so its monotone gate reads -inf and passes
+def test_every_gate_passes_below_its_threshold(name, edit, code_want, absent, tmp_path):
+    # one rule decides every gate, on edited configs too (the committed ones
+    # are test_committed_config_runs_through_main's): it passes iff its
+    # finite recorded value is below its recorded threshold.  The resonant
+    # spectrum fails its condition gate.  At t = 1000 every exp(-lambda t)
+    # underflows, so the distance and its bound are both 0: an excess of 0,
+    # which passes.  A sweep over one alpha has no rise and no times have no
+    # bound to check: that gate is absent, not recorded as -inf
     cfg = load_config(name)
-    if edit is not None:
-        edit(cfg)
+    edit(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         code, manifest = run(cfg, output_dir=str(tmp_path))
     gates = manifest["gates"]
-    assert gates
+    assert gates and absent not in gates
+    assert all(math.isfinite(g["value"]) and math.isfinite(g["threshold"])
+               for g in gates.values())
     assert [k for k, g in gates.items() if g["pass"] != (g["value"] < g["threshold"])] == []
     assert code == code_want
 
@@ -592,6 +599,7 @@ def test_failing_run_writes_its_manifest(tmp_path, capsys):
     ("invert_desk1d.json", "tolerances.reconstruction_error=abc",
      "tolerances.reconstruction_error"),
     ("runge_desk1d.json", 'runge.alphas=[0.1,"x"]', "runge.alphas[1]"),
+    ("runge_desk1d.json", "runge.alphas=[]", "runge.alphas"),
     ("runge_desk1d.json", "runge.target=[1,2,3]", "runge.target"),
     ("runge_desk1d.json", "runge.target=sgn", "runge.target"),
     ("diffuse_desk1d.json", 'diffuse.t_values=[0.1,"x"]', "diffuse.t_values[1]"),
@@ -671,6 +679,10 @@ def test_committed_config_runs_through_main(path, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     gates = manifest["gates"]
     assert gates and [name for name, g in gates.items() if not g["pass"]] == []
+    # one rule decides every gate: it passes iff its finite value is below
+    # its threshold (a lower bound is recorded negated)
+    assert all(math.isfinite(g["value"]) for g in gates.values())
+    assert [name for name, g in gates.items() if g["pass"] != (g["value"] < g["threshold"])] == []
     stages = manifest["stage_s"]
     work = ["measurement", "reconstruction"] if pipeline == "invert" else ["compute"]
     assert sorted(stages) == sorted(["assembly", *work, "output"])
