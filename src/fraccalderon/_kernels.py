@@ -1,4 +1,4 @@
-"""Hot numeric kernels: the offset-table assembly and the solve path's BLAS.
+"""Hot numeric kernels: the offset-table assembly and the package's BLAS.
 
 On a uniform lattice the midpoint kernel weight |x_i - x_j|^(-power) depends
 only on the integer offset |idx_i - idx_j|.  ``offset_table`` evaluates it
@@ -15,23 +15,24 @@ one integer base per column.  Its index work is O(lines * n_cols), not
 O(n_rows * n_cols), and it builds no n_rows x n_cols index array; its one
 large allocation is the output.
 
-One BLAS library on the solve path.  numpy and scipy each link their own
-OpenBLAS, and each keeps its own thread pool.  After a numpy product, solve
-or whole-array norm, numpy's workers spin for a while waiting for more
-work, and scipy's Cholesky and LU factorizations and solves, which run
-next, compete with them for the cores: on 2 cores one LU of 1264 unknowns
-took 0.03 s alone and 0.05-0.12 s right after one numpy product.  So
-``dirichlet``, ``dnmap``, ``runge``, ``calderon`` and ``extension`` make
-every BLAS and LAPACK call through scipy: products through ``matmul`` (and
-the symmetric Gram product through ``syrk``), whole-array 2-norms through
-``norm``, factorizations and decompositions through ``scipy.linalg``.  They
-never use the ``@`` operator, ``np.dot``, ``np.matmul``, ``np.linalg.norm``
-without ``ord`` or ``axis``, or any other ``np.linalg`` routine; a test
-checks their source for these.
+One BLAS library.  numpy and scipy each link their own OpenBLAS, and each
+keeps its own thread pool.  After a numpy product, solve or whole-array
+norm, numpy's workers spin for a while waiting for more work, and scipy's
+Cholesky and LU factorizations and solves, which run next, compete with
+them for the cores: on 2 cores one LU of 1264 unknowns took 0.03 s alone
+and 0.05-0.12 s right after one numpy product.  So every module of the
+package makes every BLAS and LAPACK call through scipy: products through
+``matmul`` (and the symmetric Gram product through ``syrk``), whole-array
+2-norms through ``norm``, factorizations and decompositions through
+``scipy.linalg``.  No module uses the ``@`` operator, ``np.dot``,
+``np.matmul``, ``np.linalg.norm`` without ``ord`` or ``axis``, or any other
+``np.linalg`` routine; a test checks the source of every module for these.
+numpy's LAPACK is still reached through ``np.polynomial.legendre.leggauss``,
+which ``fracop`` calls for its Gauss-Legendre nodes (2D and 3D, cached):
+scipy's ``roots_legendre`` took 40 ms on its first call against 3-8 ms.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas
 
 __all__ = ["backend_name", "gather_offsets", "matmul", "norm", "offset_convolve",
@@ -148,7 +149,8 @@ def gather_offsets(tab: np.ndarray, idx_rows: np.ndarray, idx_cols: np.ndarray) 
     last = tab.shape[-1] - 1
     two_sided = np.concatenate([tab[..., :0:-1], tab], axis=-1)
     # p - 1 trailing zeros give every base a whole window of p entries
-    window = sliding_window_view(np.concatenate([two_sided.ravel(), np.zeros(p - 1)]), p)
+    padded = np.concatenate([two_sided.ravel(), np.zeros(p - 1)])
+    window = np.lib.stride_tricks.sliding_window_view(padded, p)
     strides = [int(np.prod(two_sided.shape[k + 1:])) for k in range(dim - 1)]
     for r0, r1 in pieces:
         base = last + rows[r0, -1] - cols[:, -1]

@@ -42,6 +42,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._kernels import matmul, norm
 from .dirichlet import (assemble_system, check_condition, dirichlet_spectrum,
                         potential_from_spec, solve_poisson, system_facts)
 from .dnmap import assemble_dn, dn_decomposition_check, integral_identity
@@ -159,6 +160,9 @@ CONFIG_SCHEMA = {
         "seed": {"type": "integer"},
         "output_dir": {"type": "string"},
     },
+    # invert has no default truth to reconstruct
+    "if": {"properties": {"pipeline": {"const": "invert"}}, "required": ["pipeline"]},
+    "then": {"required": ["potential_true"]},
 }
 
 
@@ -224,10 +228,14 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(_format_row(row) + "\n")
 
 
-def _smooth_bumps(grid, seed, count=10):
+# the number of smooth bumps ``validate-op`` applies both operators to
+_N_BUMPS = 10
+
+
+def _smooth_bumps(grid, seed):
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(count):
+    for _ in range(_N_BUMPS):
         ctr = rng.uniform(-0.5, 0.5, size=grid.dim)
         wid = rng.uniform(0.15, 0.2) if grid.dim == 1 else rng.uniform(0.2, 0.3)
         r2 = np.sum((grid.coords - ctr) ** 2, axis=1)
@@ -290,7 +298,7 @@ def _pipeline_validate_op(cfg, grid, op, report):
     rows = []
     for i, vals in enumerate(_smooth_bumps(grid, seed)):
         spec = apply_spectral(GridFunction(grid, vals), cfg["s"], pad).values[nf]
-        rows.append((i, float(np.linalg.norm(op.apply(vals, nf) - spec) / np.linalg.norm(spec))))
+        rows.append((i, float(norm(op.apply(vals, nf) - spec) / norm(spec))))
     report.add("operator_symmetry", _probe_asymmetry(op, seed), SYMMETRY_TOL)
     # the off-diagonal entries are the table's, one per lattice offset d != 0
     report.add("offdiagonal_sign", float(np.max(op.table.ravel()[1:])), 0.0)
@@ -320,11 +328,11 @@ def _probe_asymmetry(op, seed) -> float:
     nf = op.grid.nonfar
     probes = np.zeros((6, op.grid.n_nodes))
     probes[:, nf] = np.random.default_rng(seed).standard_normal((6, len(nf)))
-    norm, worst = np.linalg.norm, 0.0
+    worst = 0.0
     for u, v in zip(probes[::2], probes[1::2]):
         au, av = op.apply(u, nf), op.apply(v, nf)
         scale = max(norm(v) * norm(au), norm(u) * norm(av))
-        worst = max(worst, abs(v[nf] @ au - u[nf] @ av) / scale)
+        worst = max(worst, abs(matmul(v[nf], au) - matmul(u[nf], av)) / scale)
     return float(worst)
 
 
@@ -332,7 +340,7 @@ def _pipeline_spectrum(cfg, grid, op, report):
     sys = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
     spec = dirichlet_spectrum(sys)
     A = sys.interior_matrix             # gathered anew: the system holds its factors only
-    resid = float(np.max(np.abs(A @ spec.eigenvectors
+    resid = float(np.max(np.abs(matmul(A, spec.eigenvectors)
                                 - spec.eigenvectors * spec.eigenvalues)))
     scale = float(np.max(np.abs(spec.eigenvalues)))
     report.add("eigen_residual", resid, 1e-10 * scale)
@@ -356,7 +364,7 @@ def _pipeline_dnmap(cfg, grid, op, report):
     f[w1] = rng.standard_normal(len(w1))
     # one solve per (system, exterior data) pair: u1 serves every gate below
     u1 = solve_poisson(sys1, f)
-    point, Mf = op.apply(u1.values, grid.ext_support), M @ f   # pointwise and bilinear DN f
+    point, Mf = op.apply(u1.values, grid.ext_support), matmul(M, f)   # pointwise and bilinear DN f
     agree = float(np.max(np.abs(Mf - point)) / max(np.max(np.abs(Mf)), 1e-300))
     report.add("pointwise_vs_bilinear", agree, report.tolerances["identity_loose"])
     scale = max(float(np.max(np.abs(point))), 1e-300)
@@ -398,7 +406,7 @@ def _pipeline_runge(cfg, grid, op, report):
         rise = np.max([b - a * (1 + 1e-9) for a, b in zip(resids, resids[1:])])
         report.add("residual_monotone", rise, AT_MOST_ZERO)
     hn = grid.h ** grid.dim
-    final_rel = resids[-1] / (np.sqrt(hn) * np.linalg.norm(target))
+    final_rel = resids[-1] / (np.sqrt(hn) * norm(target))
     report.add("final_residual", final_rel, report.tolerances["runge_residual"])
     return {"runge_sweep.csv": ("alpha,residual,control_norm",
                                 [(r.alpha, r.residual, r.control_norm) for r in results])}
@@ -465,7 +473,7 @@ def _pipeline_extend(cfg, grid, op, report):
     field = cs_extend(u, s, levels)
     td = trace_derivative(field, s).values[grid.nonfar]
     spec = apply_spectral(u, s, cfg.get("pad_factor", 64)).values[grid.nonfar]
-    rel = float(np.linalg.norm(td - spec) / np.linalg.norm(spec))
+    rel = float(norm(td - spec) / norm(spec))
     report.add("trace_identity", rel, report.tolerances["trace_identity"])
 
     ucp = ucp_conditioning(op, ecfg.get("ucp_window", "EXTERIOR_SUPPORT"))
@@ -496,7 +504,7 @@ def _pipeline_diffuse(cfg, grid, op, report):
     spec = dirichlet_spectrum(sys)
     lam1 = float(spec.eigenvalues[0])
     hn = grid.h ** grid.dim
-    d0 = np.sqrt(hn) * np.linalg.norm(v0 - u_f.values)
+    d0 = np.sqrt(hn) * norm(v0 - u_f.values)
     # the largest excess of the distance over its spectral bound, beyond a
     # relative 1e-9 (NaN propagates); no times, no gate
     if rows:
@@ -660,8 +668,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.config}: the top level of a config must be a JSON "
                               f"object, got {type(cfg).__name__}")
         _apply_overrides(cfg, args.overrides)
-        if cfg.get("pipeline") != args.pipeline:
-            cfg["pipeline"] = args.pipeline
+        cfg["pipeline"] = args.pipeline
         code, manifest = run(cfg, output_dir=args.output_dir)
     except ConfigError as exc:
         print(f"CONFIG_INVALID: {exc}", file=sys.stderr)

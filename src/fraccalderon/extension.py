@@ -82,10 +82,13 @@ def cs_extend(u: GridFunction, s: float, y_levels) -> ExtensionField:
                           values=vals)
 
 
-def trace_ladder(h: float, n_levels: int = 6) -> np.ndarray:
+_TRACE_LEVELS = 6
+
+
+def trace_ladder(h: float) -> np.ndarray:
     """Ladder tuned for trace extrapolation: starts above the cell-scale
     crossover of the discrete kernel, stays below feature scale."""
-    return 3.0 * h * 1.3 ** np.arange(n_levels)
+    return 3.0 * h * 1.3 ** np.arange(_TRACE_LEVELS)
 
 
 def _lattice_laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -1,12 +1,12 @@
-"""One BLAS library on the solve path (see ``fraccalderon._kernels``), and
-one module that writes files.
+"""One BLAS library (see ``fraccalderon._kernels``), and one module that
+writes files.
 
-``dirichlet``, ``dnmap``, ``runge``, ``calderon`` and ``extension`` make
-every BLAS call through scipy, so numpy's OpenBLAS thread pool never
-competes with scipy's.  The guard reads their source; the helpers must
-equal numpy's products and norms up to rounding, without copying their
-operands.  Only ``cli`` writes files, so the output format is decided in
-one place; the second guard reads the source of every other module.
+Every module of the package makes every BLAS call through scipy, so numpy's
+OpenBLAS thread pool never competes with scipy's.  The guard reads the
+source of every module; the helpers must equal numpy's products and norms
+up to rounding, without copying their operands.  Only ``cli`` writes files,
+so the output format is decided in one place; the second guard reads the
+source of every other module.
 """
 
 import ast
@@ -19,8 +19,8 @@ import pytest
 from fraccalderon import _kernels
 from fraccalderon._kernels import matmul, norm, syrk
 
-SOLVE_PATH = ("dirichlet.py", "dnmap.py", "runge.py", "calderon.py", "extension.py")
 PACKAGE = Path(_kernels.__file__).resolve().parent
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 # numpy functions that run numpy's BLAS
 NUMPY_BLAS = ("dot", "vdot", "inner", "matmul", "tensordot", "einsum")
 
@@ -48,7 +48,7 @@ def numpy_blas_uses(source: str) -> list:
     return found
 
 
-@pytest.mark.parametrize("module", SOLVE_PATH)
+@pytest.mark.parametrize("module", MODULES)
 def test_solve_path_calls_no_numpy_blas(module):
     assert numpy_blas_uses((PACKAGE / module).read_text()) == []
 
@@ -106,9 +106,6 @@ def file_writes(source: str) -> list:
             if not reads:
                 found.append((node.lineno, ast.unparse(node)))
     return found
-
-
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "cli.py"])

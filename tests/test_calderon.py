@@ -103,7 +103,12 @@ def test_zero_data_reconstructs_zero(desk_setup):
     meas = simulate_measurements(sys_ref, sys_ref, "W1", "W2")
     out = reconstruct_potential(meas, sys_ref, iterations=2, mode="linearized",
                                 clean_beta=0.1)
-    assert np.sqrt(grid.h) * np.linalg.norm(out["q_diff"]) <= 1e-10
+    size = np.sqrt(grid.h) * np.linalg.norm(out["q_diff"])
+    assert size <= 1e-10
+    # against the zero truth the error is the estimate's weighted norm, not
+    # a relative one
+    err = reconstruction_error(out["q_diff"], np.zeros_like(out["q_diff"]), grid.h)
+    assert err == pytest.approx(size, rel=1e-14, abs=0.0)
 
 
 def test_linearized_clean_reconstruction(desk_setup):

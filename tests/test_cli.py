@@ -418,6 +418,7 @@ def test_main_invalid_config_exit_2(tmp_path, capsys):
         (lambda cfg: cfg["grid"]["omega"].update(radius=1.0), [], "('radius' was unexpected)"),
         (lambda cfg: None, ["--set", "potential_true.centre=0.1"], "('centre' was unexpected)"),
         (lambda cfg: None, ["--set", "s.x=1"], "'s' is not an object"),
+        (lambda cfg: None, ["--set", "noise.seed"], "--set expects key=value, got 'noise.seed'"),
         # grid and window faults: a 2-D disc center and a 2-axis rect on the
         # 1D grid, a window that captures no node, a misspelt window name
         (lambda cfg: cfg["grid"]["windows"].update(
@@ -634,7 +635,7 @@ def test_error_module_named_under_python_m(tmp_path):
 @pytest.mark.parametrize("name,module,attr,where", [
     ("invert_desk1d.json", "fraccalderon.calderon", "_solve_regularized",
      "fraccalderon.calderon"),
-    ("diffuse_desk1d.json", "numpy.linalg", "eigh", "fraccalderon.diffusion"),
+    ("diffuse_desk1d.json", "fraccalderon.diffusion", "eigh", "fraccalderon.diffusion"),
     ("extend_desk1d.json", "scipy.linalg", "svd", "fraccalderon.extension"),
     ("spectrum_desk1d.json", "scipy.linalg", "eigh", "fraccalderon.dirichlet"),
 ])
@@ -668,28 +669,6 @@ def test_committed_configs_valid(path):
     validate_config(json.loads(path.read_text()))
 
 
-@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
-def test_committed_config_runs_through_main(path, tmp_path):
-    # every committed config runs end to end and passes every gate; its
-    # stages (invert's four, one compute stage elsewhere) each take positive
-    # time and together no more than the run's wall time
-    pipeline = json.loads(path.read_text())["pipeline"]
-    out = tmp_path / "out"
-    assert main([pipeline, "--config", str(path), "--output-dir", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    gates = manifest["gates"]
-    assert gates and [name for name, g in gates.items() if not g["pass"]] == []
-    # one rule decides every gate: it passes iff its finite value is below
-    # its threshold (a lower bound is recorded negated)
-    assert all(math.isfinite(g["value"]) for g in gates.values())
-    assert [name for name, g in gates.items() if g["pass"] != (g["value"] < g["threshold"])] == []
-    stages = manifest["stage_s"]
-    work = ["measurement", "reconstruction"] if pipeline == "invert" else ["compute"]
-    assert sorted(stages) == sorted(["assembly", *work, "output"])
-    assert all(seconds > 0 for seconds in stages.values())
-    assert sum(stages.values()) <= manifest["wall_time_s"]
-
-
 def _csv_shapes(cfg, grid) -> dict:
     """The (rows, columns) of each CSV that the config's pipeline writes and
     whose shape follows from the config."""
@@ -710,26 +689,39 @@ def _csv_shapes(cfg, grid) -> dict:
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
-def test_committed_config_csv_files(path, tmp_path):
+def test_committed_config_runs_through_main(path, tmp_path):
+    # every committed config runs end to end and passes every gate; its
+    # stages (invert's four, one compute stage elsewhere) each take positive
+    # time and together no more than the run's wall time
+    cfg = json.loads(path.read_text())
+    pipeline = cfg["pipeline"]
+    out = tmp_path / "out"
+    assert main([pipeline, "--config", str(path), "--output-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    gates = manifest["gates"]
+    assert gates and [name for name, g in gates.items() if not g["pass"]] == []
+    # one rule decides every gate: it passes iff its finite value is below
+    # its threshold (a lower bound is recorded negated)
+    assert all(math.isfinite(g["value"]) for g in gates.values())
+    assert [name for name, g in gates.items() if g["pass"] != (g["value"] < g["threshold"])] == []
+    stages = manifest["stage_s"]
+    work = ["measurement", "reconstruction"] if pipeline == "invert" else ["compute"]
+    assert sorted(stages) == sorted(["assembly", *work, "output"])
+    assert all(seconds > 0 for seconds in stages.values())
+    assert sum(stages.values()) <= manifest["wall_time_s"]
     # the output directory holds the manifest's files and the manifest alone;
     # every CSV of the manifest: one column-name line (dn_matrix.csv: exactly
     # three '#' lines), then finite rows as wide as the header names, in the
-    # shape the config implies; the DN matrix reads back bit for bit.  The
-    # ill-conditioning warnings of two configs are test_manifest_records_warnings'
-    cfg = json.loads(path.read_text())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        code, manifest = run(cfg, output_dir=str(tmp_path))
-    assert code == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*manifest["files"],
-                                                                 "manifest.json"])
+    # shape the config implies; the DN matrix reads back bit for bit
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["files"],
+                                                            "manifest.json"])
     grid, op = _build(cfg)
     shapes = _csv_shapes(cfg, grid)
     tables = {}
     for name in manifest["files"]:
         if not name.endswith(".csv"):
             continue
-        lines = (tmp_path / name).read_text().splitlines()
+        lines = (out / name).read_text().splitlines()
         head = 3 if name == "dn_matrix.csv" else 1
         assert [line.startswith("#") for line in lines[:head + 1]] == [head == 3] * head + [False]
         rows = tables[name] = np.array([[float(v) for v in line.split(",")]
@@ -738,7 +730,7 @@ def test_committed_config_csv_files(path, tmp_path):
         if head == 1:
             assert rows.shape[1] == len(lines[0].split(","))
     assert {name: tables[name].shape for name in shapes} == shapes
-    if cfg["pipeline"] == "dnmap":
+    if pipeline == "dnmap":
         sys1 = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
         dn = assemble_dn(sys1, cfg.get("source_window", "W1"), cfg.get("observation_window", "W2"))
         assert np.array_equal(tables["dn_matrix.csv"], dn.matrix)
@@ -876,6 +868,26 @@ def test_config_not_an_object_exits_2(tmp_path, capsys):
     code, err = _main_on([1, 2], tmp_path, capsys)
     assert code == 2
     assert "CONFIG_INVALID" in err and "must be a JSON object" in err
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    # a config file that is missing, or that is not JSON
+    path = tmp_path / "cfg.json"
+    for text in (None, '{"s": 0.5,'):
+        if text is not None:
+            path.write_text(text)
+        code = main(["invert", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("CONFIG_INVALID: ")
+
+
+def test_invert_without_potential_true_exits_2(tmp_path, capsys):
+    # the positional pipeline replaces the config's, and invert has no
+    # default truth to reconstruct
+    code = main(["invert", "--config", str(CONFIG_DIR / "spectrum_desk1d.json"),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "CONFIG_INVALID: 'potential_true' is a required property\n"
 
 
 def test_missing_potential_csv_exits_2(tmp_path, capsys):
