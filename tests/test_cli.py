@@ -688,16 +688,25 @@ def _csv_shapes(cfg, grid) -> dict:
     return {}
 
 
-@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
-def test_committed_config_runs_through_main(path, tmp_path):
+@pytest.fixture(scope="module", params=sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def committed_run(request, tmp_path_factory):
+    """One run of a committed config through ``main``, shared by the two
+    tests below so that each config runs once: its config, output directory,
+    exit code and manifest."""
+    path = request.param
+    cfg = json.loads(path.read_text())
+    out = tmp_path_factory.mktemp(path.stem) / "out"
+    code = main([cfg["pipeline"], "--config", str(path), "--output-dir", str(out)])
+    return cfg, out, code, json.loads((out / "manifest.json").read_text())
+
+
+def test_committed_config_runs_through_main(committed_run):
     # every committed config runs end to end and passes every gate; its
     # stages (invert's four, one compute stage elsewhere) each take positive
     # time and together no more than the run's wall time
-    cfg = json.loads(path.read_text())
+    cfg, _, code, manifest = committed_run
     pipeline = cfg["pipeline"]
-    out = tmp_path / "out"
-    assert main([pipeline, "--config", str(path), "--output-dir", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    assert code == 0
     gates = manifest["gates"]
     assert gates and [name for name, g in gates.items() if not g["pass"]] == []
     # one rule decides every gate: it passes iff its finite value is below
@@ -709,10 +718,15 @@ def test_committed_config_runs_through_main(path, tmp_path):
     assert sorted(stages) == sorted(["assembly", *work, "output"])
     assert all(seconds > 0 for seconds in stages.values())
     assert sum(stages.values()) <= manifest["wall_time_s"]
+
+
+def test_committed_config_csv_files(committed_run):
     # the output directory holds the manifest's files and the manifest alone;
     # every CSV of the manifest: one column-name line (dn_matrix.csv: exactly
     # three '#' lines), then finite rows as wide as the header names, in the
     # shape the config implies; the DN matrix reads back bit for bit
+    cfg, out, code, manifest = committed_run
+    assert code == 0
     assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["files"],
                                                             "manifest.json"])
     grid, op = _build(cfg)
@@ -730,7 +744,7 @@ def test_committed_config_runs_through_main(path, tmp_path):
         if head == 1:
             assert rows.shape[1] == len(lines[0].split(","))
     assert {name: tables[name].shape for name in shapes} == shapes
-    if pipeline == "dnmap":
+    if cfg["pipeline"] == "dnmap":
         sys1 = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
         dn = assemble_dn(sys1, cfg.get("source_window", "W1"), cfg.get("observation_window", "W2"))
         assert np.array_equal(tables["dn_matrix.csv"], dn.matrix)
