@@ -49,7 +49,7 @@ from .errors import (GridMismatchError, IllConditionedWarning, ReferenceMismatch
                      RungeFailError, SingularSystemError)
 from .fracop import FracOperator
 from .grid import Grid
-from .runge import COND_WARN, ControlProblem, control_to_interior_matrix, ridge_controls
+from .runge import COND_WARN, control_to_interior_matrix, ridge_controls
 
 DEFAULT_RUNGE_GATE = 0.05
 
@@ -340,16 +340,17 @@ def _pair(X: np.ndarray, G1: np.ndarray, G2: np.ndarray, power: int = 1) -> np.n
     return matmul(matmul((G2**power).T, X), G1**power)
 
 
-def _runge_controls(sys: DirichletSystem, window_nodes, K: np.ndarray,
-                    targets: np.ndarray, alpha: float, gate: float, hn: float, label: str):
+def _runge_controls(K: np.ndarray, targets: np.ndarray, alpha: float, gate: float,
+                    hn: float, label: str):
     """Runge controls for every target column from the window's solved
-    control-to-interior matrix K; gate on each column's relative residual."""
-    res = ridge_controls(K, ControlProblem(sys, window_nodes, targets, alpha=alpha))
-    tgt_norms = np.sqrt(hn) * np.linalg.norm(targets, axis=0)
-    for k, (resid, tgt_norm) in enumerate(zip(res.residual, tgt_norms)):
-        if resid > gate * tgt_norm:
-            raise RungeFailError(f"{label} control {k}: residual {resid:.3e} exceeds "
-                                 f"{gate:.0%} of target norm {tgt_norm:.3e}")
+    control-to-interior matrix K; gate on each column's relative residual,
+    naming every column that fails it (a NaN fails)."""
+    res, = ridge_controls(K, targets, [alpha], hn)
+    failing = np.flatnonzero(~(res.relative_residual <= gate))
+    if failing.size:
+        raise RungeFailError(f"{label} controls {failing.tolist()}: relative residuals "
+                             f"{np.round(res.relative_residual[failing], 3).tolist()} "
+                             f"exceed {gate:.0%}")
     return res
 
 
@@ -474,9 +475,8 @@ def reconstruct_potential(meas: MeasurementSet, sys_ref: DirichletSystem = None,
             A1, A2, G1, G2 = U1, U2, None, None
             runge_res, test_res = [], []
         else:
-            r1 = _runge_controls(sys_cur, src, U1, basis, alpha, runge_gate, hn, "target")
-            r2 = _runge_controls(sys_cur, obs, U2, np.ones((n_int, 1)), alpha,
-                                 runge_gate, hn, "constant")
+            r1 = _runge_controls(U1, basis, alpha, runge_gate, hn, "target")
+            r2 = _runge_controls(U2, np.ones((n_int, 1)), alpha, runge_gate, hn, "constant")
             A1, A2, G1, G2 = r1.achieved, r2.achieved, r1.control, r2.control
             runge_res, test_res = r1.residual.tolist(), r2.residual.tolist()
         # the sweep's system is done with: unbound, its factor is freed

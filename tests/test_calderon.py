@@ -11,7 +11,7 @@ from fraccalderon.calderon import (BETA_FLOOR, reconstruct_potential,
 from fraccalderon.dirichlet import assemble_system, lowest_eigenvectors, potential_from_spec
 from fraccalderon.errors import (GridMismatchError, IllConditionedWarning,
                                  ReferenceMismatchError, RungeFailError, SingularSystemError)
-from fraccalderon.runge import ControlProblem, control_to_interior_matrix, runge_approximate
+from fraccalderon.runge import control_to_interior_matrix, runge_approximate
 
 from conftest import DenseOperator, make_grid_1d
 
@@ -275,7 +275,7 @@ def test_constructive_is_galerkin_on_control_pairs(desk_setup, monkeypatch):
     targets = lowest_eigenvectors(meas.op, meas.reference, 4) / np.sqrt(hn)
 
     def control(window, target):
-        return runge_approximate(ControlProblem(sys_ref, window, target, alpha=alpha))
+        return runge_approximate(sys_ref, window, target, alpha=alpha)
 
     const = control(meas.observation_nodes, np.ones(len(grid.interior)))
     data = _data(meas, sys_ref)
@@ -295,11 +295,21 @@ def test_constructive_is_galerkin_on_control_pairs(desk_setup, monkeypatch):
 
 
 def test_runge_gate_trips(desk_setup):
+    # the gate names every target column above it with its relative
+    # residual, not only the first
     grid, sys_ref, sys_true, _ = desk_setup
     meas = simulate_measurements(sys_true, sys_ref, "W1", "W2")
-    with pytest.raises(RungeFailError):
-        reconstruct_potential(meas, sys_ref, alpha=1e-12, n_targets=6,
-                              runge_gate=0.01, iterations=1, mode="constructive")
+    targets = lowest_eigenvectors(meas.op, meas.reference, 6) / np.sqrt(grid.h)
+    rel = runge_approximate(sys_ref, meas.source_nodes, targets, alpha=1e-12).relative_residual
+    # all 6 columns fail at 1%, all but column 0 at 5%
+    for gate, n_failing in ((0.01, 6), (0.05, 5)):
+        failing = np.flatnonzero(rel > gate)
+        assert len(failing) == n_failing
+        with pytest.raises(RungeFailError) as err:
+            reconstruct_potential(meas, sys_ref, alpha=1e-12, n_targets=6,
+                                  runge_gate=gate, iterations=1, mode="constructive")
+        assert str(err.value) == (f"target controls {failing.tolist()}: relative residuals "
+                                  f"{np.round(rel[failing], 3).tolist()} exceed {gate:.0%}")
 
 
 def test_backtracking_propagates_unrelated_errors(desk_setup, monkeypatch):

@@ -429,6 +429,9 @@ def test_main_invalid_config_exit_2(tmp_path, capsys):
             W1={"type": "interval", "bounds": [1.501, 1.502]}), [], "captured zero nodes"),
         (lambda cfg: cfg.update(source_window="W9"), [], "unknown region or window 'W9'"),
         (lambda cfg: cfg["grid"].update(dim=0), [], "0 is less than the minimum of 1"),
+        # json writes and reads the token NaN, which no schema bound rejects
+        (lambda cfg: cfg["noise"].update(sigma=float("nan")), [],
+         "noise.sigma: NaN and infinite numbers are refused"),
     ]
     for k, (edit, sets, message) in enumerate(cases):
         cfg = small_invert_config()
@@ -589,6 +592,8 @@ def test_failing_run_writes_its_manifest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error"]["code"] == "RUNGE_FAIL"
     assert manifest["error"]["module"] == "fraccalderon.calderon"
+    # every failing target column is named, not only the first
+    assert manifest["error"]["message"].startswith("target controls [1, 2, 3]: ")
     assert f"fraccalderon.calderon: RUNGE_FAIL: {manifest['error']['message']}" \
         in capsys.readouterr().err
     assert manifest["files"] == [] and [p.name for p in out.iterdir()] == ["manifest.json"]
@@ -605,6 +610,9 @@ def test_failing_run_writes_its_manifest(tmp_path, capsys):
     ("runge_desk1d.json", "runge.target=sgn", "runge.target"),
     ("diffuse_desk1d.json", 'diffuse.t_values=[0.1,"x"]', "diffuse.t_values[1]"),
     ("extend_desk1d.json", 'extend.levels=["a"]', "extend.levels[0]"),
+    ("runge_desk1d.json", "runge.alphas=[-1e-3]", "runge.alphas[0]"),
+    ("invert_desk1d_constructive.json", "invert.alpha=-1", "invert.alpha"),
+    ("invert_desk1d.json", "grid.h=NaN", "grid.h"),
 ])
 def test_config_typo_exits_2_naming_the_key(name, override, key, tmp_path, capsys):
     path = CONFIG_DIR / name
@@ -802,13 +810,26 @@ def test_dnmap_solves_each_pair_once(tmp_path, monkeypatch):
     assert len(solves) == 3 and len(set(solves)) == 3
 
 
+def test_validate_op_pads_as_apply_spectral(tmp_path):
+    # without pad_factor the spectral route takes its own default pad, 8
+    cfg = load_config("desk1d_grid.json")
+    agreement = []
+    for pad in (None, 8):
+        cfg.pop("pad_factor", None)
+        if pad is not None:
+            cfg["pad_factor"] = pad
+        _, manifest = run(cfg, output_dir=str(tmp_path / str(pad)))
+        agreement.append(manifest["gates"]["oracle_agreement"]["value"])
+    assert agreement[0] == agreement[1]
+
+
 def test_validate_op_holds_no_nonfar_squared_array(tmp_path):
     # the checks apply the operator and read its table: the traced peak of a
     # 2D validate-op run (disc, h = 0.1, 1264 non-FAR nodes) stays below one
     # N_nf^2 array (12.2 MB).  Measured 6.8 MB here, 39.8 MB when the
     # checks gathered the matrix.  pad_factor 4 keeps the spectral route's
-    # lattice (pad^2 times the box) below that size as well; at the
-    # default 16 it alone takes 57 MB
+    # lattice (pad^2 times the box) below that size as well: apply_spectral
+    # alone peaks at 1.4 MB at pad 4, 5.5 MB at its default 8, 22 MB at 16
     grid_cfg = {"dim": 2, "h": 0.1, "R": 3.0,
                 "omega": {"type": "disc", "center": [0.0, 0.0], "radius": 1.0},
                 "support": {"type": "disc", "center": [0.0, 0.0], "radius": 2.0}}
