@@ -13,8 +13,8 @@ tolerance gates pass (1: gate failure, 2: invalid config, 4: numeric error).
 A run that raises a package error still writes its manifest, with
 ``error`` (code, message and the module that raised it), no files, and the
 stages and records set before the raise.
-An ``invert`` manifest also records how each assembled system was factored
-and its rcond (``systems``; the trial systems per iteration), and each
+An ``invert`` manifest also records how each assembled system was factored,
+its rcond and 1-norm (``systems``; the trial systems per iteration), and each
 Newton iteration's penalty weight, data norm, step norm and step halvings
 (``iterations``).
 
@@ -47,8 +47,7 @@ from .dirichlet import (assemble_system, check_condition, dirichlet_spectrum,
                         potential_from_spec, solve_poisson, system_facts)
 from .dnmap import assemble_dn, dn_decomposition_check, integral_identity
 from .errors import ConfigError, FracCalderonError, LinAlgFailError
-from .extension import (cs_extend, frequency_energy_fraction, trace_derivative,
-                        trace_ladder, ucp_conditioning)
+from .extension import cs_extend, trace_derivative, trace_ladder, ucp_conditioning
 from .fracop import apply_spectral, assemble_quadrature
 from .grid import GridFunction, build_grid
 from .diffusion import decay_series, dn_cost_check, evolve
@@ -480,8 +479,8 @@ def _pipeline_invert(cfg, grid, op, report):
 
 # floor of the smooth double-vanishing constraints' sigma_min.  Measured on
 # configs/extend_desk1d.json (h = 0.02, s = 1/2): 1.16e-8, a factor 11.6
-# above the floor (6.0e-9 at s = 1/4), while sigma_min over all candidates
-# sits at rounding (1e-15).  Finer grids admit more smooth candidates and
+# above the floor (6.0e-9 at s = 1/4), while the stack's smallest singular
+# value is rounding (7e-19).  Finer grids admit more smooth candidates and
 # read lower (7e-14 at h = 0.01), so the floor holds down to h = 0.02.
 UCP_SMOOTH_FLOOR = 1e-9
 
@@ -501,9 +500,6 @@ def _pipeline_extend(cfg, grid, op, report):
     report.add("trace_identity", rel, report.tolerances["trace_identity"])
 
     ucp = ucp_conditioning(op, ecfg.get("ucp_window", "EXTERIOR_SUPPORT"))
-    frac = frequency_energy_fraction(grid, ucp["minimizer"], np.pi / (4 * grid.h))
-    report.add("ucp_sigma_positive", -ucp["sigma_min"], 0.0)
-    report.add("ucp_minimizer_highfreq", -frac, -0.5)
     report.add("ucp_smooth_sigma_min", -ucp["smooth_sigma_min"], -UCP_SMOOTH_FLOOR)
     return {"extension_field.csv": ("x,y,w", ((xi, y, w) for y, column in
                                               zip(field.y_levels, field.values.T)

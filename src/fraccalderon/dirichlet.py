@@ -185,8 +185,9 @@ def assemble_system(op: FracOperator, potential: Potential) -> DirichletSystem:
 
 def system_facts(sys: DirichletSystem) -> dict:
     """How the system was factored and how well conditioned it is, for a
-    run's record: ``factorization`` and ``rcond``."""
-    return {"factorization": sys.factorization, "rcond": sys.rcond}
+    run's record: ``factorization``, ``rcond`` and the scale ``anorm`` =
+    ||A||_1 it was estimated against."""
+    return {"factorization": sys.factorization, "rcond": sys.rcond, "anorm": sys.anorm}
 
 
 def _solve(sys: DirichletSystem, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:

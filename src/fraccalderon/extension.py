@@ -5,8 +5,8 @@ P_y(x) ~ y^(2s) (x^2 + y^2)^(-(1+2s)/2); cell integrals of P_y have a closed
 form through the regularized incomplete beta function, and the weights over
 the whole line sum to one identically.  The weighted derivative at the base
 recovers the fractional operator; the double-vanishing singular value study
-provides a numerical witness that only grid-scale vectors can vanish
-together with their operator image on an open set.
+provides a numerical witness that no smooth vector vanishes together with
+its operator image on an open set.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy import linalg, special
 
 from ._kernels import matmul, offset_convolve
 from .errors import DomainError, LadderError
-from .fracop import FracOperator, extension_trace_constant, squared_frequencies
+from .fracop import FracOperator, extension_trace_constant
 from .grid import Grid, GridFunction
 
 
@@ -41,22 +41,16 @@ def kernel_cdf(t: np.ndarray, y: float, s: float) -> np.ndarray:
     return 0.5 * np.sign(t) * special.betainc(0.5, s, z)
 
 
-def poisson_kernel_weights(grid: Grid, s: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-integral kernel weights and the per-source mass escaping the box.
+def poisson_kernel_weights(grid: Grid, s: float, y: float) -> np.ndarray:
+    """Cell-integral kernel weights at level y.
 
     The kernel is even, so the weight K[i, j] of source cell j at target i
     depends only on the lattice offset |i - j|: it is returned as the table
-    ``table[d]`` = K[i, j] for |i - j| = d, evaluated once per offset.  The
-    in-box column sums of K plus the escape add to one identically."""
+    ``table[d]`` = K[i, j] for |i - j| = d, evaluated once per offset."""
     if grid.dim != 1:
         raise DomainError("extension requires a 1D base grid")
     d = np.arange(grid.shape[0]) * grid.h
-    table = kernel_cdf(d + grid.h / 2.0, y, s) - kernel_cdf(d - grid.h / 2.0, y, s)
-    x = grid.coords[:, 0]
-    lo = -grid.R - x
-    hi = grid.R - x
-    escape = 1.0 - (kernel_cdf(hi, y, s) - kernel_cdf(lo, y, s))
-    return table, escape
+    return kernel_cdf(d + grid.h / 2.0, y, s) - kernel_cdf(d - grid.h / 2.0, y, s)
 
 
 def cs_extend(u: GridFunction, s: float, y_levels) -> ExtensionField:
@@ -76,8 +70,7 @@ def cs_extend(u: GridFunction, s: float, y_levels) -> ExtensionField:
         raise DomainError("y_levels must be strictly increasing and positive")
     vals = np.empty((grid.n_nodes, len(y_levels)))
     for m, y in enumerate(y_levels):
-        table, _ = poisson_kernel_weights(grid, s, float(y))
-        vals[:, m] = offset_convolve(table, u.values)
+        vals[:, m] = offset_convolve(poisson_kernel_weights(grid, s, float(y)), u.values)
     return ExtensionField(grid=grid, s=s, y_levels=y_levels, base=u.values.copy(),
                           values=vals)
 
@@ -129,33 +122,18 @@ def trace_derivative(field: ExtensionField, s: float) -> GridFunction:
     return GridFunction(field.grid, -d_s * 2.0 * s * a)
 
 
-def frequency_energy_fraction(grid: Grid, values_nonfar: np.ndarray, cutoff: float) -> float:
-    """Fraction of spectral energy at frequencies |xi| >= cutoff for a vector
-    on the non-FAR nodes (embedded by zero into the box lattice)."""
-    full = np.zeros(grid.n_nodes)
-    full[grid.nonfar] = values_nonfar
-    spec = np.fft.fftn(full.reshape(grid.shape)).ravel()
-    xi = np.sqrt(squared_frequencies(grid.shape, grid.h)).ravel()
-    power = np.abs(spec) ** 2
-    total = power.sum()
-    if total == 0:
-        return 0.0
-    return float(power[xi >= cutoff].sum() / total)
-
-
 def ucp_conditioning(op: FracOperator, W) -> dict:
     """Conditioning of the double-vanishing constraints on a window.
 
     Stacks the rows selecting u on W with the operator rows producing
-    (A u)|_W, over all non-FAR degrees of freedom, and returns its singular
-    values and the smallest (0 for a wide stack) with its minimizing unit
-    vector.  The minimum is tiny (near-violations exist at fixed h) but the
-    minimizer is a grid artifact: its energy concentrates above the
-    resolvable band.  The complementary number ``smooth_sigma_min``
-    restricts candidates to operator eigenvectors with energy at most the
-    half-Nyquist energy (pi/(4h))^(2s); for smooth candidates the
-    constraints are far from degenerate, which is the discrete residue of
-    the uniqueness property.
+    (A u)|_W, over all non-FAR degrees of freedom, and returns the stack's
+    singular values (one per degree of freedom for a tall stack, fewer for a
+    wide one, which has exact double-vanishers).  The smallest of them is
+    rounding at fixed h: near-violations exist, made of grid-scale vectors.
+    ``smooth_sigma_min`` restricts candidates to operator eigenvectors with
+    energy at most the half-Nyquist energy (pi/(4h))^(2s); for smooth
+    candidates the constraints are far from degenerate, which is the discrete
+    residue of the uniqueness property.
     The smooth candidates need the whole matrix (N_nf^2 doubles) and its full
     ``eigh``, so this study suits grids of a few thousand non-FAR nodes.
     """
@@ -167,12 +145,6 @@ def ucp_conditioning(op: FracOperator, W) -> dict:
     sel[np.arange(len(w_pos)), w_pos] = 1.0
     C = np.vstack([sel, op.block(w_nodes, nf)])
 
-    _, sv, Vt = linalg.svd(C, full_matrices=True)
-    minimizer = Vt[-1]
-    # a wide stack has exact double-vanishers: sigma_min is the structural
-    # zero, and the last singular value the conditioning of the row functionals
-    sigma_min = float(sv[-1]) if C.shape[0] >= C.shape[1] else 0.0
-
     norm_cap = (np.pi / (4.0 * grid.h)) ** (2.0 * op.s)
     evals, evecs = linalg.eigh(op.matrix)
     keep = evals <= norm_cap
@@ -182,9 +154,4 @@ def ucp_conditioning(op: FracOperator, W) -> dict:
         smooth_sigma_min = float(sv_smooth[-1]) if V.shape[1] <= C.shape[0] else 0.0
     else:
         smooth_sigma_min = float("inf")
-    return {
-        "sigma_min": sigma_min,
-        "minimizer": minimizer,
-        "singular_values": sv,
-        "smooth_sigma_min": smooth_sigma_min,
-    }
+    return {"singular_values": linalg.svdvals(C), "smooth_sigma_min": smooth_sigma_min}

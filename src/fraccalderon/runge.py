@@ -40,8 +40,10 @@ class RungeResult:
     condition: float
 
     @property
-    def relative_residual(self):    # the residual over the target's weighted norm
-        return self.residual / self.target_norm
+    def relative_residual(self):
+        """The residual over the target's weighted norm, per target column;
+        a zero target's is its absolute residual."""
+        return self.residual / np.where(self.target_norm > 0, self.target_norm, 1.0)
 
 
 def control_to_interior_matrix(sys: DirichletSystem, window) -> np.ndarray:

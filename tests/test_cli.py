@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -93,18 +94,25 @@ def test_invert_manifest_records_stage_seconds(tmp_path):
 
 
 def test_invert_manifest_records_systems_and_iterations(tmp_path):
-    # each assembled system's factorization and rcond, and each iteration's
-    # weight, data norm and step norm, identical across two runs
+    # each assembled system's factorization, rcond and 1-norm, and each
+    # iteration's weight, data norm and step norm, identical across two runs;
+    # the reference's 1-norm is that of its gathered matrix
     cfg = small_invert_config()
     manifests = [run(cfg, output_dir=str(tmp_path / name))[1] for name in "ab"]
+    grid, op = _build(cfg)
+    sys_ref = assemble_system(op, potential_from_spec(grid, cfg["potential_ref"]))
     for man in manifests:
         assert set(man["systems"]) == {"reference", "true"}
+        assert man["systems"]["reference"]["anorm"] == sys_ref.anorm
+        assert sys_ref.anorm == pytest.approx(np.linalg.norm(sys_ref.interior_matrix, 1),
+                                              rel=1e-14)
         assert len(man["iterations"]) == cfg["invert"]["iterations"]
         facts = list(man["systems"].values()) + [
             t for it in man["iterations"] for t in it["trials"]]
         assert len(facts) >= 2 + len(man["iterations"])
         for fact in facts:
             assert fact["factorization"] in ("cholesky", "lu") and fact["rcond"] > 0
+            assert fact["anorm"] > 0
         for it in man["iterations"]:
             assert it["beta"] > 0 and it["data_norm"] > 0 and it["step_norm"] >= 0
             # the step halved before the accepted trial (4: every trial
@@ -361,8 +369,8 @@ def test_manifest_records_blas_threads_in_force(tmp_path, monkeypatch):
 
 
 def test_extend_smooth_ucp_gate(tmp_path):
-    # on the committed config sigma_min over all candidates reads 1.6e-15,
-    # the smooth candidates' 1.16e-8; at h = 0.01 the smooth candidates
+    # on the committed config the stack's smallest singular value reads
+    # 6.9e-19, the smooth candidates' 1.16e-8; at h = 0.01 the smooth candidates
     # double and their sigma_min falls to 7e-14, which the floor rejects
     cfg = load_config("extend_desk1d.json")
     for h, code_want in ((0.02, 0), (0.01, 1)):
@@ -550,6 +558,20 @@ def test_every_gate_passes_below_its_threshold(name, edit, code_want, absent, tm
     assert code == code_want
 
 
+def test_zero_runge_target_reaches_zero_residual(tmp_path):
+    # the zero control reaches a zero target exactly: the relative residual
+    # of a zero target is its absolute residual, 0, with no divide warning
+    cfg = load_config("runge_desk1d.json")
+    grid, _ = _build(cfg)
+    cfg["runge"]["target"] = [0.0] * len(grid.interior)
+    with warnings.catch_warnings(record=True):     # the manifest records each one
+        warnings.simplefilter("always")
+        code, manifest = run(cfg, output_dir=str(tmp_path))
+    assert code == 0
+    assert manifest["gates"]["final_residual"]["value"] == 0.0
+    assert "RuntimeWarning" not in [w["category"] for w in manifest["warnings"]]
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_runge_sign_target(dim, tmp_path, monkeypatch):
     # runge.target "sign" is the sign of each interior node's first
@@ -644,7 +666,7 @@ def test_error_module_named_under_python_m(tmp_path):
     ("invert_desk1d.json", "fraccalderon.calderon", "_solve_regularized",
      "fraccalderon.calderon"),
     ("diffuse_desk1d.json", "fraccalderon.diffusion", "eigh", "fraccalderon.diffusion"),
-    ("extend_desk1d.json", "scipy.linalg", "svd", "fraccalderon.extension"),
+    ("extend_desk1d.json", "scipy.linalg", "svdvals", "fraccalderon.extension"),
     ("spectrum_desk1d.json", "scipy.linalg", "eigh", "fraccalderon.dirichlet"),
 ])
 def test_lapack_failure_exits_4_with_its_manifest(name, module, attr, where, tmp_path,
@@ -726,6 +748,31 @@ def test_committed_config_runs_through_main(committed_run):
     assert sorted(stages) == sorted(["assembly", *work, "output"])
     assert all(seconds > 0 for seconds in stages.values())
     assert sum(stages.values()) <= manifest["wall_time_s"]
+
+
+def _readme_gates() -> dict:
+    """Pipeline -> the gate names of its rows in README's gates table."""
+    lines = (CONFIG_DIR.parent / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| pipeline | gate |"))
+    gates = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        pipeline, gate = (re.match(r"`([^`]+)`", cell.strip()).group(1)
+                          for cell in line.split("|")[1:3])
+        gates.setdefault(pipeline, set()).add(gate)
+    return gates
+
+
+def test_readme_gates_table_matches_the_committed_runs(committed_run):
+    # README's gates table lists exactly the gates the committed configs
+    # record: it names the committed configs' pipelines, and each config
+    # records its pipeline's rows
+    cfg, _, _, manifest = committed_run
+    table = _readme_gates()
+    assert set(table) == {json.loads(path.read_text())["pipeline"]
+                          for path in CONFIG_DIR.glob("*.json")}
+    assert set(manifest["gates"]) == table[cfg["pipeline"]]
 
 
 def test_committed_config_csv_files(committed_run):
