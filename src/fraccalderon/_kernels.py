@@ -56,26 +56,24 @@ def _fortran(x: np.ndarray):
 
 
 def matmul(a, b) -> np.ndarray:
-    """``a @ b`` through scipy's BLAS (dgemm, dgemv or ddot), for 1D or 2D
-    float operands.  C- or Fortran-ordered operands are passed as views with
-    a transpose flag, never copied; a 2D product comes back Fortran-ordered."""
+    """``a @ b`` through scipy's BLAS (dgemm, dgemv or ddot), for float
+    operands of which ``a`` is 2D unless both are 1D.  C- or Fortran-ordered
+    operands are passed as views with a transpose flag, never copied; a 2D
+    product comes back Fortran-ordered."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"matmul: shapes {a.shape} and {b.shape} do not align")
+    if a.shape[-1] != b.shape[0] or a.ndim < b.ndim:
+        raise ValueError(f"matmul: shapes {a.shape} and {b.shape} do not align "
+                         f"(a is 2D unless b is 1D)")
     shape = a.shape[:-1] + b.shape[1:]
     if a.size == 0 or b.size == 0:
         # the BLAS wrappers reject empty vectors
         return np.zeros(shape)
     if a.ndim == 1 and b.ndim == 1:
         return blas.ddot(a, b)
-    if b.ndim == 1:
-        f, t = _fortran(a)
-        return blas.dgemv(1.0, f, b, trans=t)
-    if a.ndim == 1:
-        f, t = _fortran(b)
-        return blas.dgemv(1.0, f, a, trans=1 - t)
     fa, ta = _fortran(a)
+    if b.ndim == 1:
+        return blas.dgemv(1.0, fa, b, trans=ta)
     fb, tb = _fortran(b)
     return blas.dgemm(1.0, fa, fb, trans_a=ta, trans_b=tb)
 

@@ -58,38 +58,41 @@ def potential_from_spec(grid: Grid, spec) -> Potential:
            {"type": "nodes", "values": [...]} (one value per interior node;
             another count raises ``ConfigError``),
            {"type": "csv", "path": p} (see ``potential_from_csv``);
-    a bare number is a constant.
+    a bare number is a constant.  Non-finite values raise ``ConfigError``.
     """
     x = grid.coords[grid.interior]
     if isinstance(spec, (int, float)):
         spec = {"type": "constant", "value": float(spec)}
     kind = spec["type"]
+    if kind == "csv":
+        return potential_from_csv(grid, spec["path"])
     if kind == "constant":
-        return Potential(grid, np.full(len(x), float(spec["value"])))
-    if kind in ("gaussian", "two_bump"):
-        vals = np.zeros(len(x))
+        values = np.full(len(x), float(spec["value"]))
+    elif kind in ("gaussian", "two_bump"):
+        values = np.zeros(len(x))
         for bump in spec["bumps"] if kind == "two_bump" else [spec]:
             c = np.atleast_1d(np.asarray(bump.get("center", 0.0), dtype=float))
             w = float(bump["width"])
             r2 = np.sum((x - c[None, :]) ** 2, axis=1)
-            vals += float(bump["amplitude"]) * np.exp(-r2 / (2.0 * w * w))
-        return Potential(grid, vals)
-    if kind == "nodes":
+            values += float(bump["amplitude"]) * np.exp(-r2 / (2.0 * w * w))
+    elif kind == "nodes":
         values = np.asarray(spec["values"], dtype=float)
         if values.shape != (len(x),):
             raise ConfigError(f"a nodes potential needs {len(x)} values, one per "
                               f"interior node; got {values.size}")
-        return Potential(grid, values)
-    if kind == "csv":
-        return potential_from_csv(grid, spec["path"])
-    raise DomainError(f"unknown potential family {kind!r}")
+    else:
+        raise DomainError(f"unknown potential family {kind!r}")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"the {kind} potential has non-finite values")
+    return Potential(grid, values)
 
 
 def potential_from_csv(grid: Grid, path: str) -> Potential:
     """Read interior node values from CSV rows of ``index,value`` after one
     header line; nodes not listed are zero.  A file that cannot be read or
-    parsed, that has no rows or not two columns, or an index that is not an
-    integer in [0, n_int) or that repeats, raises ``ConfigError``."""
+    parsed, that has no rows or not two columns, an index that is not an
+    integer in [0, n_int) or that repeats, or a value that is not finite,
+    raises ``ConfigError``."""
     try:
         with warnings.catch_warnings():
             # a file without rows is refused below, not warned about
@@ -108,6 +111,8 @@ def potential_from_csv(grid: Grid, path: str) -> Potential:
                           f"interior node index, an integer in [0, {n_int})")
     if len(np.unique(index)) < len(index):
         raise ConfigError(f"{path}: potential indices repeat")
+    if not np.all(np.isfinite(data[:, 1])):
+        raise ConfigError(f"{path}: potential values must be finite")
     values = np.zeros(n_int)
     values[index.astype(np.int64)] = data[:, 1]
     return Potential(grid, values)

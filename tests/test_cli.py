@@ -1,3 +1,5 @@
+import copy
+import inspect
 import io
 import json
 import math
@@ -18,6 +20,7 @@ from jsonschema.validators import validator_for
 from fraccalderon import build_grid
 from fraccalderon.cli import (CONFIG_SCHEMA, PIPELINES, TOLERANCES, UCP_SMOOTH_FLOOR, _build,
                               main, run, validate_config)
+from fraccalderon.calderon import reconstruct_potential
 from fraccalderon.dirichlet import assemble_system, dirichlet_spectrum, potential_from_spec
 from fraccalderon.dnmap import assemble_dn
 from fraccalderon.errors import ConfigError, IllConditionedWarning
@@ -53,6 +56,11 @@ def test_schema_rejects_unknown_keys():
     cfg = small_invert_config()
     cfg["grid"]["shape"] = "weird"
     with pytest.raises(ConfigError):
+        validate_config(cfg)
+    # extend's ladder is the one trace_ladder works out from h
+    cfg = load_config("extend_desk1d.json")
+    cfg["extend"] = {"levels": [0.1, 0.2]}
+    with pytest.raises(ConfigError, match=r"^extend: .*\('levels' was unexpected\)"):
         validate_config(cfg)
 
 
@@ -437,9 +445,13 @@ def test_main_invalid_config_exit_2(tmp_path, capsys):
             W1={"type": "interval", "bounds": [1.501, 1.502]}), [], "captured zero nodes"),
         (lambda cfg: cfg.update(source_window="W9"), [], "unknown region or window 'W9'"),
         (lambda cfg: cfg["grid"].update(dim=0), [], "0 is less than the minimum of 1"),
-        # json writes and reads the token NaN, which no schema bound rejects
+        # json writes and reads the token NaN, which the schema's finite
+        # numbers refuse
         (lambda cfg: cfg["noise"].update(sigma=float("nan")), [],
-         "noise.sigma: NaN and infinite numbers are refused"),
+         "noise.sigma: nan is not of type 'number'"),
+        # an integer beyond the double range would overflow float()
+        (lambda cfg: cfg["potential_true"].update(amplitude=10**400), [],
+         "potential_true.amplitude: 1000"),
     ]
     for k, (edit, sets, message) in enumerate(cases):
         cfg = small_invert_config()
@@ -631,7 +643,7 @@ def test_failing_run_writes_its_manifest(tmp_path, capsys):
     ("runge_desk1d.json", "runge.target=[1,2,3]", "runge.target"),
     ("runge_desk1d.json", "runge.target=sgn", "runge.target"),
     ("diffuse_desk1d.json", 'diffuse.t_values=[0.1,"x"]', "diffuse.t_values[1]"),
-    ("extend_desk1d.json", 'extend.levels=["a"]', "extend.levels[0]"),
+    ("extend_desk1d.json", "extend.ucp_window=1", "extend.ucp_window"),
     ("runge_desk1d.json", "runge.alphas=[-1e-3]", "runge.alphas[0]"),
     ("invert_desk1d_constructive.json", "invert.alpha=-1", "invert.alpha"),
     ("invert_desk1d.json", "grid.h=NaN", "grid.h"),
@@ -709,8 +721,7 @@ def _csv_shapes(cfg, grid) -> dict:
         times = cfg.get("diffuse", {}).get("t_values", [0.1, 0.5, 1.0, 2.0, 5.0])
         return {"decay.csv": (len(times), 2)}
     if pipeline == "extend":
-        levels = cfg.get("extend", {}).get("levels", trace_ladder(grid.h))
-        return {"extension_field.csv": (grid.n_nodes * len(levels), 3)}
+        return {"extension_field.csv": (grid.n_nodes * len(trace_ladder(grid.h)), 3)}
     if pipeline == "dnmap":
         src, obs = (len(grid.indices_of(cfg.get(key, default))) for key, default in
                     (("source_window", "W1"), ("observation_window", "W2")))
@@ -927,7 +938,8 @@ def test_config_schema_is_a_valid_schema():
     (lambda cfg: cfg.update(s="0.5"), "'0.5' is not of type 'number'"),
 ])
 def test_config_error_messages(edit, message):
-    # the first line of the error jsonschema.validate raises, as before
+    # the first line of the error jsonschema.validate raises, after the
+    # path of its key, top-level keys included
     cfg = small_invert_config()
     edit(cfg)
     with pytest.raises(jsonschema.ValidationError) as ref:
@@ -935,7 +947,8 @@ def test_config_error_messages(edit, message):
     assert str(ref.value).splitlines()[0] == message
     with pytest.raises(ConfigError) as exc:
         validate_config(cfg)
-    assert str(exc.value) == message
+    where = ".".join(ref.value.absolute_path)
+    assert str(exc.value) == (f"{where}: " if where else "") + message
 
 
 def _main_on(cfg, tmp_path, capsys):
@@ -964,10 +977,13 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
 
 
 def test_invert_without_potential_true_exits_2(tmp_path, capsys):
-    # the positional pipeline replaces the config's, and invert has no
-    # default truth to reconstruct
-    code = main(["invert", "--config", str(CONFIG_DIR / "spectrum_desk1d.json"),
-                 "--output-dir", str(tmp_path / "out")])
+    # a config that names no pipeline runs the positional one, and invert
+    # has no default truth to reconstruct
+    cfg = load_config("spectrum_desk1d.json")
+    del cfg["pipeline"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["invert", "--config", str(path), "--output-dir", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == "CONFIG_INVALID: 'potential_true' is a required property\n"
 
@@ -990,6 +1006,143 @@ def test_potential_csv_without_index_value_rows_exits_2(text, tmp_path, capsys):
     code, err = _main_on(cfg, tmp_path, capsys)
     assert code == 2
     assert "CONFIG_INVALID" in err and "index,value" in err
+
+
+def test_overflowing_potential_exits_2_with_its_manifest(tmp_path, capsys):
+    # two bumps of amplitude 1e308 add to infinity: a config fault, recorded
+    # in the manifest, not a crash with exit 1
+    out = tmp_path / "out"
+    bumps = [{"amplitude": 1e308, "width": 1}] * 2
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["spectrum", "--config", str(CONFIG_DIR / "spectrum_desk1d.json"),
+                     "--output-dir", str(out),
+                     "--set", "potential=" + json.dumps({"type": "two_bump", "bumps": bumps})])
+    assert code == 2
+    assert "the two_bump potential has non-finite values" in capsys.readouterr().err
+    error = json.loads((out / "manifest.json").read_text())["error"]
+    assert error["code"] == "CONFIG_INVALID" and error["module"] == "fraccalderon.dirichlet"
+    # so does a value that is not finite in a potential CSV
+    path = tmp_path / "q.csv"
+    path.write_text("index,value\n0,nan\n")
+    cfg = small_invert_config()
+    cfg["potential_true"] = {"type": "csv", "path": str(path)}
+    code, err = _main_on(cfg, tmp_path, capsys)
+    assert code == 2 and "potential values must be finite" in err
+
+
+def test_config_of_another_pipeline_exits_2(tmp_path, capsys):
+    # the positional pipeline does not replace the one the config names
+    out = tmp_path / "out"
+    code = main(["spectrum", "--config", str(CONFIG_DIR / "dnmap_desk1d.json"),
+                 "--output-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == ("CONFIG_INVALID: the config runs pipeline 'dnmap', "
+                                       "not the 'spectrum' asked for\n")
+    assert not out.exists()
+
+
+def test_invert_keys_are_reconstruct_potential_keywords():
+    # the invert pipeline passes its config section on as keywords
+    params = list(inspect.signature(reconstruct_potential).parameters)
+    assert params[:2] == ["meas", "sys_ref"]
+    assert sorted(CONFIG_SCHEMA["properties"]["invert"]["properties"]) == sorted(params[2:])
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_unknown_tolerance_exits_2(pipeline, tmp_path, capsys):
+    cfg = _committed_config(pipeline)
+    cfg["tolerances"] = {**cfg.get("tolerances", {}), "no_such_gate": 0.1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main([pipeline, "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("CONFIG_INVALID: tolerances: 'no_such_gate' ")
+
+
+def _numeric_leaves(schema, path=()):
+    """The paths at which ``schema`` admits a number or an integer: object
+    keys, ``0`` for an array item, ``"*"`` for any key of an object, and
+    ``("family", kind)`` after the key of an object of family ``kind``."""
+    types = schema.get("type", [])
+    if {"number", "integer"} & set([types] if isinstance(types, str) else types):
+        yield path
+    for key, sub in schema.get("properties", {}).items():
+        yield from _numeric_leaves(sub, path + (key,))
+    if isinstance(schema.get("additionalProperties"), dict):
+        yield from _numeric_leaves(schema["additionalProperties"], path + ("*",))
+    if "items" in schema:
+        yield from _numeric_leaves(schema["items"], path + (0,))
+    for clause in schema.get("allOf", []):
+        kind = clause["if"]["properties"].get("type", {}).get("const")
+        yield from _numeric_leaves(clause["then"], path + ((("family", kind),) if kind else ()))
+
+
+# one schema-valid object of each family with numbers, to write them into
+_FAMILIES = {
+    "interval": {"type": "interval", "bounds": [1.5, 1.6]},
+    "disc": {"type": "disc", "center": [1.5], "radius": 0.1},
+    "rect": {"type": "rect", "bounds": [[1.5, 1.6]]},
+    "constant": {"type": "constant", "value": 0.5},
+    "gaussian": {"type": "gaussian", "amplitude": 0.5, "width": 0.2, "center": [0.0]},
+    "two_bump": {"type": "two_bump",
+                 "bumps": [{"amplitude": 0.5, "width": 0.2, "center": [0.0]}]},
+    "nodes": {"type": "nodes", "values": [0.5]},
+}
+
+# the pipeline whose committed config reads a top-level key; invert's
+# reads every other key with numbers
+_READER = {"potential": "spectrum", "potential_ref": "dnmap", "runge": "runge-sweep",
+           "diffuse": "diffuse", "pad_factor": "validate-op"}
+
+
+def _put(node, path, value):
+    """Write ``value`` at ``path`` in ``node``, making the objects, the
+    non-empty arrays and the family members the path passes through."""
+    for key, nxt in zip(path, path[1:]):
+        if isinstance(key, tuple):          # the family member is in place
+            continue
+        if isinstance(nxt, tuple):
+            node[key] = copy.deepcopy(_FAMILIES[nxt[1]])
+        elif isinstance(node, dict) and isinstance(nxt, int):
+            if not (isinstance(node.get(key), list) and node[key]):
+                node[key] = [0.5]
+        elif isinstance(node, dict):
+            node.setdefault(key, {})
+        node = node[key]
+    node[path[-1]] = value
+
+
+def test_every_number_in_a_config_refuses_nan_and_infinities(tmp_path, capsys):
+    # NaN, Infinity and -Infinity, the tokens Python's json reads, at every
+    # place the schema admits a number, in a config of a pipeline that
+    # reads it: exit 2 with a message that starts with the key's path
+    cases = []
+    for leaf in _numeric_leaves(CONFIG_SCHEMA):
+        # any window is W1; any gate is each gate of each pipeline
+        leaf = tuple("W1" if key == "*" else key for key in leaf[:-1]) + leaf[-1:]
+        if leaf == ("tolerances", "*"):
+            cases += [(pipeline, ("tolerances", gate)) for pipeline in PIPELINES
+                      for gate in TOLERANCES[pipeline]]
+        else:
+            cases.append((_READER.get(leaf[0], "invert"), leaf))
+    families = {key[1] for _, leaf in cases for key in leaf if isinstance(key, tuple)}
+    assert families == set(_FAMILIES) and len(cases) > 50
+    failed = []
+    for k, (pipeline, leaf) in enumerate(cases):
+        where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                        for key in leaf if not isinstance(key, tuple))[1:]
+        for value in (math.nan, math.inf, -math.inf):
+            cfg = _committed_config(pipeline)
+            _put(cfg, leaf, value)
+            path = tmp_path / f"cfg{k}.json"
+            path.write_text(json.dumps(cfg))
+            code = main([pipeline, "--config", str(path),
+                         "--output-dir", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            if code != 2 or not err.startswith(f"CONFIG_INVALID: {where}: "):
+                failed.append((pipeline, where, value, code, err))
+    assert failed == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_invert_run_imports_no_scipy_sparse(tmp_path):
