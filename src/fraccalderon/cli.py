@@ -8,8 +8,11 @@ settings and the thread counts in force, wall time, the wall seconds of each
 stage (``stage_s``: ``assembly``, ``compute`` and ``output``; ``invert``
 splits ``compute`` into ``measurement`` and ``reconstruction``), produced
 files and the warnings shown during the pipeline (``warnings``: category
-and message, also printed to stderr), and exits 0 only if all configured
-tolerance gates pass (1: gate failure, 2: invalid config, 4: numeric error).
+and message, also printed to stderr), and exits 0 only if every gate passes
+(1: gate failure, 2: invalid config, 4: numeric error).  The gates'
+thresholds are the program's (``TOLERANCES`` and the constants beside their
+gates); a config sets one alone, ``tolerances.reconstruction_error`` of
+``invert``.
 A run that raises a package error still writes its manifest, with
 ``error`` (code, message and the module that raised it), no files, and the
 stages and records set before the raise.
@@ -20,8 +23,8 @@ Newton iteration's penalty weight, data norm, step norm and step halvings
 
 ``run`` is the frame of every pipeline: it builds the grid and operator,
 hands them to the pipeline with the gate report, times the stages and
-writes the files the pipeline returns, ``{name: (header, rows)}`` (a dict
-of arrays for a ``.npz``).
+writes the files the pipeline returns, ``{name: (header, rows)}``, each a
+CSV.
 """
 
 from __future__ import annotations
@@ -59,16 +62,17 @@ from .runge import DEFAULT_ALPHAS, alpha_sweep
 PIPELINES = ("validate-op", "spectrum", "dnmap", "runge-sweep", "invert",
              "extend", "diffuse")
 
-# pipeline -> the gate thresholds it reads from ``tolerances`` -> default;
-# a pair is the default in 1D and in more dimensions
+# gate thresholds; a pair is the threshold in 1D and in more dimensions.
+# reconstruction_error is the default of the one a config may set
 TOLERANCES = {
-    "validate-op": {"oracle_agreement": (5e-3, 2e-2)},
-    "spectrum": {},
-    "dnmap": {"identity": 1e-12, "identity_loose": 1e-10},
-    "runge-sweep": {"runge_residual": 0.10},
-    "invert": {"reconstruction_error": 0.15},
-    "extend": {"trace_identity": 5e-3},
-    "diffuse": {"semigroup": 1e-12, "richardson_band": 0.3},
+    "oracle_agreement": (5e-3, 2e-2),           # validate-op
+    "identity": 1e-12,                          # dnmap
+    "identity_loose": 1e-10,                    # dnmap
+    "runge_residual": 0.10,                     # runge-sweep
+    "reconstruction_error": 0.15,               # invert
+    "trace_identity": 5e-3,                     # extend
+    "semigroup": 1e-12,                         # diffuse
+    "richardson_band": 0.3,                     # diffuse
 }
 
 
@@ -161,25 +165,25 @@ CONFIG_SCHEMA = {
                                   "iterations": {"type": "integer", "minimum": 1},
                                   "alpha": {"type": "number", "minimum": 0},
                                   "n_targets": {"type": "integer", "minimum": 1},
-                                  "runge_gate": {"type": "number"},
-                                  "clean_beta": {"type": "number"}}},
+                                  "runge_gate": {"type": "number", "exclusiveMinimum": 0},
+                                  "clean_beta": {"type": "number", "exclusiveMinimum": 0}}},
         "extend": {"type": "object", "additionalProperties": False,
                    "properties": {"ucp_window": {"type": "string"}}},
         "diffuse": {"type": "object", "additionalProperties": False,
-                    "properties": {"t_values": {"type": "array", "items": _NUMBER}}},
-        "operator_export": {"enum": ["none", "csv", "npz"]},
+                    "properties": {"t_values": {"type": "array",
+                                                "items": {"type": "number", "minimum": 0}}}},
         "pad_factor": {"type": "integer", "minimum": 4},
-        "tolerances": {"type": "object", "additionalProperties": _NUMBER},
+        "tolerances": {"type": "object", "additionalProperties": False,
+                       "properties": {"reconstruction_error": _NUMBER}},
         "seed": {"type": "integer"},
         "output_dir": {"type": "string"},
     },
-    # per pipeline: the keys of tolerances are the gates it reads, so a
-    # misspelt gate name fails instead of leaving its default in force, and
-    # invert has no default truth to reconstruct
-    "allOf": [{"if": {"properties": {"pipeline": {"const": pipeline}}, "required": ["pipeline"]},
-               "then": {"properties": {"tolerances": {"propertyNames": {"enum": list(gates)}}},
-                        "required": ["potential_true"] if pipeline == "invert" else []}}
-              for pipeline, gates in TOLERANCES.items()],
+    # invert has no default truth to reconstruct, and no other pipeline
+    # reads a threshold from tolerances.  Not the false schema: jsonschema
+    # reports its error without the key's path
+    "if": {"properties": {"pipeline": {"const": "invert"}}, "required": ["pipeline"]},
+    "then": {"required": ["potential_true"]},
+    "else": {"properties": {"tolerances": {"maxProperties": 0}}},
 }
 
 
@@ -206,15 +210,6 @@ def validate_config(cfg: dict) -> None:
     if error is not None:
         where = f"{error.json_path[2:]}: " if error.absolute_path else ""
         raise ConfigError(where + str(error).splitlines()[0]) from error
-
-
-def _tolerances(cfg: dict) -> dict:
-    """The gate thresholds of the config's pipeline: its ``tolerances``, the
-    defaults of ``TOLERANCES`` for the keys it leaves out."""
-    one_d = cfg["grid"]["dim"] == 1
-    defaults = {key: (value[0] if one_d else value[1]) if isinstance(value, tuple) else value
-                for key, value in TOLERANCES[cfg["pipeline"]].items()}
-    return {**defaults, **cfg.get("tolerances", {})}
 
 
 def _config_hash(cfg: dict) -> str:
@@ -260,14 +255,13 @@ AT_MOST_ZERO = float(np.nextafter(0.0, 1.0))
 
 
 class GateReport:
-    """A run's gates, the facts its pipeline records, the wall seconds of its
-    stages, and the thresholds its gates read (``tolerances``)."""
+    """A run's gates, the facts its pipeline records and the wall seconds of
+    its stages."""
 
-    def __init__(self, tolerances: dict):
+    def __init__(self):
         self.gates = {}
         self.records = {}           # pipeline facts copied into the manifest
         self.stage_s = {}
-        self.tolerances = tolerances
         self._last_mark = time.perf_counter()
 
     def mark(self, stage):
@@ -302,11 +296,21 @@ def _spectral(cfg, u):
     return apply_spectral(u, cfg["s"], **pad)
 
 
+def _exterior_window(grid, key, name):
+    """``grid.exterior_window(name)`` for the window a config names at
+    ``key``: a window the grid lacks, or one outside the exterior support,
+    is a fault of that key, and its message starts with the key's path."""
+    try:
+        return grid.exterior_window(name)
+    except ConfigError as exc:
+        raise type(exc)(f"{key}: {exc}") from exc
+
+
 def _pipeline_validate_op(cfg, grid, op, report):
     """Quadrature against the spectral route on smooth bumps, plus symmetry
     and sign gates, through ``FracOperator.apply`` and the offset table: no
-    matrix is gathered but the one ``operator_export`` writes, and the spectral
-    route's padded lattice sets the memory."""
+    matrix is gathered, and the spectral route's padded lattice sets the
+    memory."""
     seed, nf = cfg.get("seed", 0), grid.nonfar
     rows = []
     for i, vals in enumerate(_smooth_bumps(grid, seed)):
@@ -316,18 +320,8 @@ def _pipeline_validate_op(cfg, grid, op, report):
     # the off-diagonal entries are the table's, one per lattice offset d != 0
     report.add("offdiagonal_sign", float(np.max(op.table.ravel()[1:])), 0.0)
     report.add("oracle_agreement", max(rel for _, rel in rows),
-               report.tolerances["oracle_agreement"])
-    outputs = {"operator_check.csv": ("bump,rel_l2_discrepancy", rows)}
-    # the whole matrix, gathered once: N_nf^2 doubles, 193 MB on the 2D
-    # disc at h = 0.05, and several times that as csv text
-    exp = cfg.get("operator_export", "none")
-    if exp == "npz":
-        outputs["operator.npz"] = {"matrix": op.matrix, "tail": op.tail, "s": op.s,
-                                   "cns": op.cns, "nonfar": nf}
-    elif exp == "csv":
-        outputs["operator.csv"] = (f"# fractional operator, s={op.s!r}, cns={op.cns!r}, "
-                                   f"n={len(nf)}", op.matrix)
-    return outputs
+               TOLERANCES["oracle_agreement"][grid.dim > 1])
+    return {"operator_check.csv": ("bump,rel_l2_discrepancy", rows)}
 
 
 # bound of ``_probe_asymmetry``, about 200x its largest value measured (5.1e-17,
@@ -362,33 +356,34 @@ def _pipeline_spectrum(cfg, grid, op, report):
 
 
 def _pipeline_dnmap(cfg, grid, op, report):
-    sys1 = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
     src = cfg.get("source_window", "W1")
     obs = cfg.get("observation_window", "W2")
+    _, w1 = _exterior_window(grid, "source_window", src)
+    _exterior_window(grid, "observation_window", obs)
+    sys1 = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
     dn = assemble_dn(sys1, src, obs)
 
     M = assemble_dn(sys1, "EXTERIOR_SUPPORT", "EXTERIOR_SUPPORT").matrix
     sym = float(np.max(np.abs(M - M.T)) / max(np.max(np.abs(M)), 1e-300))
-    report.add("dn_self_adjointness", sym, report.tolerances["identity"])
+    report.add("dn_self_adjointness", sym, TOLERANCES["identity"])
 
     rng = np.random.default_rng(cfg.get("seed", 0))
     f = np.zeros(len(grid.ext_support))
-    _, w1 = grid.exterior_window(src)
     f[w1] = rng.standard_normal(len(w1))
     # one solve per (system, exterior data) pair: u1 serves every gate below
     u1 = solve_poisson(sys1, f)
     point, Mf = op.apply(u1.values, grid.ext_support), matmul(M, f)   # pointwise and bilinear DN f
     agree = float(np.max(np.abs(Mf - point)) / max(np.max(np.abs(Mf)), 1e-300))
-    report.add("pointwise_vs_bilinear", agree, report.tolerances["identity_loose"])
+    report.add("pointwise_vs_bilinear", agree, TOLERANCES["identity_loose"])
     scale = max(float(np.max(np.abs(point))), 1e-300)
     report.add("decomposition_residual", dn_decomposition_check(op, u1) / scale,
-               report.tolerances["identity_loose"])
+               TOLERANCES["identity_loose"])
 
     sys2 = assemble_system(op, potential_from_spec(grid, cfg.get("potential_ref", 1.0)))
     f2 = rng.standard_normal(len(grid.ext_support))
     out = integral_identity(sys1, sys2, u1, solve_poisson(sys2, f2))
     rel = out["residual"] / max(abs(out["lhs"]), 1e-300)
-    report.add("integral_identity", rel, report.tolerances["identity_loose"])
+    report.add("integral_identity", rel, TOLERANCES["identity_loose"])
     coords = lambda nodes: "; ".join(_format_row(grid.coords[n]) for n in nodes)
     return {"dn_matrix.csv": (f"# source nodes (columns): {coords(dn.source_nodes)}\n"
                               f"# observation nodes (rows): {coords(dn.observation_nodes)}\n"
@@ -399,6 +394,7 @@ def _pipeline_runge(cfg, grid, op, report):
     sys = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
     rcfg = cfg.get("runge", {})
     window = rcfg.get("window", "W1")
+    _exterior_window(grid, "runge.window", window)
     tgt_spec = rcfg.get("target", "constant")
     n_int = len(grid.interior)
     if tgt_spec == "constant":
@@ -419,7 +415,7 @@ def _pipeline_runge(cfg, grid, op, report):
         rise = np.max([b - a * (1 + 1e-9) for a, b in zip(resids, resids[1:])])
         report.add("residual_monotone", rise, AT_MOST_ZERO)
     report.add("final_residual", results[-1].relative_residual,
-               report.tolerances["runge_residual"])
+               TOLERANCES["runge_residual"])
     return {"runge_sweep.csv": ("alpha,residual,control_norm",
                                 [(r.alpha, r.residual, r.control_norm) for r in results])}
 
@@ -428,6 +424,8 @@ def _pipeline_invert(cfg, grid, op, report):
     q_ref = potential_from_spec(grid, cfg.get("potential_ref", 0.0))
     q_true = potential_from_spec(grid, cfg["potential_true"])
     windows = cfg.get("source_window", "W1"), cfg.get("observation_window", "W2")
+    for key, name in zip(("source_window", "observation_window"), windows):
+        _exterior_window(grid, key, name)
     # one Dirichlet factor at a time, each system factored once: the true
     # system is measured on the windows (one window solve) and freed, and
     # the reconstruction assembles the reference from the operator and
@@ -459,7 +457,9 @@ def _pipeline_invert(cfg, grid, op, report):
     diag_rows = [(j, k, r) for j, d in enumerate(out["diagnostics"]["iterations"])
                  for k, r in enumerate(d["runge_residuals"])]
     err = reconstruction_error(est, truth, grid.h ** grid.dim)
-    report.add("reconstruction_error", err, report.tolerances["reconstruction_error"])
+    limit = cfg.get("tolerances", {}).get("reconstruction_error",
+                                          TOLERANCES["reconstruction_error"])
+    report.add("reconstruction_error", err, limit)
     outputs = {"q_estimate.csv": (header, rows)}
     if diag_rows:       # Runge residuals: constructive mode alone computes them
         outputs["residuals.csv"] = ("iteration,target,runge_residual", diag_rows)
@@ -481,10 +481,10 @@ def _pipeline_extend(cfg, grid, op, report):
     vals[grid.far] = 0.0
     u = GridFunction(grid, vals)
     field = cs_extend(u, s, trace_ladder(grid.h))
-    td = trace_derivative(field, s).values[grid.nonfar]
+    td = trace_derivative(field).values[grid.nonfar]
     spec = _spectral(cfg, u).values[grid.nonfar]
     rel = float(norm(td - spec) / norm(spec))
-    report.add("trace_identity", rel, report.tolerances["trace_identity"])
+    report.add("trace_identity", rel, TOLERANCES["trace_identity"])
 
     ucp = ucp_conditioning(op, cfg.get("extend", {}).get("ucp_window", "EXTERIOR_SUPPORT"))
     report.add("ucp_smooth_sigma_min", -ucp["smooth_sigma_min"], -UCP_SMOOTH_FLOOR)
@@ -499,7 +499,7 @@ def _pipeline_diffuse(cfg, grid, op, report):
     sys = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
     rng = np.random.default_rng(cfg.get("seed", 0))
     f = np.zeros(len(grid.ext_support))
-    _, src = grid.exterior_window(cfg.get("source_window", "W1"))
+    _, src = _exterior_window(grid, "source_window", cfg.get("source_window", "W1"))
     f[src] = 1.0
     # the steady state of the clamp f, solved once for every check below
     u_f = solve_poisson(sys, f)
@@ -522,11 +522,11 @@ def _pipeline_diffuse(cfg, grid, op, report):
     b = evolve(sys, a, 0.6, steady=u_f)
     c = evolve(sys, GridFunction(grid, v0), 1.0, steady=u_f)
     semi = float(np.max(np.abs(b.values - c.values)))
-    report.add("semigroup", semi, report.tolerances["semigroup"])
+    report.add("semigroup", semi, TOLERANCES["semigroup"])
 
     cost = dn_cost_check(sys, u_f)
     ratio = cost["deviation"] / max(cost["deviation_half"], 1e-300)
-    report.add("cost_richardson_ratio", abs(ratio - 2.0), report.tolerances["richardson_band"])
+    report.add("cost_richardson_ratio", abs(ratio - 2.0), TOLERANCES["richardson_band"])
     return {"decay.csv": ("t,distance", rows)}
 
 
@@ -584,7 +584,7 @@ def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
     out_dir = Path(output_dir or cfg.get("output_dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    report = GateReport(_tolerances(cfg))
+    report = GateReport()
     outputs, error = {}, None
     # the warnings shown during the pipeline are recorded, then shown as
     # before, also when the pipeline raises
@@ -596,10 +596,7 @@ def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
             if len(report.stage_s) == 1:    # the pipeline marked no stage of its own
                 report.mark("compute")
             for name, table in outputs.items():
-                if name.endswith(".npz"):
-                    np.savez_compressed(out_dir / name, **table)
-                else:
-                    _write_csv(out_dir / name, *table)
+                _write_csv(out_dir / name, *table)
             report.mark("output")
     except FracCalderonError as exc:
         error = exc

@@ -90,17 +90,17 @@ def _lattice_laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def trace_derivative(field: ExtensionField, s: float) -> GridFunction:
+def trace_derivative(field: ExtensionField) -> GridFunction:
     """Recover the operator from the behavior of the extension at the base.
 
     The level expansion of w - u splits into integer powers of y (classical
     Laplacian powers of u, with known coefficients) and a y^(2s) series whose
     leading coefficient carries the operator.  The classical part is
     subtracted using lattice Laplacians, and the y^(2s) series is fit on the
-    smallest levels; the result is -d_s * 2s times the extrapolated constant.
+    smallest levels; the result is -d_s * 2s times the extrapolated constant,
+    s the field's order.
     """
-    if abs(s - field.s) > 0:
-        raise DomainError("order s must match the extension field")
+    s = field.s
     y_all = field.y_levels
     if len(y_all) < 3:
         raise LadderError("need at least 3 levels near zero")

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyRegionError, GeometryError, GridMismatchError, UnknownRegionError
+from .errors import EmptyRegionError, GeometryError, UnknownRegionError
 
 
 class Region(IntEnum):
@@ -124,11 +124,13 @@ class Grid:
     def exterior_window(self, window) -> tuple[np.ndarray, np.ndarray]:
         """Nodes of a window (name, region name or node array) and their
         positions within the exterior support, the column index of exterior
-        data vectors; every node must lie in the exterior support."""
+        data vectors; every node must lie in the exterior support, else
+        ``GeometryError``."""
         nodes = self.indices_of(window)
         es = self.ext_support
         if not np.isin(nodes, es).all():
-            raise GridMismatchError("window nodes must lie in the exterior support region")
+            name = repr(window) if isinstance(window, str) else "nodes"
+            raise GeometryError(f"window {name} must lie in the exterior support region")
         return nodes, np.searchsorted(es, nodes)
 
 

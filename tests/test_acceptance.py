@@ -115,7 +115,7 @@ def test_criterion_4_extension_identity(fine_grid):
     u = GridFunction(fine_grid, vals)
     for s in (0.25, 0.5, 0.75):
         field = cs_extend(u, s, trace_ladder(fine_grid.h))
-        td = trace_derivative(field, s).values[fine_grid.nonfar]
+        td = trace_derivative(field).values[fine_grid.nonfar]
         spec = apply_spectral(u, s, 64).values[fine_grid.nonfar]
         worst = max(worst, np.linalg.norm(td - spec) / np.linalg.norm(spec))
     assert worst <= 5e-3

@@ -517,19 +517,34 @@ def _committed_config(pipeline):
                 if cfg["pipeline"] == pipeline)
 
 
-@pytest.mark.parametrize("pipeline", [p for p in PIPELINES if TOLERANCES[p]])
+# pipeline -> gate -> the key of TOLERANCES that holds its threshold
+_GATE_TOLERANCES = {
+    "validate-op": {"oracle_agreement": "oracle_agreement"},
+    "dnmap": {"dn_self_adjointness": "identity", "pointwise_vs_bilinear": "identity_loose",
+              "decomposition_residual": "identity_loose", "integral_identity": "identity_loose"},
+    "runge-sweep": {"final_residual": "runge_residual"},
+    "invert": {"reconstruction_error": "reconstruction_error"},
+    "extend": {"trace_identity": "trace_identity"},
+    "diffuse": {"semigroup": "semigroup", "cost_richardson_ratio": "richardson_band"},
+}
+
+
+@pytest.mark.parametrize("pipeline", list(_GATE_TOLERANCES))
 def test_every_tolerance_sets_a_gate_threshold(pipeline, tmp_path):
-    # each key of the pipeline's TOLERANCES, set to its own sentinel, is the
-    # threshold of some gate: the table names the thresholds the gates read
-    assert set(TOLERANCES) == set(PIPELINES)
+    # the committed run of each pipeline records the thresholds of
+    # TOLERANCES (a pair's 1D one), invert's unless its config sets one; the
+    # table above names every key of TOLERANCES
+    assert {key for gates in _GATE_TOLERANCES.values() for key in gates.values()} \
+        == set(TOLERANCES)
     cfg = _committed_config(pipeline)
-    sentinels = {key: 0.0123 * (k + 1) for k, key in enumerate(TOLERANCES[pipeline])}
-    cfg["tolerances"] = sentinels
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         _, manifest = run(cfg, output_dir=str(tmp_path))
-    thresholds = [gate["threshold"] for gate in manifest["gates"].values()]
-    assert [key for key, value in sentinels.items() if value not in thresholds] == []
+    want = {}
+    for gate, key in _GATE_TOLERANCES[pipeline].items():
+        value = cfg.get("tolerances", {}).get(key, TOLERANCES[key])
+        want[gate] = value[0] if isinstance(value, tuple) else value   # the grids are 1D
+    assert {gate: manifest["gates"][gate]["threshold"] for gate in want} == want
 
 
 def _resonant(cfg):
@@ -660,6 +675,32 @@ def test_config_typo_exits_2_naming_the_key(name, override, key, tmp_path, capsy
         assert "['constant', 'sign']" in err
 
 
+@pytest.mark.parametrize("name,override,key,error_code", [
+    ("diffuse_desk1d.json", "diffuse.t_values=[-1.0]", "diffuse.t_values[0]", None),
+    ("invert_desk1d_constructive.json", "invert.runge_gate=-1", "invert.runge_gate", None),
+    ("invert_desk1d.json", "invert.clean_beta=-5", "invert.clean_beta", None),
+    ("dnmap_desk1d.json", "source_window=INTERIOR", "source_window", "GEOMETRY"),
+    ("invert_desk1d.json", "observation_window=EXTERIOR_FAR", "observation_window", "GEOMETRY"),
+    ("runge_desk1d.json", "runge.window=INTERIOR", "runge.window", "GEOMETRY"),
+])
+def test_config_fault_exits_2_naming_the_key(name, override, key, error_code, tmp_path, capsys):
+    # a negative time, Runge gate or penalty weight is refused by the schema
+    # before the run, which writes nothing; a window outside the exterior
+    # support is found by the run, whose manifest records the error.  Each
+    # exits 2 (not 4, or a run at a weight raised to the floor) and names
+    # its key first
+    out = tmp_path / "out"
+    code = main([load_config(name)["pipeline"], "--config", str(CONFIG_DIR / name),
+                 "--output-dir", str(out), "--set", override])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"CONFIG_INVALID: {key}: ")
+    if error_code is None:
+        assert not out.exists()
+    else:
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error["code"] == error_code and error["message"].startswith(f"{key}: ")
+
+
 def test_error_module_named_under_python_m(tmp_path):
     # run as ``python -m fraccalderon.cli`` the CLI's frames are ``__main__``;
     # an error raised in cli.py still names fraccalderon.cli
@@ -762,28 +803,34 @@ def test_committed_config_runs_through_main(committed_run):
 
 
 def _readme_gates() -> dict:
-    """Pipeline -> the gate names of its rows in README's gates table."""
+    """Pipeline -> gate -> the threshold cell of its row in README's gates
+    table."""
     lines = (CONFIG_DIR.parent / "README.md").read_text().splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("| pipeline | gate |"))
     gates = {}
     for line in lines[start + 2:]:
         if not line.startswith("|"):
             break
-        pipeline, gate = (re.match(r"`([^`]+)`", cell.strip()).group(1)
-                          for cell in line.split("|")[1:3])
-        gates.setdefault(pipeline, set()).add(gate)
+        cells = re.split(r"(?<!\\)\|", line)[1:-1]        # a cell may hold an escaped \|
+        pipeline, gate = (re.match(r"`([^`]+)`", cell.strip()).group(1) for cell in cells[:2])
+        gates.setdefault(pipeline, {})[gate] = cells[3].strip()
     return gates
 
 
 def test_readme_gates_table_matches_the_committed_runs(committed_run):
     # README's gates table lists exactly the gates the committed configs
     # record: it names the committed configs' pipelines, and each config
-    # records its pipeline's rows
+    # records its pipeline's rows; a threshold the table gives as a plain
+    # number is the one the run records
     cfg, _, _, manifest = committed_run
     table = _readme_gates()
     assert set(table) == {json.loads(path.read_text())["pipeline"]
                           for path in CONFIG_DIR.glob("*.json")}
-    assert set(manifest["gates"]) == table[cfg["pipeline"]]
+    rows = table[cfg["pipeline"]]
+    assert set(manifest["gates"]) == set(rows)
+    plain = {gate: float(cell) for gate, cell in rows.items()
+             if re.fullmatch(r"-?[0-9.]+(e-?[0-9]+)?", cell)}
+    assert {gate: manifest["gates"][gate]["threshold"] for gate in plain} == plain
 
 
 def test_committed_config_csv_files(committed_run):
@@ -814,30 +861,6 @@ def test_committed_config_csv_files(committed_run):
         sys1 = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
         dn = assemble_dn(sys1, cfg.get("source_window", "W1"), cfg.get("observation_window", "W2"))
         assert np.array_equal(tables["dn_matrix.csv"], dn.matrix)
-
-
-@pytest.mark.parametrize("fmt", ["csv", "npz"])
-def test_validate_op_exports_operator(fmt, tmp_path):
-    # the whole matrix with its tail, s, cns and non-FAR nodes as npz, or
-    # as csv under one header line that starts with a single '# '; the
-    # matrix reads back bit for bit
-    cfg = load_config("desk1d_grid.json")
-    cfg["operator_export"] = fmt
-    code, manifest = run(cfg, output_dir=str(tmp_path))
-    assert code == 0 and manifest["files"] == sorted(["operator_check.csv", f"operator.{fmt}"])
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*manifest["files"],
-                                                                 "manifest.json"])
-    _, op = _build(cfg)
-    A = op.matrix
-    if fmt == "npz":
-        data = np.load(tmp_path / "operator.npz")
-        assert np.array_equal(data["matrix"], A) and np.array_equal(data["tail"], op.tail)
-        assert data["s"] == op.s and data["cns"] == op.cns
-        assert np.array_equal(data["nonfar"], op.grid.nonfar)
-    else:
-        lines = (tmp_path / "operator.csv").read_text().splitlines()
-        assert lines[0] == f"# fractional operator, s={op.s!r}, cns={op.cns!r}, n={len(A)}"
-        assert np.array_equal(np.loadtxt(lines[1:], delimiter=","), A)
 
 
 def test_diffuse_solves_poisson_once(tmp_path, monkeypatch):
@@ -1050,13 +1073,21 @@ def test_invert_keys_are_reconstruct_potential_keywords():
 
 @pytest.mark.parametrize("pipeline", PIPELINES)
 def test_unknown_tolerance_exits_2(pipeline, tmp_path, capsys):
-    cfg = _committed_config(pipeline)
-    cfg["tolerances"] = {**cfg.get("tolerances", {}), "no_such_gate": 0.1}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code = main([pipeline, "--config", str(path), "--output-dir", str(tmp_path / "out")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("CONFIG_INVALID: tolerances: 'no_such_gate' ")
+    # tolerances holds invert's reconstruction_error alone: any other key,
+    # and any key on another pipeline, exits 2 before the run, naming
+    # tolerances; a gate's constant threshold cannot be set
+    keys = ["no_such_gate", "semigroup"] + (["reconstruction_error"] if pipeline != "invert"
+                                            else [])
+    for k, key in enumerate(keys):
+        cfg = _committed_config(pipeline)
+        cfg["tolerances"] = {**cfg.get("tolerances", {}), key: 0.1}
+        path = tmp_path / f"cfg{k}.json"
+        path.write_text(json.dumps(cfg))
+        code = main([pipeline, "--config", str(path), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("CONFIG_INVALID: tolerances: "), err
+        assert repr(key) in err
+    assert not (tmp_path / "out").exists()
 
 
 def _numeric_leaves(schema, path=()):
@@ -1118,13 +1149,10 @@ def test_every_number_in_a_config_refuses_nan_and_infinities(tmp_path, capsys):
     # reads it: exit 2 with a message that starts with the key's path
     cases = []
     for leaf in _numeric_leaves(CONFIG_SCHEMA):
-        # any window is W1; any gate is each gate of each pipeline
+        # any window is W1
         leaf = tuple("W1" if key == "*" else key for key in leaf[:-1]) + leaf[-1:]
-        if leaf == ("tolerances", "*"):
-            cases += [(pipeline, ("tolerances", gate)) for pipeline in PIPELINES
-                      for gate in TOLERANCES[pipeline]]
-        else:
-            cases.append((_READER.get(leaf[0], "invert"), leaf))
+        cases.append((_READER.get(leaf[0], "invert"), leaf))
+    assert ("invert", ("tolerances", "reconstruction_error")) in cases
     families = {key[1] for _, leaf in cases for key in leaf if isinstance(key, tuple)}
     assert families == set(_FAMILIES) and len(cases) > 50
     failed = []

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fraccalderon import Region, build_grid
-from fraccalderon.errors import (EmptyRegionError, GeometryError, GridMismatchError,
-                                 UnknownRegionError)
+from fraccalderon.errors import EmptyRegionError, GeometryError, UnknownRegionError
 
 from conftest import make_grid_1d
 
@@ -82,8 +81,11 @@ def test_exterior_window_and_rows():
     for window in ("W1", "EXTERIOR_SUPPORT", g.windows["W2"][::2]):
         nodes, cols = g.exterior_window(window)
         assert np.array_equal(g.ext_support[cols], nodes)
-    for bad in ("INTERIOR", g.far[:2], np.append(g.windows["W1"], g.interior[0])):
-        with pytest.raises(GridMismatchError):
+    # a window outside the exterior support is a fault of the config that
+    # names it, as build_grid finds for a window spec
+    for bad, name in (("INTERIOR", "'INTERIOR'"), (g.far[:2], "nodes"),
+                      (np.append(g.windows["W1"], g.interior[0]), "nodes")):
+        with pytest.raises(GeometryError, match=f"^window {name} must lie in the exterior"):
             g.exterior_window(bad)
     assert np.array_equal(g.nonfar_row[g.nonfar], np.arange(len(g.nonfar)))
     assert np.all(g.nonfar_row[g.far] == -1)

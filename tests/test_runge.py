@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fraccalderon.dirichlet import solve_poisson, solve_source
-from fraccalderon.errors import GridMismatchError, IllConditionedWarning
+from fraccalderon.errors import GeometryError, IllConditionedWarning
 from fraccalderon.runge import alpha_sweep, control_to_interior_matrix, runge_approximate
 
 from conftest import make_grid_1d, window_vector
@@ -130,11 +130,11 @@ def test_large_window_dense_stationarity():
 def test_window_outside_exterior_support_rejected(desk_sys0):
     g = desk_sys0.grid
     nodes = g.interior[:3]
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(GeometryError):
         control_to_interior_matrix(desk_sys0, nodes)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(GeometryError):
         runge_approximate(desk_sys0, nodes, np.ones(len(g.interior)))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(GeometryError):
         adjoint_apply(desk_sys0, np.ones(len(g.interior)), nodes)
 
 
