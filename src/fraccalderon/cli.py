@@ -12,10 +12,12 @@ and message, also printed to stderr), and exits 0 only if every gate passes
 (1: gate failure, 2: invalid config, 4: numeric error).  The gates'
 thresholds are the program's (``TOLERANCES`` and the constants beside their
 gates); a config sets one alone, ``tolerances.reconstruction_error`` of
-``invert``.
-A run that raises a package error still writes its manifest, with
-``error`` (code, message and the module that raised it), no files, and the
-stages and records set before the raise.
+``invert``.  ``extend`` and ``diffuse`` read no keys of their own.
+A run that raises a package error, a config the schema refuses among them,
+still writes its manifest, with ``error`` (code, message and the module
+that raised it), no files, and the stages and records set before the
+raise; only a config whose ``output_dir`` is not a string has nowhere to
+write one.
 An ``invert`` manifest also records how each assembled system was factored,
 its rcond and 1-norm (``systems``; the trial systems per iteration), and each
 Newton iteration's penalty weight, data norm, step norm and step halvings
@@ -104,20 +106,14 @@ _GEOMETRY_SCHEMA = _tagged({
     "rect": ({"bounds": {"type": "array", "items": _PAIR}}, ["bounds"]),
 })
 
-_BUMP = {"amplitude": _NUMBER, "width": _NUMBER,
-         "center": {"type": ["number", "array"], "items": _NUMBER}}
-
 # one family per branch of dirichlet.potential_from_spec; a bare number is a
 # constant (the object keywords do not apply to a number)
 _POTENTIAL_SCHEMA = {**_tagged({
     "constant": ({"value": _NUMBER}, ["value"]),
-    "gaussian": (_BUMP, ["amplitude", "width"]),
-    "two_bump": ({"bumps": {"type": "array",
-                            "items": {"type": "object", "additionalProperties": False,
-                                      "properties": _BUMP,
-                                      "required": ["amplitude", "width"]}}}, ["bumps"]),
+    "gaussian": ({"amplitude": _NUMBER, "width": {"type": "number", "exclusiveMinimum": 0},
+                  "center": {"type": ["number", "array"], "items": _NUMBER}},
+                 ["amplitude", "width"]),
     "nodes": ({"values": {"type": "array", "items": _NUMBER}}, ["values"]),
-    "csv": ({"path": {"type": "string"}}, ["path"]),
 }), "type": ["number", "object"]}
 
 
@@ -167,11 +163,6 @@ CONFIG_SCHEMA = {
                                   "n_targets": {"type": "integer", "minimum": 1},
                                   "runge_gate": {"type": "number", "exclusiveMinimum": 0},
                                   "clean_beta": {"type": "number", "exclusiveMinimum": 0}}},
-        "extend": {"type": "object", "additionalProperties": False,
-                   "properties": {"ucp_window": {"type": "string"}}},
-        "diffuse": {"type": "object", "additionalProperties": False,
-                    "properties": {"t_values": {"type": "array",
-                                                "items": {"type": "number", "minimum": 0}}}},
         "pad_factor": {"type": "integer", "minimum": 4},
         "tolerances": {"type": "object", "additionalProperties": False,
                        "properties": {"reconstruction_error": _NUMBER}},
@@ -204,11 +195,16 @@ def validate_config(cfg: dict) -> None:
     """One pass of ``CONFIG_SCHEMA``, whose numbers are finite; the schema
     itself is checked by the tests, not on every call.  The error raised is
     the one ``jsonschema``'s ``best_match`` picks, in its words, after the
-    path of its key (``runge.alphas[1]: ...``; none for the config itself)."""
+    path of its key (``runge.alphas[1]: ...``; an unexpected key's own path,
+    ``noise.sgma: ...``; none for the config itself)."""
     from jsonschema.exceptions import best_match
     error = best_match(_validator().iter_errors(cfg))
     if error is not None:
-        where = f"{error.json_path[2:]}: " if error.absolute_path else ""
+        path = error.json_path
+        if error.validator == "additionalProperties":
+            known = error.schema.get("properties", {})
+            path += "." + next(k for k in error.instance if k not in known)
+        where = f"{path[2:]}: " if path != "$" else ""
         raise ConfigError(where + str(error).splitlines()[0]) from error
 
 
@@ -486,7 +482,7 @@ def _pipeline_extend(cfg, grid, op, report):
     rel = float(norm(td - spec) / norm(spec))
     report.add("trace_identity", rel, TOLERANCES["trace_identity"])
 
-    ucp = ucp_conditioning(op, cfg.get("extend", {}).get("ucp_window", "EXTERIOR_SUPPORT"))
+    ucp = ucp_conditioning(op, "EXTERIOR_SUPPORT")
     report.add("ucp_smooth_sigma_min", -ucp["smooth_sigma_min"], -UCP_SMOOTH_FLOOR)
     return {"extension_field.csv": ("x,y,w", ((xi, y, w) for y, column in
                                               zip(field.y_levels, field.values.T)
@@ -494,8 +490,11 @@ def _pipeline_extend(cfg, grid, op, report):
             "ucp_singular_values.csv": ("index,sigma", list(enumerate(ucp["singular_values"])))}
 
 
+# the times at which ``diffuse`` records the distance to the steady state
+DECAY_TIMES = (0.1, 0.5, 1.0, 2.0, 5.0)
+
+
 def _pipeline_diffuse(cfg, grid, op, report):
-    dcfg = cfg.get("diffuse", {})
     sys = assemble_system(op, potential_from_spec(grid, cfg.get("potential", 0.0)))
     rng = np.random.default_rng(cfg.get("seed", 0))
     f = np.zeros(len(grid.ext_support))
@@ -505,18 +504,16 @@ def _pipeline_diffuse(cfg, grid, op, report):
     u_f = solve_poisson(sys, f)
     v0 = u_f.values.copy()
     v0[grid.interior] += rng.standard_normal(len(grid.interior))
-    times = dcfg.get("t_values", [0.1, 0.5, 1.0, 2.0, 5.0])
-    rows = decay_series(sys, GridFunction(grid, v0), u_f, times)
+    rows = decay_series(sys, GridFunction(grid, v0), u_f, DECAY_TIMES)
 
     spec = dirichlet_spectrum(sys)
     lam1 = float(spec.eigenvalues[0])
     hn = grid.h ** grid.dim
     d0 = np.sqrt(hn) * norm(v0 - u_f.values)
     # the largest excess of the distance over its spectral bound, beyond a
-    # relative 1e-9 (NaN propagates); no times, no gate
-    if rows:
-        excess = np.max([d - np.exp(-lam1 * t) * d0 * (1 + 1e-9) for t, d in rows])
-        report.add("decay_rate_bound", excess, AT_MOST_ZERO)
+    # relative 1e-9 (NaN propagates)
+    excess = np.max([d - np.exp(-lam1 * t) * d0 * (1 + 1e-9) for t, d in rows])
+    report.add("decay_rate_bound", excess, AT_MOST_ZERO)
 
     a = evolve(sys, GridFunction(grid, v0), 0.4, steady=u_f)
     b = evolve(sys, a, 0.6, steady=u_f)
@@ -578,10 +575,14 @@ def _raising_module(exc: BaseException) -> str:
 
 def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
     """Execute one pipeline; returns (exit code, manifest).  A package error,
-    or a LAPACK error as ``LinAlgFailError``, is raised again after the
-    manifest records it."""
-    validate_config(cfg)
-    out_dir = Path(output_dir or cfg.get("output_dir", "out"))
+    a config the schema refuses among them, or a LAPACK error as
+    ``LinAlgFailError``, is raised again after the manifest records it.  An
+    ``output_dir`` that is not a string is refused with no manifest: there
+    is nowhere to write one."""
+    out_dir = output_dir or cfg.get("output_dir", "out")
+    if not isinstance(out_dir, str):
+        validate_config(cfg)
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     report = GateReport()
@@ -590,6 +591,7 @@ def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
     # before, also when the pipeline raises
     try:
         with warnings.catch_warnings(record=True) as caught:
+            validate_config(cfg)
             grid, op = _build(cfg)
             report.mark("assembly")
             outputs = _RUNNERS[cfg["pipeline"]](cfg, grid, op, report)
@@ -609,7 +611,7 @@ def run(cfg: dict, output_dir: str = None) -> tuple[int, dict]:
         "schema_version": 1,
         "package_version": __version__,
         "config_hash": _config_hash(cfg),
-        "pipeline": cfg["pipeline"],
+        "pipeline": cfg.get("pipeline"),
         "seed": cfg.get("seed", 0),
         "gates": report.gates,
         **report.records,

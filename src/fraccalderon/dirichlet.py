@@ -22,7 +22,6 @@ gather A anew.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,31 +49,27 @@ class Potential:
 
 
 def potential_from_spec(grid: Grid, spec) -> Potential:
-    """Built-in parametric families plus explicit node values.
+    """A constant, one gaussian bump, or explicit node values.
 
     Specs: {"type": "constant", "value": v},
-           {"type": "gaussian", "amplitude": a, "center": c, "width": w},
-           {"type": "two_bump", "bumps": [gaussian-like dicts]},
+           {"type": "gaussian", "amplitude": a, "center": c, "width": w}
+            (center defaults to the origin; the config schema requires
+            w > 0),
            {"type": "nodes", "values": [...]} (one value per interior node;
-            another count raises ``ConfigError``),
-           {"type": "csv", "path": p} (see ``potential_from_csv``);
+            another count raises ``ConfigError``);
     a bare number is a constant.  Non-finite values raise ``ConfigError``.
     """
     x = grid.coords[grid.interior]
     if isinstance(spec, (int, float)):
         spec = {"type": "constant", "value": float(spec)}
     kind = spec["type"]
-    if kind == "csv":
-        return potential_from_csv(grid, spec["path"])
     if kind == "constant":
         values = np.full(len(x), float(spec["value"]))
-    elif kind in ("gaussian", "two_bump"):
-        values = np.zeros(len(x))
-        for bump in spec["bumps"] if kind == "two_bump" else [spec]:
-            c = np.atleast_1d(np.asarray(bump.get("center", 0.0), dtype=float))
-            w = float(bump["width"])
-            r2 = np.sum((x - c[None, :]) ** 2, axis=1)
-            values += float(bump["amplitude"]) * np.exp(-r2 / (2.0 * w * w))
+    elif kind == "gaussian":
+        c = np.atleast_1d(np.asarray(spec.get("center", 0.0), dtype=float))
+        w = float(spec["width"])
+        r2 = np.sum((x - c[None, :]) ** 2, axis=1)
+        values = float(spec["amplitude"]) * np.exp(-r2 / (2.0 * w * w))
     elif kind == "nodes":
         values = np.asarray(spec["values"], dtype=float)
         if values.shape != (len(x),):
@@ -84,37 +79,6 @@ def potential_from_spec(grid: Grid, spec) -> Potential:
         raise DomainError(f"unknown potential family {kind!r}")
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"the {kind} potential has non-finite values")
-    return Potential(grid, values)
-
-
-def potential_from_csv(grid: Grid, path: str) -> Potential:
-    """Read interior node values from CSV rows of ``index,value`` after one
-    header line; nodes not listed are zero.  A file that cannot be read or
-    parsed, that has no rows or not two columns, an index that is not an
-    integer in [0, n_int) or that repeats, or a value that is not finite,
-    raises ``ConfigError``."""
-    try:
-        with warnings.catch_warnings():
-            # a file without rows is refused below, not warned about
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read the potential CSV: {exc}") from exc
-    if data.shape[0] == 0 or data.shape[1] != 2:
-        raise ConfigError(f"{path}: the potential CSV needs rows of index,value after "
-                          f"its header; got {data.shape[0]} rows of {data.shape[1]} columns")
-    n_int = len(grid.interior)
-    index = data[:, 0]
-    bad = (index != np.floor(index)) | (index < 0) | (index >= n_int)
-    if np.any(bad):
-        raise ConfigError(f"{path}: potential index {index[bad][0]:g} is not an "
-                          f"interior node index, an integer in [0, {n_int})")
-    if len(np.unique(index)) < len(index):
-        raise ConfigError(f"{path}: potential indices repeat")
-    if not np.all(np.isfinite(data[:, 1])):
-        raise ConfigError(f"{path}: potential values must be finite")
-    values = np.zeros(n_int)
-    values[index.astype(np.int64)] = data[:, 1]
     return Potential(grid, values)
 
 

@@ -71,7 +71,6 @@ class FracOperator:
     table: np.ndarray         # off-diagonal entry per lattice offset |d| (d = 0 unused)
     diag: np.ndarray          # per non-FAR node: the diagonal entry
     tail: np.ndarray          # per non-FAR node: c * integral over {u == 0}
-    cns: float
 
     @property
     def matrix(self) -> np.ndarray:
@@ -262,7 +261,7 @@ def assemble_quadrature(grid: Grid, s: float) -> FracOperator:
     tail_coeff = c * tail_int
     nf_mask = (grid.region != Region.EXTERIOR_FAR).astype(np.float64)
     diag = tail_coeff - offset_convolve(table, nf_mask.reshape(table.shape)).ravel()[nf]
-    return FracOperator(grid=grid, s=s, table=table, diag=diag, tail=tail_coeff, cns=c)
+    return FracOperator(grid=grid, s=s, table=table, diag=diag, tail=tail_coeff)
 
 
 def apply_spectral(u: GridFunction, s: float, pad_factor: int = 8) -> GridFunction:

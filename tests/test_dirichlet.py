@@ -393,33 +393,13 @@ def test_potential_families():
     p = potential_from_spec(g, {"type": "gaussian", "amplitude": 2.0, "center": 0.5, "width": 0.3})
     assert p.values.argmax() == np.argmin(np.abs(x - 0.5))
     assert np.max(np.abs(p.values)) == pytest.approx(2.0, rel=1e-2)
-    p2 = potential_from_spec(g, {"type": "two_bump", "bumps": [
-        {"amplitude": 1.0, "center": -0.5, "width": 0.2},
-        {"amplitude": 1.0, "center": 0.5, "width": 0.2}]})
-    assert p2.values[np.argmin(np.abs(x + 0.5))] > 0.9
-    p3 = potential_from_spec(g, {"type": "nodes", "values": list(range(len(x)))})
-    assert p3.values[-1] == len(x) - 1
+    p2 = potential_from_spec(g, {"type": "nodes", "values": list(range(len(x)))})
+    assert p2.values[-1] == len(x) - 1
     with pytest.raises(ConfigError):
         potential_from_spec(g, {"type": "nodes", "values": list(range(len(x) + 1))})
-    with pytest.raises(DomainError):
-        potential_from_spec(g, {"type": "mystery"})
+    # a sum of bumps or a file is given as node values
+    for kind in ("mystery", "two_bump", "csv"):
+        with pytest.raises(DomainError, match=f"unknown potential family '{kind}'"):
+            potential_from_spec(g, {"type": kind})
     with pytest.raises(ValueError):
         Potential(g, np.ones(3))
-
-
-def test_potential_from_csv(tmp_path):
-    from fraccalderon.dirichlet import potential_from_csv
-    g = make_grid_1d(0.05)
-    path = tmp_path / "q.csv"
-    path.write_text("index,value\n0,1.5\n5,-0.25\n")
-    p = potential_from_csv(g, str(path))
-    assert p.values[0] == 1.5
-    assert p.values[5] == -0.25
-    assert np.count_nonzero(p.values) == 2
-    # an index that is negative, past the last interior node, fractional or
-    # repeated is refused, not wrapped, raised as IndexError or truncated
-    for rows in ("-1,1.0\n", f"{len(g.interior)},1.0\n", "999,1.0\n", "2.5,1.0\n",
-                 "3,1.0\n3,2.0\n"):
-        path.write_text("index,value\n" + rows)
-        with pytest.raises(ConfigError):
-            potential_from_csv(g, str(path))
